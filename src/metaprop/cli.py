@@ -113,14 +113,15 @@ def cmd_fit(args) -> int:
     payload = _fit_payload(fit, het, pooled)
 
     if args.diagnostics:
+        diagnostics = transform_diagnostic(dataset)
         rows = [(d.kind,
                  "" if d.w is None else f"{d.w:.4f}",
                  "" if d.p_value is None else f"{d.p_value:.4g}",
                  d.skipped or "")
-                for d in transform_diagnostic(dataset)]
+                for d in diagnostics]
         payload["transform_diagnostics"] = [
             {"kind": d.kind, "w": d.w, "p_value": d.p_value, "skipped": d.skipped}
-            for d in transform_diagnostic(dataset)]
+            for d in diagnostics]
 
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -187,8 +188,7 @@ def cmd_regress(args) -> int:
 def cmd_select(args) -> int:
     dataset = _load_dataset(args.data, args.schema)
     rows, trail = selection.five_model_protocol(
-        dataset, strategy=args.strategy, method=args.criterion_likelihood,
-        jobs=args.jobs)
+        dataset, strategy=args.strategy, method=args.criterion_likelihood)
     md = report.comparison_table(rows, format="markdown")
     csv_text = report.comparison_table(rows, format="csv")
 
@@ -212,7 +212,8 @@ def cmd_select(args) -> int:
     with open(os.path.join(out_dir, "search_trail.jsonl"), "w", encoding="utf-8") as fh:
         for rec in trail:
             fh.write(json.dumps(asdict(rec)) + "\n")
-    return EXIT_OK
+    failed = any(r.note is not None or not r.converged for r in rows)
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 def cmd_forest(args) -> int:
@@ -319,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("schema")
     p.add_argument("--strategy", choices=["exhaustive", "stepwise"], default="exhaustive")
     p.add_argument("--criterion-likelihood", choices=["reml", "ml"], default="reml")
-    p.add_argument("--jobs", type=int, default=1)
     common(p, with_method=False)
     p.set_defaults(func=cmd_select)
 

@@ -8,10 +8,12 @@ variance plus known sampling variance on the diagonal,
     V_j = sigma2_xi * ones + diag(sigma2_zeta + v_ij).
 
 Every block is diagonal plus rank one, so inverses and determinants use
-Sherman-Morrison per study instead of dense m x m algebra.  Variance
-components are maximized on the log scale with a bounded quasi-Newton
-optimizer and a small deterministic multistart; fixed effects follow by
-generalized least squares at the optimum.
+Sherman-Morrison per study instead of dense m x m algebra.  The same
+per-study sums give the exact ML/REML score (Harville 1977), so variance
+components are maximized on the log scale by a bounded quasi-Newton
+optimizer with analytic gradients from four deterministic starts,
+followed by a direct check of each zero boundary; fixed effects follow
+by generalized least squares at the optimum.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
-from scipy.stats import norm
+from scipy.special import ndtri, stdtrit
 
 from .ingest import ValidationError
 from .transforms import HALF_PI, ft_inverse, ft_theta, ft_variance
@@ -31,6 +33,7 @@ __all__ = [
     "VAR_FLOOR",
     "VarianceComponents",
     "FitResult",
+    "Problem",
     "StudyEffect",
     "PooledEstimate",
     "marginal_covariance",
@@ -44,6 +47,14 @@ __all__ = [
 ]
 
 VAR_FLOOR = 1e-12
+# L-BFGS-B stopping rules, per start
+MAX_EVALUATIONS = 2000
+FTOL = 1e-10
+GTOL = 1e-8
+# L-BFGS-B also stops when its line search cannot beat the rounding noise
+# of the likelihood; that stop counts as converged when the log-scale
+# gradient is no larger than what its FTOL test already accepts.
+_STALL_GTOL = 1e-3
 _LOG_FLOOR = math.log(VAR_FLOOR)
 _LOG_CEIL = math.log(1e6)
 
@@ -83,34 +94,6 @@ class FitResult:
     v: np.ndarray = field(repr=False, default=None)
 
 
-def _as_matrix(X) -> np.ndarray:
-    mat = getattr(X, "matrix", X)
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError("design must be a 2-d matrix")
-    return mat
-
-
-def _labels_of(X, f) -> list:
-    labels = getattr(X, "labels", None)
-    return list(labels) if labels is not None else [f"b{i}" for i in range(f)]
-
-
-def _check_inputs(y, X, group_sizes, v):
-    y = np.asarray(y, dtype=np.float64)
-    mat = _as_matrix(X)
-    group_sizes = np.asarray(group_sizes, dtype=np.int64)
-    v = np.asarray(v, dtype=np.float64)
-    m = y.size
-    if mat.shape[0] != m or v.size != m:
-        raise ValueError("y, X, and v must agree on the number of trials")
-    if int(group_sizes.sum()) != m:
-        raise ValueError("group sizes must sum to the number of trials")
-    if np.any(v <= 0):
-        raise ValueError("sampling variances must be positive")
-    return y, mat, group_sizes, v
-
-
 def marginal_covariance(group_sizes, varcomps: VarianceComponents, v) -> np.ndarray:
     """Dense block-diagonal marginal covariance (for inspection and tests)."""
     v = np.asarray(v, dtype=np.float64)
@@ -131,63 +114,115 @@ def marginal_covariance(group_sizes, varcomps: VarianceComponents, v) -> np.ndar
     return V
 
 
-def _block_quantities(y, mat, group_sizes, v, sigma2_xi, sigma2_zeta):
-    """Sherman-Morrison accumulators shared by likelihood and GLS.
+class Problem:
+    """One validated likelihood problem: data, study layout, design, method.
 
-    Returns XtViX, XtViy, ytViy, and log|V| computed block by block.
+    Built once per fit, so the inputs are checked once; each ``evaluate``
+    then costs O(m f^2 + f^3).
     """
-    d = 1.0 / (v + sigma2_zeta)
-    offsets = np.zeros(len(group_sizes), dtype=np.int64)
-    np.cumsum(group_sizes[:-1], out=offsets[1:])
-    s = np.add.reduceat(d, offsets)                    # 1' D^-1 1 per study
-    c = sigma2_xi / (1.0 + sigma2_xi * s)              # rank-one correction
 
-    dy = d * y
-    dX = mat * d[:, None]
-    t = np.add.reduceat(dy, offsets)                   # 1' D^-1 y per study
-    T = np.add.reduceat(dX, offsets, axis=0)           # 1' D^-1 X per study
+    def __init__(self, y, X, group_sizes, v, method: str = "reml"):
+        if method not in ("reml", "ml"):
+            raise ValueError(f"method must be 'reml' or 'ml', got {method!r}")
+        self.method = method
+        self.y = np.asarray(y, dtype=np.float64)
+        self.X = np.asarray(getattr(X, "matrix", X), dtype=np.float64)
+        if self.X.ndim != 2:
+            raise ValueError("design must be a 2-d matrix")
+        self.group_sizes = np.asarray(group_sizes, dtype=np.int64)
+        self.v = np.asarray(v, dtype=np.float64)
+        self.m, self.f = self.X.shape
+        self.h = len(self.group_sizes)
+        if self.y.size != self.m or self.v.size != self.m:
+            raise ValueError("y, X, and v must agree on the number of trials")
+        if int(self.group_sizes.sum()) != self.m or np.any(self.group_sizes < 1):
+            raise ValueError("group sizes must be positive and sum to the number of trials")
+        if np.any(self.v <= 0):
+            raise ValueError("sampling variances must be positive")
+        self.offsets = np.zeros(self.h, dtype=np.int64)
+        np.cumsum(self.group_sizes[:-1], out=self.offsets[1:])
+        self.index = np.repeat(np.arange(self.h), self.group_sizes)
 
-    XtViX = mat.T @ dX - T.T @ (c[:, None] * T)
-    XtViy = mat.T @ dy - T.T @ (c * t)
-    ytViy = float(np.dot(y, dy) - np.dot(c, t * t))
-    logdetV = float(np.sum(np.log(v + sigma2_zeta)) + np.sum(np.log1p(sigma2_xi * s)))
-    return XtViX, XtViy, ytViy, logdetV
+    def _sums(self, sigma2_xi, sigma2_zeta):
+        """Sherman-Morrison accumulators, computed block by block.
+
+        Returns d = diag(D^-1), and per study s = 1'D^-1 1, the rank-one
+        correction c, t = 1'D^-1 y and T = 1'D^-1 X; then X'V^-1 X,
+        X'V^-1 y and y'V^-1 y.
+        """
+        d = 1.0 / (self.v + sigma2_zeta)
+        s = np.add.reduceat(d, self.offsets)
+        c = sigma2_xi / (1.0 + sigma2_xi * s)
+        dy = d * self.y
+        dX = self.X * d[:, None]
+        t = np.add.reduceat(dy, self.offsets)
+        T = np.add.reduceat(dX, self.offsets, axis=0)
+        XtViX = self.X.T @ dX - T.T @ (c[:, None] * T)
+        XtViy = self.X.T @ dy - T.T @ (c * t)
+        ytViy = float(np.dot(self.y, dy) - np.dot(c, t * t))
+        return d, s, c, t, T, XtViX, XtViy, ytViy
+
+    def evaluate(self, sigma2_xi: float, sigma2_zeta: float):
+        """Log-likelihood and its exact score in (sigma2_xi, sigma2_zeta).
+
+        ML: -0.5 [m log 2pi + log|V| + r' V^-1 r] at the GLS solution;
+        REML additionally subtracts 0.5 log|X' V^-1 X| and replaces m by
+        m-f.  With V_k = dV/dsigma2_k (the study-indicator outer product
+        for sigma2_xi, the identity for sigma2_zeta) the score is
+        -0.5 [tr(P V_k) - r' V^-1 V_k V^-1 r], where P = V^-1 for ML and
+        V^-1 - V^-1 X (X' V^-1 X)^-1 X' V^-1 for REML.
+        """
+        d, s, c, t, T, XtViX, XtViy, ytViy = self._sums(sigma2_xi, sigma2_zeta)
+        sign, logdetA = np.linalg.slogdet(XtViX)
+        if sign <= 0:
+            raise np.linalg.LinAlgError("design matrix is rank deficient under V^-1")
+        beta = np.linalg.solve(XtViX, XtViy)
+        rss = ytViy - float(beta @ XtViy)
+        logdetV = float(np.sum(np.log(self.v + sigma2_zeta)) + np.sum(np.log1p(sigma2_xi * s)))
+
+        g = 1.0 / (1.0 + sigma2_xi * s)                  # 1'V_j^-1 a_j = g_j 1'D_j^-1 a_j
+        rt = t - T @ beta                                # 1'D_j^-1 r_j
+        u = d * (self.y - self.X @ beta - (c * rt)[self.index])         # V^-1 r
+        tr_xi = float(np.dot(s, g))                      # tr(V^-1 V_xi)
+        tr_zeta = float(np.sum(d) - np.dot(c, np.add.reduceat(d * d, self.offsets)))
+        if self.method == "ml":
+            loglik = -0.5 * (self.m * math.log(2.0 * math.pi) + logdetV + rss)
+        else:
+            loglik = -0.5 * ((self.m - self.f) * math.log(2.0 * math.pi)
+                             + logdetV + logdetA + rss)
+            W = d[:, None] * (self.X - (c[:, None] * T)[self.index])   # V^-1 X
+            G = T * g[:, None]                                          # 1'V_j^-1 X_j
+            A_inv = np.linalg.inv(XtViX)
+            tr_xi -= float(np.sum(A_inv * (G.T @ G)))
+            tr_zeta -= float(np.sum(A_inv * (W.T @ W)))
+        score = -0.5 * np.array([tr_xi - float(np.sum((g * rt) ** 2)),
+                                 tr_zeta - float(np.dot(u, u))])
+        return loglik, score
+
+    def gls(self, sigma2_xi: float, sigma2_zeta: float):
+        """GLS fixed effects and their covariance at the given components."""
+        *_, XtViX, XtViy, _ = self._sums(sigma2_xi, sigma2_zeta)
+        cov = np.linalg.inv(XtViX)
+        beta = cov @ XtViy
+        cov = 0.5 * (cov + cov.T)
+        return beta, cov
 
 
 def log_likelihood(y, X, group_sizes, varcomps: VarianceComponents, v, method: str = "reml") -> float:
     """Marginal (ML) or restricted (REML) Gaussian log-likelihood.
 
-    ML: -0.5 [m log 2pi + log|V| + r' V^-1 r] at the GLS solution;
-    REML additionally subtracts 0.5 log|X' V^-1 X| and replaces m by m-f.
+    See :meth:`Problem.evaluate`, which also returns the score.
     """
-    if method not in ("reml", "ml"):
-        raise ValueError(f"method must be 'reml' or 'ml', got {method!r}")
-    y, mat, group_sizes, v = _check_inputs(y, X, group_sizes, v)
-    m, f = mat.shape
-    XtViX, XtViy, ytViy, logdetV = _block_quantities(
-        y, mat, group_sizes, v, varcomps.sigma2_xi, varcomps.sigma2_zeta)
-    sign, logdetA = np.linalg.slogdet(XtViX)
-    if sign <= 0:
-        raise np.linalg.LinAlgError("design matrix is rank deficient under V^-1")
-    beta = np.linalg.solve(XtViX, XtViy)
-    rss = ytViy - float(beta @ XtViy)
-    if method == "ml":
-        return -0.5 * (m * math.log(2.0 * math.pi) + logdetV + rss)
-    return -0.5 * ((m - f) * math.log(2.0 * math.pi) + logdetV + logdetA + rss)
+    problem = Problem(y, X, group_sizes, v, method)
+    return problem.evaluate(varcomps.sigma2_xi, varcomps.sigma2_zeta)[0]
 
 
 def gls_fixed_effects(y, X, group_sizes, varcomps: VarianceComponents, v):
     """GLS fixed effects and their covariance at fixed variance components."""
-    y, mat, group_sizes, v = _check_inputs(y, X, group_sizes, v)
-    XtViX, XtViy, _, _ = _block_quantities(
-        y, mat, group_sizes, v, varcomps.sigma2_xi, varcomps.sigma2_zeta)
-    cov = np.linalg.inv(XtViX)
-    beta = cov @ XtViy
-    cov = 0.5 * (cov + cov.T)
-    return beta, cov
+    return Problem(y, X, group_sizes, v).gls(varcomps.sigma2_xi, varcomps.sigma2_zeta)
 
 
-def _moment_start(y, mat, group_sizes, v) -> float:
+def _moment_start(y, mat, v) -> float:
     """Total-heterogeneity scale for the multistart.
 
     Uses the method-of-moments estimate from the weighted residual sum
@@ -211,82 +246,76 @@ def _moment_start(y, mat, group_sizes, v) -> float:
     return max(moments, residual_scale, 1e-4)
 
 
-def fit_model(y, X, group_sizes, v, method: str = "reml", options: dict | None = None) -> FitResult:
+def fit_model(y, X, group_sizes, v, method: str = "reml") -> FitResult:
     """Maximize the log-likelihood over the two variance components.
 
     Components are optimized as log-variances with a floor, via L-BFGS-B
-    with finite-difference gradients, restarted from a small deterministic
-    set of points built around a method-of-moments heterogeneity estimate.
-    Non-convergence returns the best point found with converged=False.
+    with the exact score, from four deterministic starts built around a
+    method-of-moments heterogeneity estimate.  On the log scale the score
+    vanishes as a component approaches zero, so the optimizer can stop
+    short of a maximum on the boundary; each component is then set to
+    VAR_FLOOR in turn and kept there if the likelihood rises.  A best
+    start that ran out of evaluations away from a stationary point gives
+    converged=False.
     """
-    opts = {"max_evaluations": 2000, "ftol": 1e-10, "gtol": 1e-8}
-    opts.update(options or {})
-    y, mat, group_sizes, v = _check_inputs(y, X, group_sizes, v)
-    m, f = mat.shape
-    h = len(group_sizes)
+    problem = Problem(y, X, group_sizes, v, method)
+    m, f, h = problem.m, problem.f, problem.h
     if m <= f:
         raise ValidationError(f"need more trials than coefficients (m={m}, f={f})")
 
-    single_study = h < 2
-    if single_study:
+    free = slice(0, 2)
+    if h < 2:
         warnings.warn("only one study: sigma2_xi is not identifiable and is fixed at 0",
                       stacklevel=2)
+        free = slice(1, 2)
 
-    s_hat = _moment_start(y, mat, group_sizes, v)
-    starts = [
-        (VAR_FLOOR, s_hat),
-        (s_hat, VAR_FLOOR),
-        (0.5 * s_hat, 0.5 * s_hat),
-        (4.0 * s_hat, 4.0 * s_hat),
-    ]
+    s_hat = _moment_start(problem.y, problem.X, problem.v)
+    starts = [(VAR_FLOOR, s_hat), (s_hat, VAR_FLOOR), (0.5 * s_hat, 0.5 * s_hat),
+              (4.0 * s_hat, 4.0 * s_hat)]
 
     def unpack(u):
-        if single_study:
-            return VAR_FLOOR, math.exp(min(u[0], _LOG_CEIL))
-        return math.exp(min(u[0], _LOG_CEIL)), math.exp(min(u[1], _LOG_CEIL))
+        point = [VAR_FLOOR, VAR_FLOOR]
+        point[free] = [math.exp(min(x, _LOG_CEIL)) for x in u]
+        return tuple(point)
 
     evaluations = 0
 
     def objective(u):
         nonlocal evaluations
         evaluations += 1
-        sigma2_xi, sigma2_zeta = unpack(u)
-        vc = VarianceComponents(sigma2_xi, sigma2_zeta)
-        return -log_likelihood(y, mat, group_sizes, vc, v, method=method)
+        point = unpack(u)
+        loglik, score = problem.evaluate(*point)
+        return -loglik, -(score * point)[free]           # gradient in log sigma2
 
-    bounds = [(_LOG_FLOOR, _LOG_CEIL)] * (1 if single_study else 2)
     best = None
-    best_ok = False
-    for xi0, zeta0 in starts:
-        u0 = [math.log(max(zeta0, VAR_FLOOR))] if single_study else \
-             [math.log(max(xi0, VAR_FLOOR)), math.log(max(zeta0, VAR_FLOOR))]
+    for start in starts:
+        u0 = [math.log(max(x, VAR_FLOOR)) for x in start[free]]
         res = optimize.minimize(
-            objective, np.asarray(u0), method="L-BFGS-B", bounds=bounds,
-            options={"ftol": opts["ftol"], "gtol": opts["gtol"],
-                     "maxfun": opts["max_evaluations"]})
+            objective, np.asarray(u0), jac=True, method="L-BFGS-B",
+            bounds=[(_LOG_FLOOR, _LOG_CEIL)] * len(u0),
+            options={"ftol": FTOL, "gtol": GTOL, "maxfun": MAX_EVALUATIONS})
         if best is None or res.fun < best.fun:
             best = res
-            best_ok = bool(res.success)
 
-    # The log parameterization flattens the surface near zero, which can
-    # stall finite-difference quasi-Newton steps; a short derivative-free
-    # polish from the best point recovers those cases deterministically.
-    polish = optimize.minimize(
-        objective, np.clip(best.x, _LOG_FLOOR, _LOG_CEIL), method="Nelder-Mead",
-        options={"xatol": 1e-7, "fatol": 1e-10,
-                 "maxfev": min(300, opts["max_evaluations"])})
-    if polish.fun < best.fun:
-        best = polish
-        best_ok = bool(polish.success) or best_ok
+    converged = bool(best.success) or float(np.max(np.abs(best.jac))) <= _STALL_GTOL
+    point, loglik = unpack(best.x), -float(best.fun)
+    for k in range(2):
+        if point[k] > VAR_FLOOR:
+            trial = (VAR_FLOOR, point[1]) if k == 0 else (point[0], VAR_FLOOR)
+            evaluations += 1
+            trial_loglik = problem.evaluate(*trial)[0]
+            if trial_loglik > loglik:
+                point, loglik = trial, trial_loglik
 
-    sigma2_xi, sigma2_zeta = unpack(best.x)
-    varcomps = VarianceComponents(sigma2_xi, sigma2_zeta)
-    beta, cov = gls_fixed_effects(y, mat, group_sizes, varcomps, v)
+    varcomps = VarianceComponents(*point)
+    beta, cov = problem.gls(*point)
+    labels = getattr(X, "labels", None)
     return FitResult(
-        beta=beta, labels=_labels_of(X, f), cov_beta=cov, varcomps=varcomps,
-        loglik=-float(best.fun), method=method, converged=best_ok,
+        beta=beta, labels=[f"b{i}" for i in range(f)] if labels is None else list(labels),
+        cov_beta=cov, varcomps=varcomps,
+        loglik=loglik, method=method, converged=converged,
         n_evaluations=evaluations, m=m, h=h, f=f,
-        y=y, X=mat, group_sizes=group_sizes, v=v)
+        y=problem.y, X=problem.X, group_sizes=problem.group_sizes, v=problem.v)
 
 
 @dataclass(frozen=True)
@@ -317,11 +346,9 @@ def pooled_estimate(fit: FitResult, level: float = 0.95,
     mu = float(c @ fit.beta)
     se = math.sqrt(max(float(c @ fit.cov_beta @ c), 0.0))
     if quantile == "normal":
-        z = float(norm.ppf(0.5 + level / 2.0))
+        z = float(ndtri(0.5 + level / 2.0))
     elif quantile == "t":
-        from scipy.stats import t as t_dist
-
-        z = float(t_dist.ppf(0.5 + level / 2.0, df=fit.m - fit.f))
+        z = float(stdtrit(fit.m - fit.f, 0.5 + level / 2.0))
     else:
         raise ValueError(f"unknown quantile kind {quantile!r}")
     lo, hi = mu - z * se, mu + z * se
@@ -388,10 +415,8 @@ def predict_study_effects(fit: FitResult, dataset, method: str = "blup") -> list
 
 def study_weights(fit: FitResult) -> np.ndarray:
     """Per-study share of the total GLS weight, normalized to sum to 1."""
-    d = 1.0 / (fit.v + fit.varcomps.sigma2_zeta)
-    offsets = np.zeros(len(fit.group_sizes), dtype=np.int64)
-    np.cumsum(fit.group_sizes[:-1], out=offsets[1:])
-    s = np.add.reduceat(d, offsets)
+    problem = Problem(fit.y, fit.X, fit.group_sizes, fit.v)
+    _, s, *_ = problem._sums(fit.varcomps.sigma2_xi, fit.varcomps.sigma2_zeta)
     w = s / (1.0 + fit.varcomps.sigma2_xi * s)
     return w / w.sum()
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .engine import FitResult, VarianceComponents
 from .ingest import ValidationError
@@ -50,7 +50,7 @@ def cochran_q(y, X, v):
     r = y - mat @ beta
     q = float(np.sum(w * r * r))
     df = m - f
-    return q, df, float(chi2.sf(q, df))
+    return q, df, float(chdtrc(df, q))
 
 
 def pooled_sampling_variance(v) -> float:

@@ -252,12 +252,16 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
         raise ValidationError(f"missing feature columns: {missing_feats}")
 
     trials = []
+    seen = set()
     for row in reader:
         line = reader.line_num
         study_id = (row.get("study_id") or "").strip()
         trial_id = (row.get("trial_id") or "").strip()
         if not study_id:
             raise ValidationError(f"line {line}: empty study_id")
+        if (study_id, trial_id) in seen:
+            raise ValidationError(f"line {line}: duplicate trial {trial_id!r} in study {study_id!r}")
+        seen.add((study_id, trial_id))
         n = _parse_int(row["n"], "n", line)
         if n <= 0:
             raise ValidationError(f"line {line}: n must be positive, got {n}")
@@ -284,10 +288,14 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
             raw = raw.strip()
             if spec.kind == "numeric":
                 try:
-                    feats[spec.name] = float(raw) / spec.scale
+                    value = float(raw)
                 except ValueError:
                     raise ValidationError(
                         f"line {line}: feature {spec.name!r} is not numeric: {raw!r}") from None
+                if not math.isfinite(value):
+                    raise ValidationError(
+                        f"line {line}: feature {spec.name!r} is not finite: {raw!r}")
+                feats[spec.name] = value / spec.scale
             else:
                 try:
                     feats[spec.name] = spec.map_category(raw)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from . import engine
 from .ingest import ValidationError
@@ -30,7 +30,7 @@ __all__ = [
     "simple_table",
 ]
 
-Z95 = float(norm.ppf(0.975))
+Z95 = float(ndtri(0.975))
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ def forest_rows(fit: engine.FitResult, dataset, method: str = "blup") -> list:
         est = _to_prop(eff.kappa_hat, eff.se)
         lo = _to_prop(eff.kappa_hat - Z95 * eff.se, eff.se)
         hi = _to_prop(eff.kappa_hat + Z95 * eff.se, eff.se)
-        lo, hi = min(lo, est), max(hi, est)
         rows.append(ForestRow(study_id=eff.study_id, trials=eff.trials,
                               estimate=est, ci=(lo, hi), weight=float(w)))
     return rows
@@ -238,7 +237,7 @@ def regression_table(fit: engine.FitResult, design) -> RegressionTable:
         beta = float(fit.beta[i])
         se = float(se_all[i])
         if se > 0:
-            p = float(2.0 * norm.sf(abs(beta) / se))
+            p = float(2.0 * ndtr(-abs(beta) / se))
         else:
             p = 1.0 if beta == 0 else 0.0
         feature = None

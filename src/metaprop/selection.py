@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -105,44 +104,18 @@ def _evaluate_subset(dataset, y, v, group_sizes, index, features, method):
         converged=fit.converged)
 
 
-def _mask_features(names, mask: int):
-    return tuple(n for i, n in enumerate(names) if mask >> i & 1)
-
-
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(dataset, method):
-    y, v = engine.effect_arrays(dataset)
-    _WORKER_STATE.update(dataset=dataset, y=y, v=v,
-                         group_sizes=dataset.group_sizes(), method=method)
-
-
-def _worker_eval(args):
-    index, mask = args
-    st = _WORKER_STATE
-    features = _mask_features(st["dataset"].schema.names, mask)
-    return _evaluate_subset(st["dataset"], st["y"], st["v"], st["group_sizes"],
-                            index, features, st["method"])
-
-
-def _exhaustive_trail(dataset: Dataset, method: str, jobs: int = 1) -> list:
+def _exhaustive_trail(dataset: Dataset, method: str) -> list:
     names = dataset.schema.names
     n_feat = len(names)
     if n_feat > MAX_EXHAUSTIVE_FEATURES:
         raise ValidationError(
             f"exhaustive search over {n_feat} features is infeasible "
             f"(limit {MAX_EXHAUSTIVE_FEATURES}); use strategy='stepwise'")
-    tasks = [(i, i) for i in range(2 ** n_feat)]  # mask doubles as index
-    if jobs > 1:
-        ctx = get_context("fork")
-        with ctx.Pool(jobs, initializer=_worker_init, initargs=(dataset, method)) as pool:
-            trail = pool.map(_worker_eval, tasks, chunksize=max(len(tasks) // (4 * jobs), 1))
-    else:
-        _worker_init(dataset, method)
-        trail = [_worker_eval(t) for t in tasks]
-    trail.sort(key=lambda r: r.index)
-    return trail
+    y, v = engine.effect_arrays(dataset)
+    group_sizes = dataset.group_sizes()
+    return [_evaluate_subset(dataset, y, v, group_sizes, mask,  # mask doubles as index
+                             tuple(n for i, n in enumerate(names) if mask >> i & 1), method)
+            for mask in range(2 ** n_feat)]
 
 
 def _best_record(trail, kind: str) -> TrailRecord:
@@ -190,7 +163,7 @@ def _stepwise_trail(dataset, y, v, group_sizes, method: str, kind: str) -> tuple
 
 
 def search(dataset: Dataset, criterion_kind: str, strategy: str = "exhaustive",
-           method: str = "reml", jobs: int = 1) -> SearchResult:
+           method: str = "reml") -> SearchResult:
     """Find the criterion-minimal feature subset.
 
     Exhaustive evaluates every subset of the feature groups; stepwise
@@ -203,7 +176,7 @@ def search(dataset: Dataset, criterion_kind: str, strategy: str = "exhaustive",
     y, v = engine.effect_arrays(dataset)
     group_sizes = dataset.group_sizes()
     if strategy == "exhaustive":
-        trail = _exhaustive_trail(dataset, method, jobs=jobs)
+        trail = _exhaustive_trail(dataset, method)
         best = _best_record(trail, criterion_kind)
         features = best.features
     elif strategy == "stepwise":
@@ -267,7 +240,7 @@ def _comparison_row(name, features, fit, residuals, fit_null, sigma2_eps) -> Mod
 
 
 def five_model_protocol(dataset: Dataset, strategy: str = "exhaustive",
-                        method: str = "reml", jobs: int = 1):
+                        method: str = "reml"):
     """Fit Null, Full, and the AIC/BIC/RMSE-optimized models.
 
     Returns (rows, trail) with rows ordered by AIC ascending.  Fit
@@ -282,7 +255,7 @@ def five_model_protocol(dataset: Dataset, strategy: str = "exhaustive",
 
     winners: dict = {}
     if strategy == "exhaustive":
-        trail = _exhaustive_trail(dataset, method, jobs=jobs)
+        trail = _exhaustive_trail(dataset, method)
         for kind in _CRITERIA:
             winners[kind] = _best_record(trail, kind).features
     elif strategy == "stepwise":

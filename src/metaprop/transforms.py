@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 __all__ = [
     "EffectSample",
@@ -78,19 +78,14 @@ def ft_inverse_array(t, n_equiv):
 
     tc = np.clip(t, 0.0, HALF_PI)
     s2t = np.sin(2.0 * tc)
-    c2t = np.cos(2.0 * tc)
-    # sin(2t) -> 0 at the endpoints; take the limit values there.
-    at_zero = tc < 1e-12
-    at_one = tc > HALF_PI - 1e-12
-    safe = np.where(at_zero | at_one, 1.0, s2t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inner = safe + (safe - 1.0 / safe) / n_equiv
-    radicand = np.clip(1.0 - inner * inner, 0.0, 1.0)
-    sign = np.where(c2t >= 0.0, 1.0, -1.0)
-    p = 0.5 * (1.0 - sign * np.sqrt(radicand))
-    p = np.where(at_zero, 0.0, p)
-    p = np.where(at_one, 1.0, p)
-    return np.clip(p, 0.0, 1.0)
+        inner = s2t + (s2t - 1.0 / s2t) / n_equiv
+        sign = np.where(np.cos(2.0 * tc) >= 0.0, 1.0, -1.0)
+        p = 0.5 * (1.0 - sign * np.sqrt(np.clip(1.0 - inner * inner, 0.0, 1.0)))
+        # The inverse folds back outside [theta(0, n), theta(n, n)], the
+        # range the transform attains at n; values beyond it map to 0 and 1.
+        hi = np.where(np.isinf(n_equiv), HALF_PI, ft_theta(n_equiv, n_equiv))
+    return np.where(tc <= ft_theta(0.0, n_equiv), 0.0, np.where(tc >= hi, 1.0, p))
 
 
 def ft_inverse(t: float, n_equiv: float) -> float:
@@ -152,7 +147,7 @@ def _poly(coefs, x):
 def _sw_weights(n: int) -> np.ndarray:
     """Antisymmetric weight vector for the W statistic."""
     half = n // 2
-    m = norm.ppf((np.arange(1, half + 1) - 0.375) / (n + 0.25))
+    m = ndtri((np.arange(1, half + 1) - 0.375) / (n + 0.25))
     a = np.zeros(n)
     if n == 3:
         a[0] = -math.sqrt(0.5)
@@ -219,7 +214,7 @@ def shapiro_wilk(values) -> tuple[float, float]:
         ln_n = math.log(n)
         mu = _poly(_C5, ln_n)
         sigma = math.exp(_poly(_C6, ln_n))
-    p = float(norm.sf((y - mu) / sigma))
+    p = float(ndtr(-(y - mu) / sigma))
     return w, p
 
 

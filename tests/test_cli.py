@@ -45,6 +45,41 @@ class TestFit:
         assert code == 2
         assert "error" in err
 
+    def test_non_finite_feature_exit_2(self, capsys, tmp_path, example_paths):
+        lines = pathlib.Path(example_paths["data"]).read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[4] = "nan"  # train_test_ratio
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+        code, _, err = run(capsys, "fit", bad, example_paths["schema"])
+        assert code == 2
+        assert "line 2" in err and "not finite" in err
+
+    def test_perfect_accuracy_ci_brackets_estimate(self, capsys, tmp_path):
+        # the CI's upper end lies beyond theta(n, n) at the pooled n_equiv
+        data = tmp_path / "perfect.csv"
+        data.write_text("study_id,trial_id,k,n\nS1,t1,10,10\nS1,t2,10,10\n"
+                        "S2,t1,10,10\nS2,t2,10,10\n")
+        schema = tmp_path / "schema.yaml"
+        schema.write_text("features: {}\n")
+        code, out, _ = run(capsys, "fit", data, schema, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        low, high = payload["prop_ci"]
+        assert low <= payload["prop"] <= high
+
+    def test_diagnostics_computed_once(self, capsys, monkeypatch, example_paths):
+        from metaprop import cli
+
+        calls = []
+        original = cli.transform_diagnostic
+        monkeypatch.setattr(cli, "transform_diagnostic",
+                            lambda dataset: calls.append(1) or original(dataset))
+        code, _, _ = run(capsys, "fit", example_paths["data"], example_paths["schema"],
+                         "--diagnostics")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_missing_file_exit_2(self, capsys, example_paths):
         code, _, err = run(capsys, "fit", "/nonexistent.csv", example_paths["schema"])
         assert code == 2
@@ -122,6 +157,20 @@ class TestSelect:
             aic_rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
             vals[strategy] = min(float(r["aic"]) for r in aic_rows if r["model"] == "AIC")
         assert vals["exhaustive"] <= vals["stepwise"] + 1e-9
+
+    def test_failed_row_exit_3_with_artifacts(self, capsys, tmp_path):
+        # four trials and a four-level feature: the Full model has m == f
+        data = tmp_path / "tiny.csv"
+        data.write_text("study_id,trial_id,k,n,grp\nS1,t1,80,100,a\nS1,t2,70,90,b\n"
+                        "S2,t1,60,100,c\nS2,t2,75,80,d\n")
+        schema = tmp_path / "schema.yaml"
+        schema.write_text("features:\n  grp:\n    kind: categorical\n    reference_level: a\n")
+        out_dir = tmp_path / "sel"
+        code, out, _ = run(capsys, "select", data, schema, "--out-dir", out_dir)
+        assert code == 3
+        assert "Full: fit failed" in out
+        for name in ("comparison.md", "comparison.csv", "search_trail.jsonl", "manifest.json"):
+            assert (out_dir / name).exists()
 
     def test_ml_likelihood_flag_in_manifest(self, capsys, tmp_path, example_paths):
         out_dir = tmp_path / "ml"

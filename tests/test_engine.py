@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaprop.engine import (VarianceComponents, effect_arrays, fit_model,
+from metaprop import engine
+from metaprop.engine import (Problem, VarianceComponents, effect_arrays, fit_model,
                              gls_fixed_effects, log_likelihood,
                              marginal_covariance, pooled_estimate,
                              predict_study_effects, study_weights)
@@ -106,6 +107,27 @@ class TestLogLikelihood:
         assert a == pytest.approx(b, abs=1e-10)
 
 
+class TestScore:
+    @pytest.mark.parametrize("method", ["reml", "ml"])
+    def test_matches_central_differences(self, method):
+        gen = np.random.default_rng(5)
+        for _ in range(10):
+            sizes = np.array([2, 5, 3, 1])
+            m = int(sizes.sum())
+            y = gen.normal(1.0, 0.4, m)
+            v = gen.uniform(0.01, 0.4, m)
+            X = np.column_stack([np.ones(m), gen.normal(size=m)])
+            point = gen.uniform(0.005, 0.3, 2)
+            _, score = Problem(y, X, sizes, v, method).evaluate(*point)
+            for k in range(2):
+                step = np.zeros(2)
+                step[k] = 1e-6 * point[k]
+                up = log_likelihood(y, X, sizes, VarianceComponents(*(point + step)), v, method)
+                down = log_likelihood(y, X, sizes, VarianceComponents(*(point - step)), v, method)
+                numeric = (up - down) / (2 * step[k])
+                assert score[k] == pytest.approx(numeric, rel=1e-6, abs=1e-6)
+
+
 class TestGls:
     def test_degenerate_weighted_mean(self):
         # zero variance components: exact inverse-variance weighting
@@ -184,6 +206,17 @@ class TestFitModel:
         assert fit.loglik >= grid_ll - 1e-9
         assert fit.loglik == pytest.approx(grid_ll, abs=1e-4)
 
+    def test_bimodal_ml_surface_reaches_boundary_mode(self):
+        # ML surface with an interior local maximum below the one at zero
+        y = np.array([0.383, 1.0951, 0.6706, 1.2995, 1.5721, 1.6315, 1.0213, 0.9413])
+        v = np.array([0.1032, 0.1634, 0.0058, 0.2133, 0.117, 0.1369, 0.1785, 0.1779])
+        X = np.column_stack([np.ones(8), [-0.4734, -0.1854, 0.3326, -0.9776,
+                                          -0.0806, -0.6718, -0.2308, 0.7996]])
+        sizes = [2, 4, 2]
+        fit = fit_model(y, X, sizes, v, method="ml")
+        at_zero = log_likelihood(y, X, sizes, VarianceComponents(0.0, 0.0), v, "ml")
+        assert fit.loglik >= at_zero - 1e-9
+
     def test_m_not_greater_than_f(self):
         with pytest.raises(ValidationError):
             fit_model([1.0], np.ones((1, 1)), [1], [0.1])
@@ -195,9 +228,10 @@ class TestFitModel:
         assert fit.varcomps.sigma2_xi <= 1e-12
         assert fit.h == 1
 
-    def test_nonconvergence_flag_surfaces(self):
+    def test_nonconvergence_flag_surfaces(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_EVALUATIONS", 2)
         y, X, sizes, v = toy_instance(13, n_studies=3, trials=4)
-        fit = fit_model(y, X, sizes, v, options={"max_evaluations": 2})
+        fit = fit_model(y, X, sizes, v)
         assert fit.converged is False
         assert fit.loglik == pytest.approx(
             log_likelihood(y, X, sizes, fit.varcomps, v, "reml"), abs=1e-10)

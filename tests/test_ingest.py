@@ -75,6 +75,17 @@ class TestParse:
         ds = parse_dataset(ok, SCHEMA)
         assert ds.trials[-1].features["lang"] == "fr"
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_numeric_feature(self, raw):
+        bad = f"study_id,trial_id,k,n,size,model,lang\nS1,t1,80,100,{raw},lr,en\n"
+        with pytest.raises(ValidationError, match="line 2: .*not finite"):
+            parse_dataset(bad, SCHEMA)
+
+    def test_duplicate_trial_in_study(self):
+        bad = CSV + "S1,t2,10,20,1000,lr,en\n"
+        with pytest.raises(ValidationError, match="line 6: duplicate trial 't2' in study 'S1'"):
+            parse_dataset(bad, SCHEMA)
+
     def test_empty_file(self):
         with pytest.raises(ValidationError, match="empty"):
             parse_dataset("", SCHEMA)

@@ -153,13 +153,6 @@ class TestFiveModelProtocol:
         assert comparison_table(rows1, "csv") == comparison_table(rows2, "csv")
         assert [(r.index, r.aic) for r in trail1] == [(r.index, r.aic) for r in trail2]
 
-    def test_parallel_jobs_identical(self):
-        data = generate(_noise_config(888, effect=0.2))
-        rows1, trail1 = five_model_protocol(data, jobs=1)
-        rows2, trail2 = five_model_protocol(data, jobs=2)
-        assert [(r.name, r.aic) for r in rows1] == [(r.name, r.aic) for r in rows2]
-        assert [(r.index, r.features) for r in trail1] == [(r.index, r.features) for r in trail2]
-
     def test_stepwise_protocol_runs(self):
         data = generate(_noise_config(123, effect=0.25))
         rows, trail = five_model_protocol(data, strategy="stepwise")

@@ -98,6 +98,19 @@ class TestFtInverse:
         p = ft_inverse(ft_transform(k, n).theta, n)
         assert p == pytest.approx(k / n, abs=1e-6)
 
+    def test_no_fold_beyond_attainable_range(self):
+        n = 10.0
+        assert ft_inverse_array(np.array([1.45, 1.5, 1.56]), n).tolist() == [1.0, 1.0, 1.0]
+        assert ft_inverse(0.05, n) == 0.0
+        assert ft_inverse(float(ft_theta(n, n)), n) == 1.0
+        assert ft_inverse(float(ft_theta(0, n)), n) == 0.0
+
+    @given(st.one_of(st.floats(min_value=0.05, max_value=1e7), st.just(math.inf)))
+    @settings(max_examples=100)
+    def test_monotone_in_t(self, n):
+        p = ft_inverse_array(np.linspace(0.0, math.pi / 2, 4001), n)
+        assert np.all(np.diff(p) >= 0.0)
+
     def test_vectorized_round_trip_all_k(self):
         for n in (5, 10, 100, 1000):
             k = np.arange(1, n)
