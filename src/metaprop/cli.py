@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, engine, heterogeneity, report, selection, simulate
-from .ingest import (Dataset, ValidationError, encode_design, load_schema,
+from .ingest import (Dataset, DesignMatrix, ValidationError, encode_design, load_schema,
                      parse_dataset, write_dataset_csv)
 from .transforms import transform_diagnostic
 
@@ -65,7 +65,8 @@ def _load_dataset(data_path: str, schema_path: str) -> Dataset:
         return parse_dataset(fh.read(), schema)
 
 
-def _fit_dataset(dataset: Dataset, features, method: str) -> engine.FitResult:
+def _fit_dataset(dataset: Dataset, features,
+                 method: str) -> tuple[engine.FitResult, DesignMatrix]:
     y, v = engine.effect_arrays(dataset)
     design = encode_design(dataset, features)
     fit = engine.fit_model(y, design, dataset.group_sizes(), v, method=method)

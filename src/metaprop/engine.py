@@ -9,11 +9,11 @@ variance plus known sampling variance on the diagonal,
 
 Every block is diagonal plus rank one, so inverses and determinants use
 Sherman-Morrison per study instead of dense m x m algebra.  The same
-per-study sums give the exact ML/REML score (Harville 1977), so variance
-components are maximized on the log scale by a bounded quasi-Newton
-optimizer with analytic gradients from four deterministic starts,
-followed by a direct check of each zero boundary; fixed effects follow
-by generalized least squares at the optimum.
+per-study sums give the exact ML/REML score and expected information
+(Harville 1977), so the variance components are maximized by Fisher
+scoring directly on the variance scale, within [VAR_FLOOR, VAR_CEIL],
+from three deterministic starts; fixed effects follow by generalized
+least squares at the optimum.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 from scipy.special import ndtri, stdtrit
 
 from .ingest import ValidationError
@@ -31,6 +30,7 @@ from .transforms import HALF_PI, ft_inverse, ft_theta, ft_variance
 
 __all__ = [
     "VAR_FLOOR",
+    "VAR_CEIL",
     "VarianceComponents",
     "FitResult",
     "Problem",
@@ -47,16 +47,13 @@ __all__ = [
 ]
 
 VAR_FLOOR = 1e-12
-# L-BFGS-B stopping rules, per start
+VAR_CEIL = 1e6
+# Per start: converged once the Newton decrement is at most _DECREMENT_TOL,
+# or _STALL_DECREMENT when no step halving raises the loglik any more.
 MAX_EVALUATIONS = 2000
-FTOL = 1e-10
-GTOL = 1e-8
-# L-BFGS-B also stops when its line search cannot beat the rounding noise
-# of the likelihood; that stop counts as converged when the log-scale
-# gradient is no larger than what its FTOL test already accepts.
-_STALL_GTOL = 1e-3
-_LOG_FLOOR = math.log(VAR_FLOOR)
-_LOG_CEIL = math.log(1e6)
+_DECREMENT_TOL = 1e-9
+_STALL_DECREMENT = 1e-6
+_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -142,76 +139,85 @@ class Problem:
         self.offsets = np.zeros(self.h, dtype=np.int64)
         np.cumsum(self.group_sizes[:-1], out=self.offsets[1:])
         self.index = np.repeat(np.arange(self.h), self.group_sizes)
+        self.yX = np.column_stack([self.y, self.X])
 
     def _sums(self, sigma2_xi, sigma2_zeta):
         """Sherman-Morrison accumulators, computed block by block.
 
         Returns d = diag(D^-1), and per study s = 1'D^-1 1, the rank-one
-        correction c, t = 1'D^-1 y and T = 1'D^-1 X; then X'V^-1 X,
-        X'V^-1 y and y'V^-1 y.
+        correction c and S = 1'D^-1 [y X]; then [y X]' V^-1 [y X].
         """
         d = 1.0 / (self.v + sigma2_zeta)
         s = np.add.reduceat(d, self.offsets)
         c = sigma2_xi / (1.0 + sigma2_xi * s)
-        dy = d * self.y
-        dX = self.X * d[:, None]
-        t = np.add.reduceat(dy, self.offsets)
-        T = np.add.reduceat(dX, self.offsets, axis=0)
-        XtViX = self.X.T @ dX - T.T @ (c[:, None] * T)
-        XtViy = self.X.T @ dy - T.T @ (c * t)
-        ytViy = float(np.dot(self.y, dy) - np.dot(c, t * t))
-        return d, s, c, t, T, XtViX, XtViy, ytViy
+        dyX = self.yX * d[:, None]
+        S = np.add.reduceat(dyX, self.offsets, axis=0)
+        return d, s, c, S, self.yX.T @ dyX - S.T @ (c[:, None] * S)
+
+    def _factor(self, M):
+        """Li with (X'V^-1 X)^-1 = Li' Li, from the one Cholesky factorization."""
+        try:
+            return np.linalg.inv(np.linalg.cholesky(M[1:, 1:]))
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError("design matrix is rank deficient under V^-1") from None
 
     def evaluate(self, sigma2_xi: float, sigma2_zeta: float):
-        """Log-likelihood and its exact score in (sigma2_xi, sigma2_zeta).
+        """Log-likelihood, exact score and expected information.
 
         ML: -0.5 [m log 2pi + log|V| + r' V^-1 r] at the GLS solution;
         REML additionally subtracts 0.5 log|X' V^-1 X| and replaces m by
         m-f.  With V_k = dV/dsigma2_k (the study-indicator outer product
         for sigma2_xi, the identity for sigma2_zeta) the score is
-        -0.5 [tr(P V_k) - r' V^-1 V_k V^-1 r], where P = V^-1 for ML and
-        V^-1 - V^-1 X (X' V^-1 X)^-1 X' V^-1 for REML.
+        -0.5 [tr(P V_k) - r' V^-1 V_k V^-1 r] and the information is
+        0.5 tr(P V_k P V_l), where P = V^-1 for ML and
+        V^-1 - V^-1 X (X' V^-1 X)^-1 X' V^-1 for REML.  Returns
+        (loglik, score, information), in the order (sigma2_xi, sigma2_zeta).
         """
-        d, s, c, t, T, XtViX, XtViy, ytViy = self._sums(sigma2_xi, sigma2_zeta)
-        sign, logdetA = np.linalg.slogdet(XtViX)
-        if sign <= 0:
-            raise np.linalg.LinAlgError("design matrix is rank deficient under V^-1")
-        beta = np.linalg.solve(XtViX, XtViy)
-        rss = ytViy - float(beta @ XtViy)
-        logdetV = float(np.sum(np.log(self.v + sigma2_zeta)) + np.sum(np.log1p(sigma2_xi * s)))
+        d, s, c, S, M = self._sums(sigma2_xi, sigma2_zeta)
+        Li = self._factor(M)
+        z = Li @ M[1:, 0]
+        beta = Li.T @ z
+        rss = M[0, 0] - z @ z
+        logdetV = np.log(self.v + sigma2_zeta).sum() + np.log1p(sigma2_xi * s).sum()
 
         g = 1.0 / (1.0 + sigma2_xi * s)                  # 1'V_j^-1 a_j = g_j 1'D_j^-1 a_j
-        rt = t - T @ beta                                # 1'D_j^-1 r_j
+        sg = s * g                                       # 1'V_j^-1 1
+        rt = S[:, 0] - S[:, 1:] @ beta                   # 1'D_j^-1 r_j
         u = d * (self.y - self.X @ beta - (c * rt)[self.index])         # V^-1 r
-        tr_xi = float(np.dot(s, g))                      # tr(V^-1 V_xi)
-        tr_zeta = float(np.sum(d) - np.dot(c, np.add.reduceat(d * d, self.offsets)))
-        if self.method == "ml":
-            loglik = -0.5 * (self.m * math.log(2.0 * math.pi) + logdetV + rss)
-        else:
-            loglik = -0.5 * ((self.m - self.f) * math.log(2.0 * math.pi)
-                             + logdetV + logdetA + rss)
-            W = d[:, None] * (self.X - (c[:, None] * T)[self.index])   # V^-1 X
-            G = T * g[:, None]                                          # 1'V_j^-1 X_j
-            A_inv = np.linalg.inv(XtViX)
-            tr_xi -= float(np.sum(A_inv * (G.T @ G)))
-            tr_zeta -= float(np.sum(A_inv * (W.T @ W)))
-        score = -0.5 * np.array([tr_xi - float(np.sum((g * rt) ** 2)),
-                                 tr_zeta - float(np.dot(u, u))])
-        return loglik, score
+        s2, s3 = np.add.reduceat(d[:, None] ** [2, 3], self.offsets, axis=0).T
+        trace = np.array([sg.sum(), d.sum() - c @ s2])  # tr(V^-1 V_k)
+        cross = (g * g) @ s2
+        info = np.array([[sg @ sg, cross],               # tr(V^-1 V_k V^-1 V_l)
+                         [cross, d @ d - 2.0 * c @ s3 + (c * s2) @ (c * s2)]])
+        loglik = -0.5 * (self.m * math.log(2.0 * math.pi) + logdetV + rss)
+        if self.method == "reml":                        # log|X'V^-1 X| = -2 sum log diag(Li)
+            loglik += 0.5 * self.f * math.log(2.0 * math.pi) + np.log(np.diag(Li)).sum()
+            # P = V^-1 - H H' with H = V^-1 X Li'; the rows of G are 1'V_j^-1 H_j
+            # and those of E are 1'D_j^-1 H_j, so the H terms are sums over rows.
+            T = S[:, 1:]
+            H = (d[:, None] * (self.X - (c[:, None] * T)[self.index])) @ Li.T
+            G = (T * g[:, None]) @ Li.T
+            E = np.add.reduceat(d[:, None] * H, self.offsets, axis=0)
+            gg, hh, ge = (G * G).sum(1), (H * H).sum(1), g @ (G * E).sum(1)
+            GG, HH = G.T @ G, H.T @ H
+            trace -= [gg.sum(), hh.sum()]
+            info -= 2.0 * np.array([[sg @ gg, ge], [ge, d @ hh - c @ (E * E).sum(1)]])
+            info += [[(GG * GG).sum(), (GG * HH).sum()], [(GG * HH).sum(), (HH * HH).sum()]]
+        score = -0.5 * (trace - [(g * rt) @ (g * rt), u @ u])
+        return float(loglik), score, 0.5 * info
 
     def gls(self, sigma2_xi: float, sigma2_zeta: float):
         """GLS fixed effects and their covariance at the given components."""
-        *_, XtViX, XtViy, _ = self._sums(sigma2_xi, sigma2_zeta)
-        cov = np.linalg.inv(XtViX)
-        beta = cov @ XtViy
-        cov = 0.5 * (cov + cov.T)
-        return beta, cov
+        M = self._sums(sigma2_xi, sigma2_zeta)[-1]
+        Li = self._factor(M)
+        cov = Li.T @ Li                                  # numpy forms A'A by syrk: symmetric
+        return cov @ M[1:, 0], cov
 
 
 def log_likelihood(y, X, group_sizes, varcomps: VarianceComponents, v, method: str = "reml") -> float:
     """Marginal (ML) or restricted (REML) Gaussian log-likelihood.
 
-    See :meth:`Problem.evaluate`, which also returns the score.
+    See :meth:`Problem.evaluate`, which also returns the score and information.
     """
     problem = Problem(y, X, group_sizes, v, method)
     return problem.evaluate(varcomps.sigma2_xi, varcomps.sigma2_zeta)[0]
@@ -222,92 +228,83 @@ def gls_fixed_effects(y, X, group_sizes, varcomps: VarianceComponents, v):
     return Problem(y, X, group_sizes, v).gls(varcomps.sigma2_xi, varcomps.sigma2_zeta)
 
 
-def _moment_start(y, mat, v) -> float:
-    """Total-heterogeneity scale for the multistart.
-
-    Uses the method-of-moments estimate from the weighted residual sum
-    of squares, with the raw residual variance as a fallback so the
-    scale never collapses to zero when the data visibly disperse.
-    """
-    w = 1.0 / v
-    A = mat.T @ (mat * w[:, None])
-    b = mat.T @ (w * y)
-    try:
-        beta = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        return 1e-3
-    r = y - mat @ beta
-    q = float(np.sum(w * r * r))
-    m, f = mat.shape
-    trace_corr = float(np.trace(np.linalg.solve(A, mat.T @ (mat * (w * w)[:, None]))))
-    denom = float(np.sum(w)) - trace_corr
-    moments = (q - (m - f)) / denom if denom > 0 else 0.0
-    residual_scale = float(np.mean(r * r))
-    return max(moments, residual_scale, 1e-4)
+def _ascend(problem: Problem, start: tuple, pin_xi: bool):
+    """Fisher scoring from one start, first on its nonzero components with the
+    others held at VAR_FLOOR, then on both: (point, loglik, converged, evaluations)."""
+    point = np.array(start)
+    loglik, score, info = problem.evaluate(*point)
+    evaluations = 1
+    for last, movable in ((False, point > VAR_FLOOR), (True, np.ones(2, dtype=bool))):
+        movable[0] &= not pin_xi
+        while True:
+            free = movable & ((point > VAR_FLOOR) | (score > 0))
+            while True:
+                step = np.zeros(2)
+                step[free] = np.linalg.lstsq(info[np.ix_(free, free)], score[free])[0]
+                blocked = free & (point <= VAR_FLOOR) & (step < 0)
+                if not blocked.any():
+                    break
+                free &= ~blocked
+            decrement = float(score @ step)
+            # the last phase still takes, once and unhalved, the step that passes the test
+            tries = _MAX_HALVINGS if decrement > _DECREMENT_TOL else int(last and decrement > 0)
+            raised = False
+            for halving in range(tries):
+                if evaluations >= MAX_EVALUATIONS:
+                    return point, loglik, decrement <= _DECREMENT_TOL, evaluations
+                evaluations += 1
+                trial = np.clip(point + 0.5 ** halving * step, VAR_FLOOR, VAR_CEIL)
+                try:
+                    result = problem.evaluate(*trial)
+                except np.linalg.LinAlgError:
+                    continue
+                if result[0] > loglik:
+                    point, (loglik, score, info), raised = trial, result, True
+                    break
+            if decrement <= _DECREMENT_TOL or not raised:
+                converged = decrement <= _STALL_DECREMENT
+                break
+    return point, loglik, converged, evaluations
 
 
 def fit_model(y, X, group_sizes, v, method: str = "reml") -> FitResult:
     """Maximize the log-likelihood over the two variance components.
 
-    Components are optimized as log-variances with a floor, via L-BFGS-B
-    with the exact score, from four deterministic starts built around a
-    method-of-moments heterogeneity estimate.  On the log scale the score
-    vanishes as a component approaches zero, so the optimizer can stop
-    short of a maximum on the boundary; each component is then set to
-    VAR_FLOOR in turn and kept there if the likelihood rises.  A best
-    start that ran out of evaluations away from a stationary point gives
-    converged=False.
+    Fisher scoring on (sigma2_xi, sigma2_zeta) within [VAR_FLOOR, VAR_CEIL]
+    from the starts (0, 0), (0, s) and (s, 0), s = var(y); each start first
+    fits its nonzero component with the other held at VAR_FLOOR, and the
+    best start wins.  A step solves information @ step = score over the
+    free components: one at VAR_FLOOR stays there when its score is <= 0 or
+    its step points down (the KKT conditions).  A step is halved until the
+    loglik rises; a trial point that cannot be factored counts as no rise.
+    A start has converged when the Newton decrement score @ step is at most
+    1e-9 (that last step is still taken once), or at most 1e-6 once no
+    halving raises the loglik (its rounding limit); one that uses up
+    MAX_EVALUATIONS gives converged=False.  sigma2_xi stays at VAR_FLOOR
+    when the study indicators lie in span(X), as with a single study.
     """
     problem = Problem(y, X, group_sizes, v, method)
     m, f, h = problem.m, problem.f, problem.h
     if m <= f:
         raise ValidationError(f"need more trials than coefficients (m={m}, f={f})")
-
-    free = slice(0, 2)
     if h < 2:
         warnings.warn("only one study: sigma2_xi is not identifiable and is fixed at 0",
                       stacklevel=2)
-        free = slice(1, 2)
+    # with the study indicators Z in span(X) the GLS mean absorbs any study
+    # effect, so neither likelihood rises with sigma2_xi: Z_j in span(Q) iff |Z_j'Q|^2 = n_j
+    Q = np.linalg.qr(problem.X)[0]
+    proj = np.add.reduceat(Q, problem.offsets, axis=0)
+    pin_xi = h < 2 or bool(np.all(problem.group_sizes - (proj * proj).sum(1)
+                                  <= 1e-8 * problem.group_sizes))
+    s = float(np.clip(np.var(problem.y), VAR_FLOOR, VAR_CEIL))
+    starts = [(VAR_FLOOR, VAR_FLOOR), (VAR_FLOOR, s), (s, VAR_FLOOR)]
 
-    s_hat = _moment_start(problem.y, problem.X, problem.v)
-    starts = [(VAR_FLOOR, s_hat), (s_hat, VAR_FLOOR), (0.5 * s_hat, 0.5 * s_hat),
-              (4.0 * s_hat, 4.0 * s_hat)]
+    runs = [_ascend(problem, start, pin_xi)
+            for start in dict.fromkeys(starts[:2] if pin_xi else starts)]
+    point, loglik, converged, _ = max(runs, key=lambda run: run[1])     # first of ties
+    evaluations = sum(run[3] for run in runs)
 
-    def unpack(u):
-        point = [VAR_FLOOR, VAR_FLOOR]
-        point[free] = [math.exp(min(x, _LOG_CEIL)) for x in u]
-        return tuple(point)
-
-    evaluations = 0
-
-    def objective(u):
-        nonlocal evaluations
-        evaluations += 1
-        point = unpack(u)
-        loglik, score = problem.evaluate(*point)
-        return -loglik, -(score * point)[free]           # gradient in log sigma2
-
-    best = None
-    for start in starts:
-        u0 = [math.log(max(x, VAR_FLOOR)) for x in start[free]]
-        res = optimize.minimize(
-            objective, np.asarray(u0), jac=True, method="L-BFGS-B",
-            bounds=[(_LOG_FLOOR, _LOG_CEIL)] * len(u0),
-            options={"ftol": FTOL, "gtol": GTOL, "maxfun": MAX_EVALUATIONS})
-        if best is None or res.fun < best.fun:
-            best = res
-
-    converged = bool(best.success) or float(np.max(np.abs(best.jac))) <= _STALL_GTOL
-    point, loglik = unpack(best.x), -float(best.fun)
-    for k in range(2):
-        if point[k] > VAR_FLOOR:
-            trial = (VAR_FLOOR, point[1]) if k == 0 else (point[0], VAR_FLOOR)
-            evaluations += 1
-            trial_loglik = problem.evaluate(*trial)[0]
-            if trial_loglik > loglik:
-                point, loglik = trial, trial_loglik
-
-    varcomps = VarianceComponents(*point)
+    varcomps = VarianceComponents(*map(float, point))
     beta, cov = problem.gls(*point)
     labels = getattr(X, "labels", None)
     return FitResult(

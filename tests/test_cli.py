@@ -1,8 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import metaprop
 from metaprop.cli import main
 
 TESTDATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -251,3 +255,16 @@ class TestVersionAndHelp:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestImport:
+    def test_import_leaves_out_scipy_optimize_and_stats(self):
+        # each command is a fresh interpreter, so import time is part of its wall time
+        code = ("import sys, metaprop.cli; "
+                "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])")
+        src = str(pathlib.Path(metaprop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"

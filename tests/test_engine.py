@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metaprop import engine
@@ -11,6 +12,7 @@ from metaprop.engine import (Problem, VarianceComponents, effect_arrays, fit_mod
                              marginal_covariance, pooled_estimate,
                              predict_study_effects, study_weights)
 from metaprop.ingest import ValidationError
+from metaprop.simulate import generate, load_simconfig
 from metaprop.transforms import ft_inverse
 
 from conftest import toy_instance
@@ -108,8 +110,8 @@ class TestLogLikelihood:
 
 
 class TestScore:
-    @pytest.mark.parametrize("method", ["reml", "ml"])
-    def test_matches_central_differences(self, method):
+    @staticmethod
+    def instances(method):
         gen = np.random.default_rng(5)
         for _ in range(10):
             sizes = np.array([2, 5, 3, 1])
@@ -118,7 +120,11 @@ class TestScore:
             v = gen.uniform(0.01, 0.4, m)
             X = np.column_stack([np.ones(m), gen.normal(size=m)])
             point = gen.uniform(0.005, 0.3, 2)
-            _, score = Problem(y, X, sizes, v, method).evaluate(*point)
+            yield y, X, sizes, v, point, Problem(y, X, sizes, v, method).evaluate(*point)
+
+    @pytest.mark.parametrize("method", ["reml", "ml"])
+    def test_matches_central_differences(self, method):
+        for y, X, sizes, v, point, (_, score, _) in self.instances(method):
             for k in range(2):
                 step = np.zeros(2)
                 step[k] = 1e-6 * point[k]
@@ -126,6 +132,19 @@ class TestScore:
                 down = log_likelihood(y, X, sizes, VarianceComponents(*(point - step)), v, method)
                 numeric = (up - down) / (2 * step[k])
                 assert score[k] == pytest.approx(numeric, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("method", ["reml", "ml"])
+    def test_information_matches_dense_trace(self, method):
+        for y, X, sizes, v, point, (_, _, info) in self.instances(method):
+            m = len(y)
+            Z = np.repeat(np.eye(len(sizes)), sizes, axis=0)
+            V = point[0] * Z @ Z.T + np.diag(point[1] + v)
+            P = np.linalg.inv(V)
+            if method == "reml":
+                P -= P @ X @ np.linalg.inv(X.T @ P @ X) @ X.T @ P
+            derivs = [Z @ Z.T, np.eye(m)]
+            dense = [[0.5 * np.trace(P @ a @ P @ b) for b in derivs] for a in derivs]
+            assert np.allclose(info, dense, rtol=1e-10, atol=0)
 
 
 class TestGls:
@@ -216,6 +235,41 @@ class TestFitModel:
         fit = fit_model(y, X, sizes, v, method="ml")
         at_zero = log_likelihood(y, X, sizes, VarianceComponents(0.0, 0.0), v, "ml")
         assert fit.loglik >= at_zero - 1e-9
+
+    def test_small_within_study_variance_leaves_the_floor(self, example_paths):
+        # example layout with little heterogeneity: the score in sigma2_zeta is
+        # positive at VAR_FLOOR, so the maximum lies inside
+        config = dataclasses.replace(load_simconfig(example_paths["simconfig"]),
+                                     sigma2_xi=1.5e-4, sigma2_zeta=3e-5, seed=0)
+        data = generate(config)
+        y, v = effect_arrays(data)
+        X, sizes = np.ones((data.m, 1)), data.group_sizes()
+        fit = fit_model(y, X, sizes, v)
+        assert fit.varcomps.sigma2_zeta > engine.VAR_FLOOR
+        assert fit.loglik >= dense_loglik(y, X, sizes, VarianceComponents(1.5e-4, 3e-5), v, "reml")
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["reml", "ml"]))
+    @settings(max_examples=40, deadline=None)
+    def test_no_coordinate_move_raises_loglik(self, seed, method):
+        gen = np.random.default_rng(seed)
+        sizes = gen.integers(1, 6, size=int(gen.integers(2, 7)))
+        m = int(sizes.sum())
+        v = 1.0 / (4.0 * np.exp(gen.uniform(math.log(10), math.log(5000), m)) + 2.0)
+        xi, zeta = np.exp(gen.uniform(math.log(1e-6), math.log(1e-2), 2))
+        X = np.column_stack([np.ones(m), gen.normal(size=m)])[:, :int(gen.integers(1, 3))]
+        y = (1.1 + np.repeat(gen.normal(0.0, math.sqrt(xi), sizes.size), sizes)
+             + gen.normal(0.0, np.sqrt(zeta + v)))
+        assume(m > X.shape[1])
+        fit = fit_model(y, X, sizes, v, method=method)
+        assert fit.converged is True
+        problem = Problem(y, X, sizes, v, method)
+        best = np.array([fit.varcomps.sigma2_xi, fit.varcomps.sigma2_zeta])
+        for k in range(2):
+            for sign in (-1.0, 1.0):
+                point = best.copy()
+                point[k] += sign * 0.01 * np.var(y)
+                if engine.VAR_FLOOR <= point[k] <= engine.VAR_CEIL:
+                    assert problem.evaluate(*point)[0] <= fit.loglik + 1e-8
 
     def test_m_not_greater_than_f(self):
         with pytest.raises(ValidationError):
