@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri, stdtrit
 
-from .ingest import ValidationError
+from .ingest import COLLINEARITY_TOL, ValidationError
 from .transforms import HALF_PI, ft_inverse, ft_theta, ft_variance
 
 __all__ = [
@@ -54,6 +54,7 @@ MAX_EVALUATIONS = 2000
 _DECREMENT_TOL = 1e-9
 _STALL_DECREMENT = 1e-6
 _MAX_HALVINGS = 30
+_RANK_DEFICIENT = "design matrix is rank deficient under V^-1"
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,11 @@ class Problem:
     """One validated likelihood problem: data, study layout, design, method.
 
     Built once per fit, so the inputs are checked once; each ``evaluate``
-    then costs O(m f^2 + f^3).
+    then costs O(m f^2 + f^3).  A design with a column whose residual on
+    the columns before it is at most COLLINEARITY_TOL times its own norm
+    (the test ``encode_design`` applies) raises LinAlgError: X'V^-1 X has
+    the rank of X, and its Cholesky factorization can succeed at a
+    condition number near 1e16.
     """
 
     def __init__(self, y, X, group_sizes, v, method: str = "reml"):
@@ -136,6 +141,10 @@ class Problem:
             raise ValueError("group sizes must be positive and sum to the number of trials")
         if np.any(self.v <= 0):
             raise ValueError("sampling variances must be positive")
+        self.Q, R = np.linalg.qr(self.X)                 # |R_ii| = residual norm of column i
+        diag = np.abs(np.diag(R))
+        if np.any(diag <= COLLINEARITY_TOL * np.linalg.norm(self.X[:, :diag.size], axis=0)):
+            raise np.linalg.LinAlgError(_RANK_DEFICIENT)
         self.offsets = np.zeros(self.h, dtype=np.int64)
         np.cumsum(self.group_sizes[:-1], out=self.offsets[1:])
         self.index = np.repeat(np.arange(self.h), self.group_sizes)
@@ -159,7 +168,7 @@ class Problem:
         try:
             return np.linalg.inv(np.linalg.cholesky(M[1:, 1:]))
         except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError("design matrix is rank deficient under V^-1") from None
+            raise np.linalg.LinAlgError(_RANK_DEFICIENT) from None
 
     def evaluate(self, sigma2_xi: float, sigma2_zeta: float):
         """Log-likelihood, exact score and expected information.
@@ -292,8 +301,7 @@ def fit_model(y, X, group_sizes, v, method: str = "reml") -> FitResult:
                       stacklevel=2)
     # with the study indicators Z in span(X) the GLS mean absorbs any study
     # effect, so neither likelihood rises with sigma2_xi: Z_j in span(Q) iff |Z_j'Q|^2 = n_j
-    Q = np.linalg.qr(problem.X)[0]
-    proj = np.add.reduceat(Q, problem.offsets, axis=0)
+    proj = np.add.reduceat(problem.Q, problem.offsets, axis=0)
     pin_xi = h < 2 or bool(np.all(problem.group_sizes - (proj * proj).sum(1)
                                   <= 1e-8 * problem.group_sizes))
     s = float(np.clip(np.var(problem.y), VAR_FLOOR, VAR_CEIL))

@@ -1,10 +1,17 @@
 """Deterministic 64-bit PRNG with index-addressed substreams.
 
-The generator is xoshiro256** seeded through splitmix64, so every stream
-is fully specified by the run seed plus an integer index path such as
-(replicate, study, trial).  Stream state is held in numpy uint64 arrays,
-which lets many parallel streams advance in lockstep (one lane per
-stream) without Python-level loops.
+The generator is xoshiro256** (Blackman & Vigna 2021) seeded through
+splitmix64, so every stream is fully specified by the run seed plus an
+integer index path such as (replicate, study, trial).  Stream state is
+held in numpy uint64 arrays and updated in place, which lets many
+parallel streams advance in lockstep (one lane per stream) without
+Python-level loops.
+
+:func:`binomial` takes arrays of keys, sizes and probabilities and
+returns one count per key.  Each draw reads its own fixed set of lane
+substreams, so it is the same whichever other draws share the call; the
+lanes of all draws advance together in blocks of whole draws of at most
+_BLOCK_LANES lanes, which bounds memory and changes no stream.
 """
 
 from __future__ import annotations
@@ -18,12 +25,18 @@ _MIX2 = _U64(0x94D049BB133111EB)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer; input and output are uint64 arrays."""
+    """splitmix64 finalizer, applied in place to a uint64 array and returned.
+
+    Callers pass an array they own; a numpy scalar is mixed by value.
+    """
     with np.errstate(over="ignore"):
-        z = (z + _GOLDEN).astype(_U64)
-        z = ((z ^ (z >> _U64(30))) * _MIX1).astype(_U64)
-        z = ((z ^ (z >> _U64(27))) * _MIX2).astype(_U64)
-        return (z ^ (z >> _U64(31))).astype(_U64)
+        z += _GOLDEN
+        z ^= z >> _U64(30)
+        z *= _MIX1
+        z ^= z >> _U64(27)
+        z *= _MIX2
+        z ^= z >> _U64(31)
+    return z
 
 
 def stream_key(seed: int, *path: int) -> np.ndarray:
@@ -36,7 +49,7 @@ def stream_key(seed: int, *path: int) -> np.ndarray:
     for idx in path:
         with np.errstate(over="ignore"):
             idx_u = (np.asarray(idx, dtype=np.int64).astype(_U64) + _U64(1)) * _GOLDEN
-        key = _mix64(key ^ _mix64(idx_u.astype(_U64)))
+        key = _mix64(key ^ _mix64(idx_u))
     return key
 
 
@@ -50,10 +63,11 @@ class Streams:
     def __init__(self, keys: np.ndarray):
         keys = np.atleast_1d(np.asarray(keys, dtype=_U64))
         s = np.empty((4,) + keys.shape, dtype=_U64)
-        state = keys
-        for i in range(4):
-            state = _mix64(state)
-            s[i] = state
+        s[0] = keys
+        _mix64(s[0])
+        for i in range(1, 4):
+            s[i] = s[i - 1]
+            _mix64(s[i])
         # Guard the all-zero state (xoshiro requirement); astronomically
         # unlikely but cheap to rule out.
         dead = ~np.any(s != 0, axis=0)
@@ -66,19 +80,19 @@ class Streams:
         return self._s.shape[1]
 
     def next_u64(self) -> np.ndarray:
+        s0, s1, s2, s3 = self._s                         # views: updated in place
         with np.errstate(over="ignore"):
-            s0, s1, s2, s3 = self._s
-            tmp = (s1 * _U64(5)).astype(_U64)
-            result = ((tmp << _U64(7)) | (tmp >> _U64(57))) * _U64(9)
-            t = (s1 << _U64(17)).astype(_U64)
-            s2 = s2 ^ s0
-            s3 = s3 ^ s1
-            s1 = s1 ^ s2
-            s0 = s0 ^ s3
-            s2 = s2 ^ t
-            s3 = ((s3 << _U64(45)) | (s3 >> _U64(19))).astype(_U64)
-            self._s = np.stack([s0, s1, s2, s3])
-            return result.astype(_U64)
+            result = s1 * _U64(5)
+            np.bitwise_or(result << _U64(7), result >> _U64(57), out=result)
+            result *= _U64(9)
+        t = s1 << _U64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.bitwise_or(s3 << _U64(45), s3 >> _U64(19), out=s3)
+        return result
 
     def uniform(self) -> np.ndarray:
         """One double in [0, 1) per stream (53-bit resolution)."""
@@ -106,33 +120,52 @@ class Streams:
         return low + np.minimum((self.uniform() * span).astype(np.int64), span - 1)
 
 
-def binomial(key: np.ndarray, n: int, p: float, lanes: int = 1024) -> int:
-    """Exact Binomial(n, p) draw for one stream key.
+_LANES = 1024          # substreams per draw: part of every binomial stream
+_BLOCK_LANES = 4096    # lanes advanced together: bounds memory, not a stream
+with np.errstate(over="ignore"):
+    _LANE_SALT = _mix64((np.arange(_LANES, dtype=_U64) + _U64(1)) * _GOLDEN)
 
-    Counts uniforms below ``p`` across ``lanes`` parallel substreams
-    (key, 0..lanes-1), each contributing a near-equal share of the n
-    draws, so large n stays vectorized.
+
+def binomial(keys, n, p) -> np.ndarray:
+    """Exact Binomial(n, p) draws, one per stream key.
+
+    ``keys``, ``n`` and ``p`` broadcast together, and the result is an
+    int64 array of their shape.  Draw i spreads its n_i trials over the
+    min(n_i, _LANES) substreams (key_i, 0), (key_i, 1), ..., the first
+    n_i mod lanes of them taking one trial more, and counts the uniforms
+    below p_i that each lane reads.  So a draw depends only on its own
+    key, n and p.  The lanes of all draws advance in lockstep, in blocks
+    of whole draws of at most _BLOCK_LANES lanes.
     """
-    if n < 0:
+    keys, n, p = np.broadcast_arrays(np.asarray(keys, dtype=_U64),
+                                     np.asarray(n, dtype=np.int64),
+                                     np.asarray(p, dtype=np.float64))
+    if np.any(n < 0):
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 0
-    lanes = min(lanes, n)
-    sub = Streams(_lane_keys(key, lanes))
-    counts = np.zeros(lanes, dtype=np.int64)
-    base, extra = divmod(n, lanes)
-    per_lane = np.full(lanes, base, dtype=np.int64)
-    per_lane[:extra] += 1
-    rounds = int(per_lane.max())
-    for r in range(rounds):
-        active = per_lane > r
-        u = sub.uniform()
-        counts[active] += (u[active] < p).astype(np.int64)
-    return int(counts.sum())
-
-
-def _lane_keys(key: np.ndarray, lanes: int) -> np.ndarray:
-    key = np.asarray(key, dtype=_U64).reshape(())
-    with np.errstate(over="ignore"):
-        idx = (np.arange(lanes, dtype=np.int64).astype(_U64) + _U64(1)) * _GOLDEN
-    return _mix64(key ^ _mix64(idx))
+    counts = np.zeros(n.size, dtype=np.int64)
+    shape, drawn = n.shape, np.flatnonzero(n)            # n = 0 takes no lanes and counts 0
+    # blocks of draws with alike round counts waste few uniforms on lanes already done
+    drawn = drawn[np.argsort(-(-n.ravel()[drawn] // _LANES), kind="stable")]
+    keys, n, p = keys.ravel()[drawn], n.ravel()[drawn], p.ravel()[drawn]
+    lanes = np.minimum(n, _LANES)
+    ends = np.cumsum(lanes)
+    k = np.empty(drawn.size, dtype=np.int64)
+    a = 0
+    while a < drawn.size:
+        base = ends[a] - lanes[a]
+        b = int(np.searchsorted(ends, base + _BLOCK_LANES, side="right"))
+        width = lanes[a:b]
+        starts = ends[a:b] - width - base                 # each draw's first lane in the block
+        draw = np.repeat(np.arange(b - a), width)
+        lane = np.arange(draw.size) - starts[draw]
+        bank = Streams(_mix64(keys[a:b][draw] ^ _LANE_SALT[lane]))
+        quota, extra = np.divmod(n[a:b], width)
+        quota = quota[draw] + (lane < extra[draw])
+        below = p[a:b][draw]
+        hits = np.zeros(draw.size, dtype=np.int64)
+        for r in range(int(quota.max())):
+            hits += (bank.uniform() < below) & (quota > r)
+        k[a:b] = np.add.reduceat(hits, starts)
+        a = b
+    counts[drawn] = k
+    return counts.reshape(shape)

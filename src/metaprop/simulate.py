@@ -209,11 +209,8 @@ def generate(config: SimConfig, replicate: int = 0) -> Dataset:
         k = np.floor(p * n + 0.5).astype(np.int64)
         k = np.clip(k, 0, n)
     else:
-        k = np.empty(m, dtype=np.int64)
-        for i in range(m):
-            key = rng.stream_key(config.seed, replicate, int(study_idx[i]),
-                                 int(trial_idx[i]), _BINOMIAL_SUBKEY)
-            k[i] = rng.binomial(key, int(n[i]), float(p[i]))
+        k = rng.binomial(rng.stream_key(config.seed, replicate, study_idx, trial_idx,
+                                        _BINOMIAL_SUBKEY), n, p)
 
     schema = config.schema()
     trials = []

@@ -13,7 +13,7 @@ from metaprop.engine import (Problem, VarianceComponents, effect_arrays, fit_mod
                              predict_study_effects, study_weights)
 from metaprop.ingest import ValidationError
 from metaprop.simulate import generate, load_simconfig
-from metaprop.transforms import ft_inverse
+from metaprop.transforms import ft_inverse, ft_theta, ft_variance
 
 from conftest import toy_instance
 
@@ -271,6 +271,20 @@ class TestFitModel:
                 if engine.VAR_FLOOR <= point[k] <= engine.VAR_CEIL:
                     assert problem.evaluate(*point)[0] <= fit.loglik + 1e-8
 
+    @pytest.mark.parametrize("method", ["reml", "ml"])
+    def test_rank_deficient_design_rejected(self, method):
+        # the fourth column is a combination of the second and third; Cholesky
+        # of X'V^-1 X alone succeeds on this design
+        gen = np.random.default_rng(17)
+        a, b = gen.normal(size=8), gen.normal(size=8)
+        alpha, beta = gen.normal(size=2)
+        X = np.column_stack([np.ones(8), a, b, alpha * a + beta * b])
+        y, v = gen.normal(1.0, 0.3, 8), gen.uniform(0.05, 0.3, 8)
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            fit_model(y, X, [4, 4], v, method=method)
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            Problem(y, np.column_stack([X[:, :3], np.zeros(8)]), [4, 4], v, method)
+
     def test_m_not_greater_than_f(self):
         with pytest.raises(ValidationError):
             fit_model([1.0], np.ones((1, 1)), [1], [0.1])
@@ -311,6 +325,25 @@ class TestPooledEstimate:
         est = pooled_estimate(fit)
         assert est.ci_low == est.ci_high == est.mu
         assert est.prop_low == est.prop == est.prop_high
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["reml", "ml"]),
+           st.sampled_from(["normal", "t"]))
+    @settings(max_examples=60, deadline=None)
+    def test_ci_brackets_estimate(self, seed, method, quantile):
+        # random trials with perfect (k = n) and null (k = 0) accuracies among them
+        gen = np.random.default_rng(seed)
+        sizes = gen.integers(1, 6, size=int(gen.integers(2, 7)))
+        m = int(sizes.sum())
+        n = np.floor(np.exp(gen.uniform(0.0, math.log(5000), m))).astype(np.int64)
+        k = gen.binomial(n, gen.uniform(0.0, 1.0, m))
+        edge = gen.permutation(m)[:int(gen.integers(1, m + 1))]
+        k[edge] = np.where(gen.uniform(size=edge.size) < 0.7, n[edge], 0)
+        X = np.column_stack([np.ones(m), gen.normal(size=m)])[:, :int(gen.integers(1, 3))]
+        assume(m > X.shape[1])
+        fit = fit_model(ft_theta(k, n), X, sizes, ft_variance(n), method=method)
+        est = pooled_estimate(fit, quantile=quantile)
+        assert est.ci_low <= est.mu <= est.ci_high
+        assert est.prop_low <= est.prop <= est.prop_high
 
     def test_prop_uses_inverse_variance_n(self):
         y, X, sizes, v = toy_instance(37, n_studies=3, trials=3)

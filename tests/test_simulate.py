@@ -47,9 +47,34 @@ class TestRng:
         assert set(np.unique(vals)) == {3, 4, 5, 6, 7}
 
     def test_binomial_support_and_mean(self):
-        draws = [rng.binomial(rng.stream_key(1, i), 500, 0.3) for i in range(300)]
-        assert all(0 <= d <= 500 for d in draws)
+        draws = rng.binomial(rng.stream_key(1, np.arange(300)), 500, 0.3)
+        assert draws.shape == (300,)
+        assert np.all((0 <= draws) & (draws <= 500))
         assert abs(np.mean(draws) - 150) < 5
+
+    def test_binomial_streams_pinned(self):
+        # literal draws: any change to the binomial streams changes every binomial dataset
+        cases = [(0, .3), (1, .5), (7, 0), (1023, 1), (1024, .7), (1025, .2), (100000, .9)]
+        draws = [int(rng.binomial(rng.stream_key(5, i), n, p)) for i, (n, p) in enumerate(cases)]
+        assert draws == [0, 0, 0, 1023, 690, 225, 89951]
+
+    def test_binomial_array_matches_one_at_a_time(self):
+        # 8 draws of 1024 lanes among the others: more than one lane block
+        n = np.array([0, 1, 5, 0, 1023, 1024, 1025, 3000, 2048, 7, 9000, 1, 4097, 0, 600,
+                      1500, 2500, 5000])
+        p = np.array([.3, 0, 1, 1, .5, 0, 1, .25, .9, .5, .01, .99, .5, 0, .7, .6, .4, 1])
+        keys = rng.stream_key(13, np.arange(n.size))
+        together = rng.binomial(keys, n, p)
+        alone = [int(rng.binomial(keys[i], n[i], p[i])) for i in range(n.size)]
+        assert together.dtype == np.int64
+        assert together.tolist() == alone
+        assert np.all(together[n == 0] == 0)
+        assert np.all(together[p == 0] == 0)
+        assert np.array_equal(together[p == 1], n[p == 1])
+        assert np.array_equal(rng.binomial(keys.reshape(3, 6), n.reshape(3, 6), p.reshape(3, 6)),
+                              together.reshape(3, 6))
+        with pytest.raises(ValueError):
+            rng.binomial(keys[:2], [3, -1], 0.5)
 
 
 class TestGenerate:
@@ -125,6 +150,24 @@ class TestGenerate:
         target = ft_inverse(cfg.mu, 1000000)
         for t in data.trials:
             assert t.k / t.n == pytest.approx(target, abs=1e-2)
+
+    @pytest.mark.parametrize("config, replicate, expected", [
+        (SimConfig(h=3, trials_per_study=[1, 2, 3], mu=1.1, sigma2_xi=0.01, sigma2_zeta=0.005,
+                   n_range=(1, 3000), mode="binomial", seed=11), 0,
+         [(821, 954), (2031, 2931), (1584, 2486), (1138, 1968), (20, 28), (829, 1284)]),
+        (SimConfig(h=3, trials_per_study=[1, 2, 3], mu=1.1, sigma2_xi=0.01, sigma2_zeta=0.005,
+                   n_range=(1, 3000), mode="binomial", seed=11), 1,
+         [(40, 51), (19, 21), (1128, 1286), (1686, 2142), (1829, 2315), (479, 613)]),
+        # seven trials of 1024 lanes each span more than one lane block
+        (SimConfig(h=3, trials_per_study=[2, 3, 2], mu=1.1, sigma2_xi=0.01, sigma2_zeta=0.005,
+                   n_range=(1500, 9000), mode="binomial", seed=3), 0,
+         [(5474, 5967), (6430, 7199), (2776, 4204), (3271, 4533), (1708, 2691), (1864, 2198),
+          (1627, 2207)]),
+    ])
+    def test_binomial_counts_pinned(self, config, replicate, expected):
+        # literal counts: the binomial streams must not change
+        data = generate(config, replicate=replicate)
+        assert [(t.k, t.n) for t in data.trials] == expected
 
     def test_generated_csv_reingests(self):
         cfg = base_config(moderators=[Moderator("x", 0.1),
