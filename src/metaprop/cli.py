@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, engine, heterogeneity, report, selection, simulate
 from .ingest import (Dataset, DesignMatrix, ValidationError, encode_design, load_schema,
-                     parse_dataset, write_dataset_csv)
+                     parse_dataset, read_text, write_dataset_csv)
 from .transforms import transform_diagnostic
 
 EXIT_OK = 0
@@ -60,9 +60,7 @@ def _default_out_dir(args) -> str | None:
 
 
 def _load_dataset(data_path: str, schema_path: str) -> Dataset:
-    schema = load_schema(schema_path)
-    with open(data_path, "r", encoding="utf-8") as fh:
-        return parse_dataset(fh.read(), schema)
+    return parse_dataset(read_text(data_path), load_schema(schema_path))
 
 
 def _fit_dataset(dataset: Dataset, features,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri, stdtrit
 
-from .ingest import COLLINEARITY_TOL, ValidationError
+from .ingest import ValidationError, independent_columns
 from .transforms import HALF_PI, ft_inverse, ft_theta, ft_variance
 
 __all__ = [
@@ -116,11 +116,10 @@ class Problem:
     """One validated likelihood problem: data, study layout, design, method.
 
     Built once per fit, so the inputs are checked once; each ``evaluate``
-    then costs O(m f^2 + f^3).  A design with a column whose residual on
-    the columns before it is at most COLLINEARITY_TOL times its own norm
-    (the test ``encode_design`` applies) raises LinAlgError: X'V^-1 X has
-    the rank of X, and its Cholesky factorization can succeed at a
-    condition number near 1e16.
+    then costs O(m f^2 + f^3).  A design from which ``independent_columns``
+    (the rule ``encode_design`` applies) would drop a column raises
+    LinAlgError: X'V^-1 X has the rank of X, and its Cholesky factorization
+    can succeed at a condition number near 1e16.  ``basis`` spans X.
     """
 
     def __init__(self, y, X, group_sizes, v, method: str = "reml"):
@@ -141,9 +140,8 @@ class Problem:
             raise ValueError("group sizes must be positive and sum to the number of trials")
         if np.any(self.v <= 0):
             raise ValueError("sampling variances must be positive")
-        self.Q, R = np.linalg.qr(self.X)                 # |R_ii| = residual norm of column i
-        diag = np.abs(np.diag(R))
-        if np.any(diag <= COLLINEARITY_TOL * np.linalg.norm(self.X[:, :diag.size], axis=0)):
+        kept, self.basis = independent_columns(self.X)
+        if kept.size < self.f:
             raise np.linalg.LinAlgError(_RANK_DEFICIENT)
         self.offsets = np.zeros(self.h, dtype=np.int64)
         np.cumsum(self.group_sizes[:-1], out=self.offsets[1:])
@@ -290,18 +288,21 @@ def fit_model(y, X, group_sizes, v, method: str = "reml") -> FitResult:
     1e-9 (that last step is still taken once), or at most 1e-6 once no
     halving raises the loglik (its rounding limit); one that uses up
     MAX_EVALUATIONS gives converged=False.  sigma2_xi stays at VAR_FLOOR
-    when the study indicators lie in span(X), as with a single study.
+    when the study indicators lie in span(X) (projected on ``Problem.basis``),
+    as with a single study.  A design with no more trials than columns
+    raises ValidationError, a collinear one LinAlgError (see Problem).
     """
+    shape = np.shape(getattr(X, "matrix", X))   # Problem calls columns past m rank deficient
+    if len(shape) == 2 and shape[0] <= shape[1]:
+        raise ValidationError(f"need more trials than coefficients (m={shape[0]}, f={shape[1]})")
     problem = Problem(y, X, group_sizes, v, method)
     m, f, h = problem.m, problem.f, problem.h
-    if m <= f:
-        raise ValidationError(f"need more trials than coefficients (m={m}, f={f})")
     if h < 2:
         warnings.warn("only one study: sigma2_xi is not identifiable and is fixed at 0",
                       stacklevel=2)
     # with the study indicators Z in span(X) the GLS mean absorbs any study
-    # effect, so neither likelihood rises with sigma2_xi: Z_j in span(Q) iff |Z_j'Q|^2 = n_j
-    proj = np.add.reduceat(problem.Q, problem.offsets, axis=0)
+    # effect, so neither likelihood rises with sigma2_xi: Z_j in span(X) iff |Z_j'basis|^2 = n_j
+    proj = np.add.reduceat(problem.basis, problem.offsets, axis=0)
     pin_xi = h < 2 or bool(np.all(problem.group_sizes - (proj * proj).sum(1)
                                   <= 1e-8 * problem.group_sizes))
     s = float(np.clip(np.var(problem.y), VAR_FLOOR, VAR_CEIL))

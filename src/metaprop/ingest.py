@@ -13,6 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -27,12 +28,13 @@ __all__ = [
     "FeatureSummary",
     "parse_dataset",
     "encode_design",
+    "independent_columns",
     "summarize_features",
     "load_schema",
     "write_dataset_csv",
 ]
 
-# residual-norm ratio below which a column counts as exactly collinear
+# residual-norm ratio at or below which a column counts as exactly collinear
 COLLINEARITY_TOL = 1e-10
 
 
@@ -53,10 +55,10 @@ class FeatureSpec:
     def __post_init__(self):
         if self.kind not in ("numeric", "categorical"):
             raise ValidationError(f"feature {self.name!r}: kind must be numeric or categorical")
-        if not self.scale > 0:
-            raise ValidationError(f"feature {self.name!r}: scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValidationError(f"feature {self.name!r}: scale must be positive and finite")
         if self.kind == "categorical":
-            if not self.reference_level:
+            if not self.reference_level or not isinstance(self.reference_level, str):
                 raise ValidationError(f"feature {self.name!r}: categorical features need a reference_level")
             mapped = self.grouping.get(self.reference_level)
             if mapped is not None and mapped != self.reference_level:
@@ -100,12 +102,6 @@ class FeatureSchema:
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
-    def __getitem__(self, name: str) -> FeatureSpec:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def __contains__(self, name: str) -> bool:
         return any(e.name == name for e in self.entries)
 
@@ -113,18 +109,21 @@ class FeatureSchema:
     def from_dict(cls, tree: dict) -> "FeatureSchema":
         if "features" not in tree:
             raise ValidationError("schema must contain a 'features' mapping")
-        feats = tree.get("features") or {}
-        if not isinstance(feats, dict):
-            raise ValidationError("'features' must be a mapping")
+        feats = _mapping(tree.get("features") or {}, "'features'")
         entries = []
         for name, spec in feats.items():
-            spec = dict(spec or {})
+            spec = dict(_mapping(spec or {}, f"feature {name!r}"))
+            grouping = _mapping(spec.pop("grouping", None) or {}, f"feature {name!r}: grouping")
+            try:
+                scale = float(spec.pop("scale", 1.0))
+            except (TypeError, ValueError):
+                raise ValidationError(f"feature {name!r}: scale must be a number") from None
             entries.append(FeatureSpec(
                 name=str(name),
                 kind=spec.pop("kind", "categorical"),
-                scale=float(spec.pop("scale", 1.0)),
+                scale=scale,
                 reference_level=spec.pop("reference_level", None),
-                grouping={str(k): str(v) for k, v in (spec.pop("grouping", None) or {}).items()},
+                grouping={str(k): str(v) for k, v in grouping.items()},
             ))
             if spec:
                 raise ValidationError(f"feature {name!r}: unknown schema fields {sorted(spec)}")
@@ -132,10 +131,7 @@ class FeatureSchema:
 
     @classmethod
     def from_yaml(cls, text: str) -> "FeatureSchema":
-        tree = yaml.safe_load(text)
-        if not isinstance(tree, dict):
-            raise ValidationError("schema file must be a mapping")
-        return cls.from_dict(tree)
+        return cls.from_dict(load_mapping(text, "schema file"))
 
     def to_dict(self) -> dict:
         feats = {}
@@ -154,9 +150,34 @@ class FeatureSchema:
         return yaml.safe_dump(self.to_dict(), sort_keys=False, allow_unicode=True)
 
 
+def _mapping(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a mapping")
+    return value
+
+
+def load_mapping(text: str, what: str) -> dict:
+    """YAML text holding a mapping; a syntax error is a ValidationError naming its line."""
+    try:
+        tree = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"invalid YAML: {exc}") from None
+    return _mapping(tree, what)
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file; bytes that are not UTF-8 are a ValidationError naming their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}: line {line}: not valid UTF-8") from None
+
+
 def load_schema(path) -> FeatureSchema:
-    with open(path, "r", encoding="utf-8") as fh:
-        return FeatureSchema.from_yaml(fh.read())
+    return FeatureSchema.from_yaml(read_text(path))
 
 
 @dataclass(frozen=True)
@@ -218,6 +239,27 @@ class Dataset:
     def n_array(self) -> np.ndarray:
         return np.asarray([t.n for t in self.trials], dtype=np.int64)
 
+    @cached_property
+    def candidate_columns(self) -> tuple:
+        """(matrix, labels, owners) of every column ``encode_design`` can slice:
+        the intercept (owner None), then per schema feature its numeric column
+        or one 0/1 column per observed non-reference category, sorted."""
+        cols, labels, owners = [np.ones(self.m)], ["intercept"], [None]
+        for spec in self.schema.entries:
+            values = [t.features[spec.name] for t in self.trials]
+            if spec.kind == "numeric":
+                cols.append(np.asarray(values, dtype=np.float64))
+                labels.append(spec.name)
+                owners.append(spec.name)
+                continue
+            for cat in sorted(set(values) - {spec.reference_level}):
+                cols.append(np.asarray([1.0 if v == cat else 0.0 for v in values]))
+                labels.append(f"{spec.name}={cat}")
+                owners.append(spec.name)
+        matrix = np.column_stack(cols)
+        matrix.setflags(write=False)                     # shared by every design of the dataset
+        return matrix, tuple(labels), tuple(owners)
+
 
 def _parse_int(raw: str, what: str, line: int) -> int:
     try:
@@ -226,6 +268,8 @@ def _parse_int(raw: str, what: str, line: int) -> int:
         raise ValidationError(f"line {line}: {what} is not a number: {raw!r}") from None
     if not val.is_integer():
         raise ValidationError(f"line {line}: {what} must be an integer, got {raw!r}")
+    if abs(val) > 2 ** 53:                               # float parsing is exact up to here
+        raise ValidationError(f"line {line}: {what} exceeds 2**53, got {raw!r}")
     return int(val)
 
 
@@ -237,7 +281,11 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
     Trials are stably sorted by study_id so studies form contiguous blocks;
     input order within a study is preserved.
     """
-    reader = csv.DictReader(io.StringIO(csv_text))
+    reader = csv.DictReader(io.StringIO(csv_text, newline=None))  # universal newlines
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise ValidationError(f"line {reader.line_num + 1}: {exc}") from None
     if reader.fieldnames is None:
         raise ValidationError("empty file: no header row")
     cols = set(reader.fieldnames)
@@ -253,8 +301,7 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
 
     trials = []
     seen = set()
-    for row in reader:
-        line = reader.line_num
+    for line, row in rows:
         study_id = (row.get("study_id") or "").strip()
         trial_id = (row.get("trial_id") or "").strip()
         if not study_id:
@@ -269,7 +316,7 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
             k = _parse_int(row["k"], "k", line)
         else:
             try:
-                acc = float(row["accuracy"])
+                acc = float(row.get("accuracy"))
             except (TypeError, ValueError):
                 raise ValidationError(f"line {line}: accuracy is not a number") from None
             if not 0.0 <= acc <= 1.0:
@@ -288,14 +335,14 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
             raw = raw.strip()
             if spec.kind == "numeric":
                 try:
-                    value = float(raw)
+                    value = float(raw) / spec.scale
                 except ValueError:
                     raise ValidationError(
                         f"line {line}: feature {spec.name!r} is not numeric: {raw!r}") from None
                 if not math.isfinite(value):
-                    raise ValidationError(
-                        f"line {line}: feature {spec.name!r} is not finite: {raw!r}")
-                feats[spec.name] = value / spec.scale
+                    raise ValidationError(f"line {line}: feature {spec.name!r} is not finite "
+                                          f"after scaling: {raw!r} / {spec.scale!r}")
+                feats[spec.name] = value
             else:
                 try:
                     feats[spec.name] = spec.map_category(raw)
@@ -330,7 +377,6 @@ class DesignMatrix:
 
     labels: list
     matrix: np.ndarray
-    intercept_included: bool
     dropped: list
     feature_groups: dict
     reference_levels: dict
@@ -340,71 +386,50 @@ class DesignMatrix:
         return self.matrix.shape[1]
 
 
-def _feature_columns(dataset: Dataset, spec: FeatureSpec):
-    """Raw (label, values) columns one feature contributes, pre rank filter."""
-    if spec.kind == "numeric":
-        vals = np.asarray([t.features[spec.name] for t in dataset.trials], dtype=np.float64)
-        return [(spec.name, vals)]
-    observed = sorted(set(t.features[spec.name] for t in dataset.trials))
-    cols = []
-    for cat in observed:
-        if cat == spec.reference_level:
-            continue
-        vals = np.asarray([1.0 if t.features[spec.name] == cat else 0.0 for t in dataset.trials])
-        cols.append((f"{spec.name}={cat}", vals))
-    return cols
+def independent_columns(X):
+    """The collinearity rule: (indices of the kept columns, orthonormal basis of their span).
+
+    A column is dropped when its residual on the kept columns before it is at
+    most COLLINEARITY_TOL times its norm (so all-zero columns and columns past
+    rank m go too).  That residual is |R_ii| of a QR, redone after each drop.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    kept = np.arange(X.shape[1])
+    while True:
+        Q, R = np.linalg.qr(X[:, kept])
+        r = R.shape[0]                                   # min(m, columns left)
+        small = np.abs(np.diag(R)) <= COLLINEARITY_TOL * np.linalg.norm(X[:, kept[:r]], axis=0)
+        if not small.any():
+            return kept[:r], Q
+        kept = np.delete(kept, np.argmax(small))
 
 
 def encode_design(dataset: Dataset, selected_features) -> DesignMatrix:
     """Build the intercept + dummy-coded moderator matrix.
 
-    Features are laid out in schema order regardless of selection order.
-    Categorical features contribute one 0/1 column per observed
-    non-reference category (sorted); the reference level contributes
-    none.  Columns exactly collinear with earlier columns (residual norm
-    below COLLINEARITY_TOL times their own norm after projection) are
-    dropped and recorded, so the result always has full column rank.
+    The selected features' slice of ``dataset.candidate_columns``, in schema
+    order regardless of selection order: categorical features contribute one
+    0/1 column per observed non-reference category (sorted), the reference
+    level none.  Columns that ``independent_columns`` drops are recorded, so
+    the result always has full column rank.
     """
     selected = list(selected_features)
     unknown = [f for f in selected if f not in dataset.schema]
     if unknown:
         raise ValidationError(f"unknown feature names: {unknown}")
-    m = dataset.m
-
-    candidates = [("intercept", None, np.ones(m))]
-    for spec in dataset.schema.entries:
-        if spec.name not in selected:
-            continue
-        for label, vals in _feature_columns(dataset, spec):
-            candidates.append((label, spec.name, vals))
-
-    kept_labels: list = []
-    kept_cols: list = []
-    dropped: list = []
-    feature_groups: dict = {f: [] for f in dataset.schema.names if f in selected}
-    basis = np.zeros((m, 0))
-    for label, feat, col in candidates:
-        norm = float(np.linalg.norm(col))
-        if norm == 0.0:
-            dropped.append(label)
-            continue
-        resid = col - basis @ (basis.T @ col)
-        resid = resid - basis @ (basis.T @ resid)  # re-orthogonalize for stability
-        if float(np.linalg.norm(resid)) < COLLINEARITY_TOL * norm:
-            dropped.append(label)
-            continue
-        kept_labels.append(label)
-        kept_cols.append(col)
-        basis = np.column_stack([basis, resid / np.linalg.norm(resid)])
-        if feat is not None:
-            feature_groups[feat].append(label)
-
-    matrix = np.column_stack(kept_cols) if kept_cols else np.zeros((m, 0))
+    candidates, labels, owners = dataset.candidate_columns
+    offered = [i for i, owner in enumerate(owners) if owner is None or owner in selected]
+    kept = [offered[j] for j in independent_columns(candidates[:, offered])[0]]
+    dropped = set(offered) - set(kept)
     references = {e.name: e.reference_level for e in dataset.schema.entries
                   if e.name in selected and e.kind == "categorical"}
-    return DesignMatrix(labels=kept_labels, matrix=matrix, intercept_included=True,
-                        dropped=dropped, feature_groups=feature_groups,
-                        reference_levels=references)
+    return DesignMatrix(
+        labels=[labels[i] for i in kept],
+        matrix=np.ascontiguousarray(candidates[:, kept]),  # BLAS rounding depends on layout
+        dropped=[labels[i] for i in offered if i in dropped],
+        feature_groups={f: [labels[i] for i in kept if owners[i] == f]
+                        for f in dataset.schema.names if f in selected},
+        reference_levels=references)
 
 
 @dataclass(frozen=True)

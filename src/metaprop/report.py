@@ -49,11 +49,10 @@ def _to_prop(t: float, se: float) -> float:
     return ft_inverse(min(max(t, 0.0), HALF_PI), n_equiv)
 
 
-def forest_rows(fit: engine.FitResult, dataset, method: str = "blup") -> list:
-    effects = engine.predict_study_effects(fit, dataset, method=method)
-    weights = engine.study_weights(fit)
+def forest_rows(fit: engine.FitResult, effects) -> list:
+    """Forest rows on the proportion scale from ``engine.predict_study_effects``."""
     rows = []
-    for eff, w in zip(effects, weights):
+    for eff, w in zip(effects, engine.study_weights(fit)):
         est = _to_prop(eff.kappa_hat, eff.se)
         lo = _to_prop(eff.kappa_hat - Z95 * eff.se, eff.se)
         hi = _to_prop(eff.kappa_hat + Z95 * eff.se, eff.se)
@@ -85,7 +84,8 @@ def forest_plot(fit: engine.FitResult, dataset, scale: str = "proportion",
         raise ValidationError("forest plot requires an intercept-only fit")
     if scale not in ("proportion", "transformed"):
         raise ValueError(f"unknown scale {scale!r}")
-    rows = forest_rows(fit, dataset, method=method)
+    effects = engine.predict_study_effects(fit, dataset, method=method)
+    rows = forest_rows(fit, effects)
     pooled = engine.pooled_estimate(fit)
 
     if scale == "proportion":
@@ -98,7 +98,6 @@ def forest_plot(fit: engine.FitResult, dataset, scale: str = "proportion",
         span = (0.0, HALF_PI)
         to_axis = lambda val: val / HALF_PI
         p_est, p_lo, p_hi = pooled.mu, pooled.ci_low, pooled.ci_high
-        effects = engine.predict_study_effects(fit, dataset, method=method)
         row_pts = [(e.kappa_hat, e.kappa_hat - Z95 * e.se, e.kappa_hat + Z95 * e.se)
                    for e in effects]
         axis_label = "transformed accuracy"

@@ -83,15 +83,13 @@ class SearchResult:
 
 
 def _fit_subset(dataset: Dataset, y, v, group_sizes, features, method: str):
-    design = encode_design(dataset, features)
-    fit = engine.fit_model(y, design, group_sizes, v, method=method)
-    residuals = y - fit.X @ fit.beta
-    return design, fit, residuals
+    fit = engine.fit_model(y, encode_design(dataset, features), group_sizes, v, method=method)
+    return fit, y - fit.X @ fit.beta
 
 
 def _evaluate_subset(dataset, y, v, group_sizes, index, features, method):
     try:
-        _, fit, residuals = _fit_subset(dataset, y, v, group_sizes, features, method)
+        fit, residuals = _fit_subset(dataset, y, v, group_sizes, features, method)
     except (ValidationError, np.linalg.LinAlgError) as exc:
         return TrailRecord(index=index, features=tuple(features), f=0, loglik=None,
                            aic=None, bic=None, rmse=None, converged=False,
@@ -183,7 +181,7 @@ def search(dataset: Dataset, criterion_kind: str, strategy: str = "exhaustive",
         features, trail = _stepwise_trail(dataset, y, v, group_sizes, method, criterion_kind)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    _, fit, residuals = _fit_subset(dataset, y, v, group_sizes, features, method)
+    fit, residuals = _fit_subset(dataset, y, v, group_sizes, features, method)
     return SearchResult(features=tuple(features), fit=fit,
                         criterion_kind=criterion_kind,
                         criterion_value=criterion(fit, residuals, criterion_kind),
@@ -251,7 +249,7 @@ def five_model_protocol(dataset: Dataset, strategy: str = "exhaustive",
     names = dataset.schema.names
     sigma2_eps = heterogeneity.pooled_sampling_variance(v)
 
-    _, fit_null, resid_null = _fit_subset(dataset, y, v, group_sizes, (), method)
+    fit_null, resid_null = _fit_subset(dataset, y, v, group_sizes, (), method)
 
     winners: dict = {}
     if strategy == "exhaustive":
@@ -275,7 +273,7 @@ def five_model_protocol(dataset: Dataset, strategy: str = "exhaustive",
             rows.append(_comparison_row(title, feats, fit_null, resid_null, fit_null, sigma2_eps))
             continue
         try:
-            _, fit, residuals = _fit_subset(dataset, y, v, group_sizes, feats, method)
+            fit, residuals = _fit_subset(dataset, y, v, group_sizes, feats, method)
             rows.append(_comparison_row(title, feats, fit, residuals, fit_null, sigma2_eps))
         except (ValidationError, np.linalg.LinAlgError) as exc:
             rows.append(ModelComparisonRow(

@@ -24,7 +24,8 @@ import numpy as np
 import yaml
 
 from . import rng
-from .ingest import Dataset, FeatureSchema, FeatureSpec, TrialRecord, ValidationError
+from .ingest import (Dataset, FeatureSchema, FeatureSpec, TrialRecord, ValidationError,
+                     encode_design, load_mapping, read_text)
 from .transforms import HALF_PI, ft_inverse_array, ft_variance
 from . import engine
 
@@ -81,9 +82,8 @@ class SimConfig:
         sizes = self.trial_counts()
         if any(s < 1 for s in sizes):
             raise ValidationError("every study needs at least 1 trial")
-        lo, hi = self.n_range
-        if lo < 1 or hi < lo:
-            raise ValidationError("n_range must satisfy 1 <= min <= max")
+        if len(self.n_range) != 2 or not 1 <= self.n_range[0] <= self.n_range[1]:
+            raise ValidationError("n_range must be [min, max] with 1 <= min <= max")
 
     def trial_counts(self) -> list:
         if isinstance(self.trials_per_study, int):
@@ -100,33 +100,37 @@ class SimConfig:
         if not isinstance(sim, dict):
             raise ValidationError("config must contain a 'simulation' mapping")
         sim = dict(sim)
-        mods = [Moderator(name=str(m["name"]), effect=float(m["effect"]),
-                          kind=str(m.get("kind", "numeric")))
-                for m in (sim.pop("moderators", None) or [])]
-        try:
-            cfg = cls(
-                h=int(sim.pop("h")),
-                trials_per_study=sim.pop("trials_per_study"),
-                mu=float(sim.pop("mu")),
-                sigma2_xi=float(sim.pop("sigma2_xi")),
-                sigma2_zeta=float(sim.pop("sigma2_zeta")),
-                n_range=tuple(int(x) for x in sim.pop("n_range")),
-                mode=str(sim.pop("mode", "gaussian")),
-                seed=int(sim.pop("seed", 0)),
-                moderators=mods,
-            )
-        except KeyError as exc:
-            raise ValidationError(f"simulation config missing field {exc}") from None
+
+        def take(name, convert, *default):
+            if name not in sim and not default:
+                raise ValidationError(f"simulation config missing field {name!r}")
+            try:
+                return convert(sim.pop(name, *default))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(
+                    f"simulation field {name!r}: {type(exc).__name__}: {exc}") from None
+
+        cfg = cls(
+            h=take("h", int),
+            trials_per_study=take("trials_per_study",
+                                  lambda t: list(map(int, t)) if isinstance(t, list) else int(t)),
+            mu=take("mu", _finite),
+            sigma2_xi=take("sigma2_xi", _finite),
+            sigma2_zeta=take("sigma2_zeta", _finite),
+            n_range=take("n_range", lambda r: tuple(map(int, r))),
+            mode=take("mode", str, "gaussian"),
+            seed=take("seed", int, 0),
+            moderators=take("moderators", lambda mods: [
+                Moderator(name=str(m["name"]), effect=_finite(m["effect"]),
+                          kind=str(m.get("kind", "numeric"))) for m in mods or []], None),
+        )
         if sim:
             raise ValidationError(f"unknown simulation fields {sorted(sim)}")
         return cfg
 
     @classmethod
     def from_yaml(cls, text: str) -> "SimConfig":
-        tree = yaml.safe_load(text)
-        if not isinstance(tree, dict):
-            raise ValidationError("simulation config file must be a mapping")
-        return cls.from_dict(tree)
+        return cls.from_dict(load_mapping(text, "simulation config file"))
 
     def to_yaml(self) -> str:
         sim = {
@@ -156,9 +160,15 @@ class SimConfig:
         return FeatureSchema(entries=tuple(entries))
 
 
+def _finite(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
 def load_simconfig(path) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SimConfig.from_yaml(fh.read())
+    return SimConfig.from_yaml(read_text(path))
 
 
 _STUDY_SENTINEL = -1   # trial index reserved for study-level draws
@@ -268,7 +278,6 @@ def recovery_experiment(config: SimConfig, replications: int,
     """
     if replications < 1:
         raise ValidationError("replications must be >= 1")
-    from .ingest import encode_design
     from .report import Z95
 
     records = []

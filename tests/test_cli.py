@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metaprop
 from metaprop.cli import main
@@ -83,6 +89,45 @@ class TestFit:
                          "--diagnostics")
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec, needle", [
+        ("a: [1, 2]", "feature 'a' must be a mapping"),
+        ("a: {kind: numeric, scale: abc}", "feature 'a': scale"),
+        ("a: {kind: numeric, scale: [1]}", "feature 'a': scale"),
+        ("a: {kind: numeric, scale: .inf}", "feature 'a': scale"),
+        ("a: {kind: numeric, scale: 1e-320}", "line 2: feature 'a' is not finite"),
+        ("c: {kind: categorical, reference_level: x, grouping: [1]}", "feature 'c': grouping"),
+        ("c: {kind: categorical, reference_level: [x]}", "feature 'c': categorical features need a reference_level"),
+        ("a: {kind: numeric", "line 2"),
+    ], ids=["list", "scale-text", "scale-list", "scale-inf", "scale-tiny", "grouping-list",
+            "reference-list", "yaml-syntax"])
+    def test_hostile_schema_exit_2(self, capsys, tmp_path, spec, needle):
+        data = tmp_path / "data.csv"
+        data.write_text("study_id,trial_id,k,n,a,c\nS1,t1,8,10,1,x\nS1,t2,7,10,2,y\n"
+                        "S2,t1,9,10,3,x\nS2,t2,6,10,4,y\n")
+        schema = tmp_path / "schema.yaml"
+        schema.write_text(f"features:\n  {spec}\n")
+        code, _, err = run(capsys, "regress", data, schema, "--features", "all")
+        assert code == 2
+        assert needle in err
+
+    @pytest.mark.parametrize("target, raw, needle", [
+        ("data", b"S2,t2,6,10\nS3,t1,5,10\n".replace(b"S3", b"S\xe93"), "line 6: not valid UTF-8"),
+        ("schema", "features: {a: {kind: \xe9}}\n".encode("latin-1"), "line 2: not valid UTF-8"),
+        ("data", b"S2,t2,6,1e20\n", "line 5: n exceeds 2**53"),
+        ("data", b"S2,t2,9007199254740994,10\n", "line 5: k exceeds 2**53"),
+        ("data", b"S2,t2,6," + b"9" * 200_000 + b"\n", "line 5: field larger"),
+        ("data", b"S2,t2,,10\n", "line 5: accuracy is not a number"),
+    ], ids=["data-latin1", "schema-latin1", "n-1e20", "k-2**53+2", "long-field", "no-k"])
+    def test_malformed_file_exit_2_with_line(self, capsys, tmp_path, target, raw, needle):
+        files = {"data": b"study_id,trial_id,k,n\nS1,t1,8,10\nS1,t2,7,10\nS2,t1,9,10\n",
+                 "schema": b"features: {}\n"}
+        files[target] += raw
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        code, _, err = run(capsys, "fit", tmp_path / "data", tmp_path / "schema")
+        assert code == 2
+        assert needle in err
 
     def test_missing_file_exit_2(self, capsys, example_paths):
         code, _, err = run(capsys, "fit", "/nonexistent.csv", example_paths["schema"])
@@ -233,6 +278,28 @@ class TestSimulateAndRecover:
         code, _, err = run(capsys, "simulate", cfg, tmp_path / "x.csv")
         assert code == 2
 
+    @pytest.mark.parametrize("line, needle", [
+        ("h: abc", "'h'"),
+        ("mu: .nan", "'mu'"),
+        ("sigma2_xi: .inf", "'sigma2_xi'"),
+        ("n_range: 5", "'n_range'"),
+        ("n_range: [10, 20, 30]", "n_range"),
+        ("moderators: [{effect: 1}]", "'moderators'"),
+        ("moderators: [{name: a, effect: x}]", "'moderators'"),
+        ("h: [", "line"),
+    ], ids=["h-text", "mu-nan", "xi-inf", "n_range-scalar", "n_range-triple", "moderator-no-name",
+            "moderator-effect-text", "yaml-syntax"])
+    def test_hostile_config_exit_2(self, capsys, tmp_path, line, needle):
+        fields = {"h": "3", "trials_per_study": "2", "mu": "1", "sigma2_xi": "0",
+                  "sigma2_zeta": "0", "n_range": "[10, 20]"}
+        key, value = line.split(": ", 1)
+        fields[key] = value
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("simulation:\n" + "".join(f"  {k}: {v}\n" for k, v in fields.items()))
+        code, _, err = run(capsys, "simulate", cfg, tmp_path / "x.csv")
+        assert code == 2
+        assert needle in err
+
     def test_recover_small(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("simulation:\n  h: 5\n  trials_per_study: 3\n  mu: 1.1\n"
@@ -243,6 +310,62 @@ class TestSimulateAndRecover:
         payload = json.loads(out)
         assert payload["replications"] == 3
         assert 0.0 <= payload["coverage"] <= 1.0
+
+
+FUZZ_CSV = [["study_id", "trial_id", "k", "n", "size", "model"],
+            ["S1", "t1", "8", "10", "1500", "lr"],
+            ["S1", "t2", "45", "50", "3000", "svm"],
+            ["S2", "t1", "70", "100", "2000", "nn"],
+            ["S2", "t2", "40", "50", "2500", "svm"],
+            ["S3", "t1", "30", "40", "1800", "lr"]]
+FUZZ_SCHEMA = ["features:", "  size:", "    kind: numeric", "    scale: 1000", "  model:",
+               "    kind: categorical", "    reference_level: base", "    grouping:",
+               "      lr: base", "      svm: svm", "      nn: nn"]
+CELL_TOKENS = ["", "0", "-1", "1.5", "1e20", "9007199254740993", "nan", "inf", "1e-320",
+               "1e308", "abc", "base", "accuracy", "k", "S1", "t1", '"', ",", "\x00", "\r", "\u00e9"]
+YAML_TOKENS = ["    scale: abc", "    scale: [1]", "    scale: .inf", "    scale: 1e-320",
+               "    scale: 0", "    kind: [1]", "    kind: numeric", "    reference_level: [x]",
+               "    reference_level: 7", "    grouping: [1]", "  size: [1, 2]", "  size: abc",
+               "  model:", "features: [", "features: 3", "    bogus: 1", "  k: {kind: numeric}",
+               "      base: svm", "      nn: base", "  size: {kind: numeric"]
+
+
+class TestFuzz:
+    @given(cells=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                    st.sampled_from(CELL_TOKENS) | st.text(max_size=6)),
+                          max_size=4),
+           dropped=st.sets(st.integers(0, 5), max_size=2),
+           rows=st.integers(1, 6),
+           yaml_lines=st.lists(st.tuples(st.integers(0, len(FUZZ_SCHEMA) - 1),
+                                         st.sampled_from(YAML_TOKENS) | st.text(max_size=12)),
+                               max_size=3),
+           raw=st.lists(st.tuples(st.sampled_from(["d.csv", "s.yaml"]), st.integers(0, 400),
+                                  st.binary(min_size=1, max_size=2)),
+                        max_size=1))
+    @settings(max_examples=150, deadline=None)
+    def test_fit_on_mutated_input_exits_0_or_2(self, cells, dropped, rows, yaml_lines, raw):
+        """Mutated header, cells, YAML and bytes: exit 0 or 2, no exception, no RuntimeWarning."""
+        table = [list(row) for row in FUZZ_CSV[:rows]]
+        for i, j, token in cells:
+            if i < len(table):
+                table[i][j] = token
+        schema = list(FUZZ_SCHEMA)
+        for i, line in yaml_lines:
+            schema[i] = line
+        files = {"d.csv": "".join(",".join(cell for j, cell in enumerate(row) if j not in dropped)
+                                  + "\n" for row in table).encode(),
+                 "s.yaml": "".join(line + "\n" for line in schema).encode()}
+        for name, at, chunk in raw:
+            files[name] = files[name][:at] + chunk + files[name][at:]
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, content in files.items():
+                pathlib.Path(tmp, name).write_bytes(content)
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                warnings.simplefilter("error", RuntimeWarning)
+                warnings.simplefilter("ignore", UserWarning)  # the one-study note
+                code = main(["fit", os.path.join(tmp, "d.csv"), os.path.join(tmp, "s.yaml")])
+        assert code in (0, 2), err.getvalue()
 
 
 class TestVersionAndHelp:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaprop.engine import Problem, fit_model
 from metaprop.ingest import (FeatureSchema, FeatureSpec, ValidationError,
                              encode_design, parse_dataset, summarize_features,
                              write_dataset_csv)
@@ -22,6 +23,18 @@ S1,t1,45,50,1500,svm,en
 S2,t2,70,100,2500,nb,de
 S1,t2,40,50,3000,nn,en
 """
+
+
+def assert_problem_applies_the_same_rule(dataset, design):
+    """engine.Problem accepts the encoded design and rejects it with any dropped column."""
+    y, v = np.linspace(0.5, 1.5, dataset.m), np.full(dataset.m, 0.1)
+    sizes = dataset.group_sizes()
+    Problem(y, design, sizes, v)
+    candidates, labels, _ = dataset.candidate_columns
+    for label in design.dropped:
+        X = np.column_stack([design.matrix, candidates[:, labels.index(label)]])
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            Problem(y, X, sizes, v)
 
 
 class TestParse:
@@ -147,7 +160,6 @@ class TestEncodeDesign:
         ds = parse_dataset(CSV + extra, SCHEMA)
         design = encode_design(ds, ["size", "model", "lang"])
         assert design.labels[0] == "intercept"
-        assert design.intercept_included
         # categories sorted, reference omitted
         assert "model=base" not in design.labels
         assert "model=nn" in design.labels and "model=svm" in design.labels
@@ -198,6 +210,7 @@ class TestEncodeDesign:
         design = encode_design(example_dataset, example_dataset.schema.names)
         assert np.linalg.matrix_rank(design.matrix) == design.f
         assert design.f == len(design.labels)
+        assert_problem_applies_the_same_rule(example_dataset, design)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -223,6 +236,23 @@ class TestEncodeDesign:
         ds = parse_dataset("\n".join(lines) + "\n", schema)
         design = encode_design(ds, names)
         assert np.linalg.matrix_rank(design.matrix) == design.f
+        assert_problem_applies_the_same_rule(ds, design)
+
+    def test_more_candidate_columns_than_trials(self):
+        # intercept, four dummies and a numeric column over four trials
+        schema = FeatureSchema(entries=(
+            FeatureSpec(name="c", kind="categorical", reference_level="a"),
+            FeatureSpec(name="x", kind="numeric"),
+        ))
+        text = ("study_id,trial_id,k,n,c,x\nS1,t1,1,2,b,0.5\nS1,t2,1,2,c,1.5\n"
+                "S2,t1,1,2,d,2.0\nS2,t2,1,2,e,3.5\n")
+        ds = parse_dataset(text, schema)
+        design = encode_design(ds, ["c", "x"])
+        assert design.labels == ["intercept", "c=b", "c=c", "c=d"]
+        assert design.dropped == ["c=e", "x"]
+        assert_problem_applies_the_same_rule(ds, design)
+        with pytest.raises(ValidationError, match="more trials than coefficients"):
+            fit_model(np.linspace(0.5, 1.5, 4), design, ds.group_sizes(), np.full(4, 0.1))
 
 
 class TestSummarize:

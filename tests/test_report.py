@@ -77,6 +77,16 @@ class TestForestPlot:
         ET.fromstring(svg)
         assert "transformed accuracy" in svg
 
+    @pytest.mark.parametrize("scale", ["proportion", "transformed"])
+    def test_study_effects_computed_once(self, fitted_example, monkeypatch, scale):
+        fit, dataset = fitted_example
+        calls = []
+        original = engine.predict_study_effects
+        monkeypatch.setattr(engine, "predict_study_effects",
+                            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+        forest_plot(fit, dataset, scale=scale)
+        assert len(calls) == 1
+
     def test_requires_intercept_only(self, fitted_example):
         _, dataset = fitted_example
         y, v = engine.effect_arrays(dataset)
