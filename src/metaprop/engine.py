@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri, stdtrit
 
 from .ingest import ValidationError, independent_columns
 from .transforms import HALF_PI, ft_inverse, ft_theta, ft_variance
@@ -55,6 +55,7 @@ _DECREMENT_TOL = 1e-9
 _STALL_DECREMENT = 1e-6
 _MAX_HALVINGS = 30
 _RANK_DEFICIENT = "design matrix is rank deficient under V^-1"
+Z95 = NormalDist().inv_cdf(0.975)
 
 
 @dataclass(frozen=True)
@@ -346,15 +347,17 @@ def pooled_estimate(fit: FitResult, level: float = 0.95,
     intercept-only model this is exactly the intercept.  The proportion
     scale uses the back-transform with effective sample size 1/se^2.
     The default CI uses normal quantiles; quantile="t" switches to a
-    Student-t with m - f degrees of freedom.
+    Student-t with m - f degrees of freedom.  level must lie in (0, 1).
     """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level!r}")
     c = fit.X.mean(axis=0)
     mu = float(c @ fit.beta)
     se = math.sqrt(max(float(c @ fit.cov_beta @ c), 0.0))
     if quantile == "normal":
-        z = float(ndtri(0.5 + level / 2.0))
+        z = NormalDist().inv_cdf(0.5 + level / 2.0)
     elif quantile == "t":
-        z = float(stdtrit(fit.m - fit.f, 0.5 + level / 2.0))
+        z = _t_quantile(fit.m - fit.f, 0.5 + level / 2.0)
     else:
         raise ValueError(f"unknown quantile kind {quantile!r}")
     lo, hi = mu - z * se, mu + z * se
@@ -365,6 +368,35 @@ def pooled_estimate(fit: FitResult, level: float = 0.95,
         prop=ft_inverse(clamp(mu), n_equiv),
         prop_low=ft_inverse(clamp(lo), n_equiv),
         prop_high=ft_inverse(clamp(hi), n_equiv))
+
+
+def _t_quantile(df: int, p: float) -> float:
+    """Student-t quantile for integer df >= 1 and 1/2 <= p < 1.
+
+    With t = sqrt(df) tan(theta), P(|T| <= t) is sin(theta) times a finite
+    series in cos(theta) (Abramowitz & Stegun 26.7.3-26.7.4), plus theta for
+    odd df, and is concave in theta; so Newton steps from the normal
+    quantile, which lies below the t quantile, rise monotonically to the
+    root.  The powers of cos(theta)^2 come from log1p(-sin(theta)^2), which
+    keeps its relative accuracy when theta is small and df large.
+    """
+    if df == 1:
+        return math.tan(math.pi * (p - 0.5))
+    target = 2.0 * p - 1.0
+    power = np.arange(df % 2, df - 1, 2)                # the powers of cos(theta)
+    coef = np.cumprod(np.r_[1.0, (power[1:] - 1.0) / power[1:]])
+    theta = math.atan(NormalDist().inv_cdf(p) / math.sqrt(df))
+    for _ in range(100):
+        terms = coef * np.exp(0.5 * math.log1p(-math.sin(theta) ** 2) * power)
+        value = math.sin(theta) * float(terms.sum())
+        slope = (df - 1) * float(terms[-1]) * math.cos(theta)   # d value / d theta
+        if df % 2:
+            value, slope = (theta + value) * 2.0 / math.pi, slope * 2.0 / math.pi
+        step = (target - value) / slope
+        theta += step
+        if step <= 1e-16 * theta:
+            break
+    return math.sqrt(df) * math.tan(theta)
 
 
 @dataclass(frozen=True)
@@ -392,37 +424,28 @@ def predict_study_effects(fit: FitResult, dataset, method: str = "blup") -> list
     if method not in ("blup", "pool"):
         raise ValueError(f"unknown prediction method {method!r}")
 
-    out = []
-    start = 0
-    xi = fit.varcomps.sigma2_xi
-    zeta = fit.varcomps.sigma2_zeta
-    fitted = fit.X @ fit.beta
-    for sid, size in zip(ids, sizes):
-        stop = start + int(size)
-        y_j = fit.y[start:stop]
-        v_j = fit.v[start:stop]
-        if method == "pool":
-            w = 1.0 / v_j
-            kappa = float(np.sum(w * y_j) / np.sum(w))
-            se = math.sqrt(1.0 / float(np.sum(w)))
-        else:
-            mean_fit = float(np.mean(fitted[start:stop]))
-            d = 1.0 / (v_j + zeta)
-            s = float(np.sum(d))
-            resid = y_j - fitted[start:stop]
-            xi_hat = xi * float(np.sum(d * resid)) / (1.0 + xi * s)
-            var = xi / (1.0 + xi * s)
-            kappa = mean_fit + xi_hat
-            se = math.sqrt(max(var, 0.0))
-        out.append(StudyEffect(study_id=sid, kappa_hat=kappa, se=se, trials=int(size)))
-        start = stop
-    return out
+    xi, zeta = fit.varcomps.sigma2_xi, fit.varcomps.sigma2_zeta
+    offsets = np.cumsum(sizes) - sizes
+    if method == "pool":                             # within-study inverse-variance mean
+        w = 1.0 / fit.v
+        s = np.add.reduceat(w, offsets)
+        kappa = np.add.reduceat(w * fit.y, offsets) / s
+        se = np.sqrt(1.0 / s)
+    else:                                            # mean fit plus the shrunken residual
+        d = 1.0 / (fit.v + zeta)
+        s = np.add.reduceat(d, offsets)
+        fitted = fit.X @ fit.beta
+        kappa = (np.add.reduceat(fitted, offsets) / sizes
+                 + xi * np.add.reduceat(d * (fit.y - fitted), offsets) / (1.0 + xi * s))
+        se = np.sqrt(xi / (1.0 + xi * s))
+    return [StudyEffect(study_id=sid, kappa_hat=float(k), se=float(e), trials=int(n))
+            for sid, k, e, n in zip(ids, kappa, se, sizes)]
 
 
 def study_weights(fit: FitResult) -> np.ndarray:
     """Per-study share of the total GLS weight, normalized to sum to 1."""
-    problem = Problem(fit.y, fit.X, fit.group_sizes, fit.v)
-    _, s, *_ = problem._sums(fit.varcomps.sigma2_xi, fit.varcomps.sigma2_zeta)
+    d = 1.0 / (fit.v + fit.varcomps.sigma2_zeta)
+    s = np.add.reduceat(d, np.cumsum(fit.group_sizes) - fit.group_sizes)
     w = s / (1.0 + fit.varcomps.sigma2_xi * s)
     return w / w.sum()
 

@@ -9,10 +9,10 @@ the intercept-only fit and is deliberately not truncated at zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .engine import FitResult, VarianceComponents
 from .ingest import ValidationError
@@ -50,7 +50,37 @@ def cochran_q(y, X, v):
     r = y - mat @ beta
     q = float(np.sum(w * r * r))
     df = m - f
-    return q, df, float(chdtrc(df, q))
+    return q, df, _chi2_sf(df, q)
+
+
+def _chi2_sf(df: int, x: float) -> float:
+    """Chi-square upper tail for integer df >= 1 at x >= 0.
+
+    With y = x/2 and c = (df mod 2)/2 the tail is erfc(sqrt(y)) for odd df
+    (0 for even) plus the finite sum over k < df//2 of the Poisson-like
+    terms exp(-y) y^(k+c) / Gamma(k+c+1) (Abramowitz & Stegun
+    26.4.4-26.4.5).  The terms rise while k+c+1 <= y and fall after, so
+    they are summed outward from the largest one, whose logarithm is
+    formed once: a Q in the thousands underflows no term that matters.
+    For large k+c that logarithm takes the saddle-point form (Loader 2000),
+    in which no terms of size (k+c) log y cancel.
+    """
+    if x <= 0.0:
+        return 1.0
+    y, c, count = 0.5 * x, 0.5 * (df % 2), df // 2
+    base = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+    if count == 0:
+        return base
+    top = min(count - 1, max(0, int(y - c)))
+    total = (1.0 + np.cumprod(y / (np.arange(top + 1, count) + c)).sum()        # rising k
+             + np.cumprod((np.arange(top, 0, -1) + c) / y).sum())               # falling k
+    a = top + c
+    if a < 100.0:
+        log_top = a * math.log(y) - y - math.lgamma(a + 1.0)
+    else:
+        log_top = ((a - y) - a * math.log1p((a - y) / y) - 0.5 * math.log(2.0 * math.pi * a)
+                   - (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * a * a)) / (a * a)) / a)
+    return base + math.exp(log_top + math.log(total))
 
 
 def pooled_sampling_variance(v) -> float:

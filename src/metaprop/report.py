@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import engine
+from .engine import Z95
 from .ingest import ValidationError
 from .transforms import HALF_PI, ft_inverse
 
@@ -29,8 +29,6 @@ __all__ = [
     "comparison_table",
     "simple_table",
 ]
-
-Z95 = float(ndtri(0.975))
 
 
 @dataclass(frozen=True)
@@ -236,7 +234,7 @@ def regression_table(fit: engine.FitResult, design) -> RegressionTable:
         beta = float(fit.beta[i])
         se = float(se_all[i])
         if se > 0:
-            p = float(2.0 * ndtr(-abs(beta) / se))
+            p = math.erfc(abs(beta) / se / math.sqrt(2.0))
         else:
             p = 1.0 if beta == 0 else 0.0
         feature = None

@@ -111,15 +111,15 @@ class SimConfig:
                     f"simulation field {name!r}: {type(exc).__name__}: {exc}") from None
 
         cfg = cls(
-            h=take("h", int),
-            trials_per_study=take("trials_per_study",
-                                  lambda t: list(map(int, t)) if isinstance(t, list) else int(t)),
+            h=take("h", _integral),
+            trials_per_study=take("trials_per_study", lambda t: list(map(_integral, t))
+                                  if isinstance(t, list) else _integral(t)),
             mu=take("mu", _finite),
             sigma2_xi=take("sigma2_xi", _finite),
             sigma2_zeta=take("sigma2_zeta", _finite),
-            n_range=take("n_range", lambda r: tuple(map(int, r))),
+            n_range=take("n_range", lambda r: tuple(map(_integral, r))),
             mode=take("mode", str, "gaussian"),
-            seed=take("seed", int, 0),
+            seed=take("seed", _integral, 0),
             moderators=take("moderators", lambda mods: [
                 Moderator(name=str(m["name"]), effect=_finite(m["effect"]),
                           kind=str(m.get("kind", "numeric"))) for m in mods or []], None),
@@ -165,6 +165,13 @@ def _finite(raw) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{raw!r} is not finite")
     return value
+
+
+def _integral(raw) -> int:
+    value = raw if isinstance(raw, int) else _finite(raw)
+    if isinstance(raw, bool) or value != int(value):
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(value)
 
 
 def load_simconfig(path) -> SimConfig:
@@ -278,7 +285,6 @@ def recovery_experiment(config: SimConfig, replications: int,
     """
     if replications < 1:
         raise ValidationError("replications must be >= 1")
-    from .report import Z95
 
     records = []
     for rep in range(replications):
@@ -288,7 +294,7 @@ def recovery_experiment(config: SimConfig, replications: int,
         fit = engine.fit_model(y, design, data.group_sizes(), v, method=method)
         mu_hat = float(fit.beta[0])
         se = math.sqrt(max(float(fit.cov_beta[0, 0]), 0.0))
-        covered = abs(mu_hat - config.mu) <= Z95 * se
+        covered = abs(mu_hat - config.mu) <= engine.Z95 * se
         pooled = engine.pooled_estimate(fit)
         records.append(RecoveryRecord(
             replicate=rep, mu_hat=mu_hat, se=se,

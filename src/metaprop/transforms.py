@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "EffectSample",
@@ -147,7 +147,7 @@ def _poly(coefs, x):
 def _sw_weights(n: int) -> np.ndarray:
     """Antisymmetric weight vector for the W statistic."""
     half = n // 2
-    m = ndtri((np.arange(1, half + 1) - 0.375) / (n + 0.25))
+    m = np.array(list(map(NormalDist().inv_cdf, (np.arange(1, half + 1) - 0.375) / (n + 0.25))))
     a = np.zeros(n)
     if n == 3:
         a[0] = -math.sqrt(0.5)
@@ -214,7 +214,7 @@ def shapiro_wilk(values) -> tuple[float, float]:
         ln_n = math.log(n)
         mu = _poly(_C5, ln_n)
         sigma = math.exp(_poly(_C6, ln_n))
-    p = float(ndtr(-(y - mu) / sigma))
+    p = 0.5 * math.erfc((y - mu) / sigma / math.sqrt(2.0))
     return w, p
 
 

@@ -287,8 +287,16 @@ class TestSimulateAndRecover:
         ("moderators: [{effect: 1}]", "'moderators'"),
         ("moderators: [{name: a, effect: x}]", "'moderators'"),
         ("h: [", "line"),
+        ("seed: 3.7", "'seed'"),
+        ("seed: true", "'seed'"),
+        ("h: true", "'h'"),
+        ("h: 2.5", "'h'"),
+        ("trials_per_study: [2.5, 3, 2]", "'trials_per_study'"),
+        ("trials_per_study: false", "'trials_per_study'"),
+        ("n_range: [10.5, 20]", "'n_range'"),
     ], ids=["h-text", "mu-nan", "xi-inf", "n_range-scalar", "n_range-triple", "moderator-no-name",
-            "moderator-effect-text", "yaml-syntax"])
+            "moderator-effect-text", "yaml-syntax", "seed-fraction", "seed-bool", "h-bool",
+            "h-fraction", "trials-fraction", "trials-bool", "n_range-fraction"])
     def test_hostile_config_exit_2(self, capsys, tmp_path, line, needle):
         fields = {"h": "3", "trials_per_study": "2", "mu": "1", "sigma2_xi": "0",
                   "sigma2_zeta": "0", "n_range": "[10, 20]"}
@@ -380,14 +388,48 @@ class TestVersionAndHelp:
         assert exc.value.code == 2
 
 
+REFUSE_SCIPY = """
+import contextlib, io, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"import of {name} refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+from metaprop.cli import main
+data, schema = sys.argv[1:]
+commands = [["fit", data, schema, "--diagnostics", "--format=json"],
+            ["regress", data, schema, "--features=all"],
+            ["forest", data, schema, "forest.svg"],
+            ["select", data, schema, "--out-dir", "select"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+print(codes)
+"""
+
+
 class TestImport:
-    def test_import_leaves_out_scipy_optimize_and_stats(self):
-        # each command is a fresh interpreter, so import time is part of its wall time
-        code = ("import sys, metaprop.cli; "
-                "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])")
+    @staticmethod
+    def python(*args, cwd=None):
         src = str(pathlib.Path(metaprop.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "[]"
+        out = subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                             text=True, check=True, timeout=120)
+        return out.stdout.strip()
+
+    def test_import_leaves_out_scipy_optimize_and_stats(self):
+        # each command is a fresh interpreter, so import time is part of its wall time;
+        # scipy is a test dependency only, so no scipy module may load at all
+        code = ("import sys, metaprop.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert self.python("-c", code) == "[]"
+
+    def test_commands_run_with_scipy_import_refused(self, tmp_path, example_paths):
+        # a lazy import inside any command would fail under the refusing finder
+        out = self.python("-c", REFUSE_SCIPY, example_paths["data"],
+                          str(pathlib.Path(__file__).parent / "data" / "small_schema.yaml"),
+                          cwd=tmp_path)
+        assert out == "[0, 0, 0, 0]"
+        assert (tmp_path / "forest.svg").is_file() and (tmp_path / "select").is_dir()

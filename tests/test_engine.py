@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -310,6 +311,45 @@ class TestPooledEstimate:
         from scipy.stats import norm
 
         assert float(norm.ppf(0.975)) == pytest.approx(1.959964, abs=1e-6)
+        assert engine.Z95 == pytest.approx(float(norm.ppf(0.975)), rel=1e-15)
+
+    def test_normal_quantile_matches_mpmath(self):
+        # the stdlib quantile that pooled_estimate, Z95 and the Shapiro-Wilk weights use
+        import mpmath
+
+        ps = np.r_[np.logspace(-300, -0.302, 80), 1.0 - np.logspace(-15, -0.302, 40)]
+        assert NormalDist().inv_cdf(0.5) == 0.0
+        with mpmath.workdps(40):
+            for p in ps:
+                x = NormalDist().inv_cdf(p)
+                lower = mpmath.mpf(p) if p < 0.5 else 1 - mpmath.mpf(p)
+                ref = mpmath.findroot(lambda t: mpmath.ncdf(t) - lower, -abs(x))
+                assert abs(abs(x) / abs(ref) - 1) <= 2e-15, p
+
+    def test_t_quantile_matches_mpmath(self):
+        import mpmath
+        from scipy.stats import t as student
+
+        gen = np.random.default_rng(267)
+        dfs = np.r_[1, 2, 3, 4, 5, 9, 19, 194, 1000, 9999, 10000, gen.integers(1, 10001, 14)]
+        ps = np.r_[0.75, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 0.9995, gen.uniform(0.75, 0.9995, 2)]
+        with mpmath.workdps(40):
+            for df in map(int, dfs):
+                nu = mpmath.mpf(df)
+                for p in ps:
+                    tail = 1 - mpmath.mpf(p)
+                    ref = mpmath.findroot(lambda t: mpmath.betainc(
+                        nu / 2, 0.5, 0, nu / (nu + t * t), regularized=True) / 2 - tail,
+                        float(student.ppf(p, df)))
+                    assert abs(engine._t_quantile(df, p) / ref - 1) <= 1e-11, (df, p)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_level_outside_open_unit_interval_raises(self, level):
+        y, X, sizes, v = toy_instance(41, n_studies=2, trials=3)
+        fit = fit_model(y, X, sizes, v)
+        for quantile in ("normal", "t"):
+            with pytest.raises(ValueError, match="level"):
+                pooled_estimate(fit, level=level, quantile=quantile)
 
     def test_tiny_se_gives_point_proportion(self):
         y = np.full(8, 1.1071487177940904)
@@ -407,6 +447,31 @@ class TestPredictStudyEffects:
         w = 1.0 / v[:sizes[0]]
         assert effects[0].kappa_hat == pytest.approx(
             float(np.sum(w * y[:sizes[0]]) / np.sum(w)), abs=1e-12)
+
+    def test_matches_per_study_loop(self):
+        # the per-study loop the reduceat sums replaced, on a moderated design
+        data = self._dataset(seed=43, h=5, trials=4)
+        y, v = effect_arrays(data)
+        sizes = data.group_sizes()
+        X = np.column_stack([np.ones(data.m), np.linspace(-1.0, 1.0, data.m)])
+        fit = fit_model(y, X, sizes, v)
+        xi, zeta = fit.varcomps.sigma2_xi, fit.varcomps.sigma2_zeta
+        fitted = X @ fit.beta
+        pool, blup, weights = [], [], []
+        for stop, size in zip(np.cumsum(sizes), sizes):
+            part = slice(stop - size, stop)
+            w = 1.0 / v[part]
+            pool.append((np.sum(w * y[part]) / np.sum(w), math.sqrt(1.0 / np.sum(w))))
+            d = 1.0 / (v[part] + zeta)
+            s = np.sum(d)
+            blup.append((np.mean(fitted[part]) + xi * np.sum(d * (y[part] - fitted[part]))
+                         / (1.0 + xi * s), math.sqrt(xi / (1.0 + xi * s))))
+            weights.append(s / (1.0 + xi * s))
+        for method, expected in (("pool", pool), ("blup", blup)):
+            effects = predict_study_effects(fit, data, method=method)
+            got = np.array([(e.kappa_hat, e.se) for e in effects])
+            assert got == pytest.approx(np.array(expected, dtype=float), rel=1e-14)
+        assert study_weights(fit) == pytest.approx(np.array(weights) / sum(weights), rel=1e-14)
 
     def test_weights_normalized(self):
         data = self._dataset(seed=41)

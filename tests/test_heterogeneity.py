@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaprop.engine import VarianceComponents, fit_model
-from metaprop.heterogeneity import (cochran_q, heterogeneity_report,
+from metaprop.heterogeneity import (_chi2_sf, cochran_q, heterogeneity_report,
                                     i_squared_levels, pooled_sampling_variance,
                                     r_squared)
 from metaprop.ingest import ValidationError
@@ -65,6 +65,26 @@ class TestCochranQ:
         q1, _, _ = cochran_q(y, X, v)
         q2, _, _ = cochran_q(c * y, X, v)
         assert q2 == pytest.approx(c * c * q1, rel=1e-10)
+
+
+    def test_chi2_tail_matches_mpmath(self):
+        # integer df in [1, 1e4], x in (0, 1e5], wherever the tail is at least 1e-300
+        import mpmath
+
+        gen = np.random.default_rng(264)
+        dfs = np.r_[1, 2, 3, 4, 7, 194, 999, 1000, 9999, 10000, gen.integers(1, 10001, 20)]
+        checked = 0
+        with mpmath.workdps(40):
+            for df in map(int, dfs):
+                assert _chi2_sf(df, 0.0) == 1.0
+                xs = np.r_[1e-300, 0.5, df, 1e5, df * np.exp(gen.uniform(-4.0, 1.2, 6))]
+                for x in np.minimum(xs, 1e5):
+                    ref = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                                          regularized=True)
+                    if ref >= 1e-300:
+                        assert abs(_chi2_sf(df, x) / ref - 1) <= 1e-11, (df, x)
+                        checked += 1
+        assert checked >= 200
 
 
 class TestPooledSamplingVariance:

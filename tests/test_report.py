@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ class TestRegressionTable:
         assert format_p(0.00005) == "<.0001"
         assert format_p(0.0234) == "0.0234"
         assert format_p(1.0) == "1.0000"
+
+    def test_p_value_matches_mpmath(self):
+        # p = 2 Phi(-|z|) = erfc(|z| / sqrt 2), with se = 1 so that z is the coefficient
+        import mpmath
+
+        z = np.r_[np.linspace(-37.0, 37.0, 149), 1e-8, -1e-3, 8.3, -8.5]
+        fit = SimpleNamespace(labels=["intercept"] + [f"b{i}" for i in range(1, z.size)],
+                              beta=z, cov_beta=np.eye(z.size))
+        design = SimpleNamespace(feature_groups={}, reference_levels={}, dropped=[])
+        rows = regression_table(fit, design).rows
+        with mpmath.workdps(40):
+            for zi, row in zip(z, rows):
+                ref = mpmath.erfc(abs(mpmath.mpf(zi)) / mpmath.sqrt(2))
+                assert abs(row.p / ref - 1) <= 5e-13, zi
 
     def test_zero_beta_p_one(self, fitted_example):
         fit, dataset = fitted_example
