@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Check that the exhaustive search gives the same results as another checkout.
+
+    python3 scripts/search_equivalence.py PARENT_DIR
+
+Runs ``metaprop select data/example_trials.csv data/example_schema.yaml``
+from this checkout and from PARENT_DIR (a copy of another commit, such as
+one made with ``git archive``), both on this checkout's data and each
+with one BLAS thread, and checks that:
+
+- the exit codes are equal, and stdout and comparison.md byte-identical;
+- both reproduce the five-model table below (REML, exhaustive search);
+- every search_trail.jsonl record has the same features, f, converged
+  and skipped, and a loglik within 1e-8.
+
+Cells of comparison.csv that differ are listed, not failed: that file
+prints six significant digits of quantities such as r2_xi, which the flat
+top of the likelihood does not determine that far.  Exits 1 on any
+mismatch.
+"""
+
+import csv
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DATA = ROOT / "data" / "example_trials.csv"
+SCHEMA = ROOT / "data" / "example_schema.yaml"
+LOGLIK_TOL = 1e-8
+
+ALL = ("train_test_ratio", "training_size", "sentiment_classes", "ml_model",
+       "n_extraction_methods", "extraction_method", "language", "labeling_method",
+       "majority_class", "topic", "dataset_type", "confusion_matrix")
+# row, f, AIC, BIC (4 decimals), RMSE (6 decimals), features
+FIVE_MODEL_TABLE = [
+    ("AIC", 5, -372.4292, -349.7000, 0.129252, ("ml_model",)),
+    ("Null", 1, -367.8744, -358.0708, 0.134372, ()),
+    ("BIC", 1, -367.8744, -358.0708, 0.134372, ()),
+    ("RMSE", 28, -243.3082, -149.7684, 0.083803, ALL[1:]),
+    ("Full", 29, -231.1218, -134.6502, 0.083939, ALL),
+]
+
+
+def run_select(checkout: pathlib.Path, out_dir: pathlib.Path) -> tuple:
+    """(exit code, stdout) of the command; exit 3 (a model did not converge)
+    still writes every output."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(checkout / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "metaprop.cli", "select", str(DATA), str(SCHEMA),
+         "--out-dir", str(out_dir)],
+        cwd=checkout, env=env, capture_output=True, check=False)
+    if proc.returncode not in (0, 3):
+        sys.exit(f"metaprop select in {checkout} exited {proc.returncode}:\n"
+                 f"{proc.stderr.decode(errors='replace')}")
+    return proc.returncode, proc.stdout
+
+
+def read_csv(path: pathlib.Path) -> list:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def five_model_problems(side: str, out_dir: pathlib.Path) -> list:
+    """Each row's model, f and features from comparison.csv, and its AIC,
+    BIC and RMSE at full precision from the trail record of its subset."""
+    rows = {row["model"]: row for row in read_csv(out_dir / "comparison.csv")}
+    trail = {tuple(rec["features"]): rec for rec in map(json.loads, open(
+        out_dir / "search_trail.jsonl", encoding="utf-8"))}
+    problems = []
+    for name, f, aic, bic, rmse, features in FIVE_MODEL_TABLE:
+        row = rows.get(name)
+        got = (row and int(row["f"]), row and tuple(filter(None, row["features"].split(";"))))
+        if got != (f, features):
+            problems.append(f"{side}: row {name} has (f, features) {got}, want {(f, features)}")
+            continue
+        rec = trail[features]
+        values = (round(rec["aic"], 4), round(rec["bic"], 4), round(rec["rmse"], 6))
+        if values != (aic, bic, rmse):
+            problems.append(f"{side}: row {name} has (AIC, BIC, RMSE) {values}, "
+                            f"want {(aic, bic, rmse)}")
+    return problems
+
+
+def trail_problems(ours: pathlib.Path, theirs: pathlib.Path) -> list:
+    a = [json.loads(line) for line in open(ours / "search_trail.jsonl", encoding="utf-8")]
+    b = [json.loads(line) for line in open(theirs / "search_trail.jsonl", encoding="utf-8")]
+    if len(a) != len(b):
+        return [f"search_trail.jsonl has {len(a)} records here and {len(b)} in the parent"]
+    problems, worst = [], 0.0
+    for x, y in zip(a, b):
+        for key in ("index", "features", "f", "converged", "skipped"):
+            if x[key] != y[key]:
+                problems.append(f"trail record {y['index']}: {key} {x[key]!r} != {y[key]!r}")
+        if (x["loglik"] is None) != (y["loglik"] is None):
+            problems.append(f"trail record {y['index']}: loglik {x['loglik']} != {y['loglik']}")
+        elif x["loglik"] is not None:
+            gap = abs(x["loglik"] - y["loglik"])
+            worst = max(worst, gap)
+            if not gap <= LOGLIK_TOL:
+                problems.append(f"trail record {y['index']}: loglik differs by {gap:.3g}")
+    print(f"search_trail.jsonl: {len(a)} records, largest loglik difference {worst:.3g}")
+    return problems
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    parent = pathlib.Path(argv[0]).resolve()
+    if not (parent / "src" / "metaprop" / "cli.py").is_file():
+        print(f"error: no metaprop checkout at {parent}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = pathlib.Path(tmp) / "ours", pathlib.Path(tmp) / "parent"
+        code, stdout = run_select(ROOT, ours)
+        parent_code, parent_stdout = run_select(parent, theirs)
+        problems = []
+        if code != parent_code:
+            problems.append(f"exit code {code} here, {parent_code} in the parent")
+        if stdout != parent_stdout:
+            problems.append("stdout differs")
+        if (ours / "comparison.md").read_bytes() != (theirs / "comparison.md").read_bytes():
+            problems.append("comparison.md differs")
+        problems += five_model_problems("here", ours) + five_model_problems("parent", theirs)
+        problems += trail_problems(ours, theirs)
+        for x, y in zip(read_csv(ours / "comparison.csv"), read_csv(theirs / "comparison.csv")):
+            for key in x:
+                if x[key] != y.get(key):
+                    print(f"comparison.csv {x['model']}.{key}: {x[key]} here, {y.get(key)} in the parent")
+    for problem in problems:
+        print(f"MISMATCH {problem}")
+    print("equivalent" if not problems else f"{len(problems)} mismatches")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -14,6 +14,13 @@ per-study sums give the exact ML/REML score and expected information
 scoring directly on the variance scale, within [VAR_FLOOR, VAR_CEIL],
 from three deterministic starts; fixed effects follow by generalized
 least squares at the optimum.
+
+A ``Problem`` holds many designs of one width and evaluates a stack of
+(design, point) problems with batched products and factorizations.  One
+Fisher-scoring routine advances every start of every design in lockstep,
+each with its own phase, step, halving and stopping state, so a problem's
+iterates do not depend on its companions: ``fit_model`` is the one-design
+case of ``fit_designs``, which the subset search calls once per width.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ __all__ = [
     "marginal_covariance",
     "log_likelihood",
     "gls_fixed_effects",
+    "fit_designs",
     "fit_model",
     "pooled_estimate",
     "predict_study_effects",
@@ -54,6 +62,8 @@ MAX_EVALUATIONS = 2000
 _DECREMENT_TOL = 1e-9
 _STALL_DECREMENT = 1e-6
 _MAX_HALVINGS = 30
+_RCOND = 2.0 * np.finfo(np.float64).eps   # np.linalg.lstsq's cutoff for a 2 x 2 system
+_BLOCK = 1 << 16       # problems x m x (f + 6) per kernel call at most: bounds memory, not results
 _RANK_DEFICIENT = "design matrix is rank deficient under V^-1"
 Z95 = NormalDist().inv_cdf(0.975)
 
@@ -114,16 +124,26 @@ def marginal_covariance(group_sizes, varcomps: VarianceComponents, v) -> np.ndar
 
 
 class Problem:
-    """One validated likelihood problem: data, study layout, design, method.
+    """Validated likelihood problems of one study layout: data, designs, method.
 
-    Built once per fit, so the inputs are checked once; each ``evaluate``
-    then costs O(m f^2 + f^3).  A design from which ``independent_columns``
-    (the rule ``encode_design`` applies) would drop a column raises
-    LinAlgError: X'V^-1 X has the rank of X, and its Cholesky factorization
-    can succeed at a condition number near 1e16.  ``basis`` spans X.
+    Holds K designs of f columns each: design k is ``X[:, columns[k]]``, or
+    X itself when ``columns`` is None.  It is built once per fit, or once
+    per group of equally wide subsets in a search, so the inputs are
+    checked once.  A design from which ``independent_columns`` (the rule
+    ``encode_design`` applies) would drop a column raises LinAlgError:
+    X'V^-1 X has the rank of X, and its Cholesky factorization can succeed
+    at a condition number near 1e16.  ``pin_xi[k]`` is set when sigma2_xi
+    is not identified on design k: one study, or every study indicator in
+    its span, where the GLS mean absorbs any study effect.
+
+    ``evaluate_batch`` is the kernel.  It evaluates a stack of problems,
+    each a design at its own point, with batched products and
+    factorizations, in blocks whose size _BLOCK bounds, and costs
+    O(m f^2 + f^3) per problem.  ``evaluate`` and ``gls`` are the
+    single-problem forms.
     """
 
-    def __init__(self, y, X, group_sizes, v, method: str = "reml"):
+    def __init__(self, y, X, group_sizes, v, method: str = "reml", columns=None):
         if method not in ("reml", "ml"):
             raise ValueError(f"method must be 'reml' or 'ml', got {method!r}")
         self.method = method
@@ -131,9 +151,13 @@ class Problem:
         self.X = np.asarray(getattr(X, "matrix", X), dtype=np.float64)
         if self.X.ndim != 2:
             raise ValueError("design must be a 2-d matrix")
+        self.columns = (np.arange(self.X.shape[1])[None] if columns is None
+                        else np.asarray(columns, dtype=np.intp))
+        if self.columns.ndim != 2:
+            raise ValueError("columns must be a 2-d array of column indices")
         self.group_sizes = np.asarray(group_sizes, dtype=np.int64)
         self.v = np.asarray(v, dtype=np.float64)
-        self.m, self.f = self.X.shape
+        self.m, self.f = self.X.shape[0], self.columns.shape[1]
         self.h = len(self.group_sizes)
         if self.y.size != self.m or self.v.size != self.m:
             raise ValueError("y, X, and v must agree on the number of trials")
@@ -141,91 +165,177 @@ class Problem:
             raise ValueError("group sizes must be positive and sum to the number of trials")
         if np.any(self.v <= 0):
             raise ValueError("sampling variances must be positive")
-        kept, self.basis = independent_columns(self.X)
-        if kept.size < self.f:
-            raise np.linalg.LinAlgError(_RANK_DEFICIENT)
         self.offsets = np.zeros(self.h, dtype=np.int64)
         np.cumsum(self.group_sizes[:-1], out=self.offsets[1:])
         self.index = np.repeat(np.arange(self.h), self.group_sizes)
-        self.yX = np.column_stack([self.y, self.X])
+        self.Xt = np.ascontiguousarray(self.X.T)
+        self.pin_xi = np.full(len(self.columns), self.h < 2)
+        for k, cols in enumerate(self.columns):
+            kept, basis = independent_columns(self.X[:, cols])
+            if kept.size < self.f:
+                raise np.linalg.LinAlgError(_RANK_DEFICIENT)
+            # study indicator Z_j lies in span(X) iff |Z_j'basis|^2 = n_j
+            proj = np.add.reduceat(basis, self.offsets, axis=0)
+            self.pin_xi[k] |= bool(np.all(self.group_sizes - (proj * proj).sum(1)
+                                          <= 1e-8 * self.group_sizes))
 
-    def _sums(self, sigma2_xi, sigma2_zeta):
-        """Sherman-Morrison accumulators, computed block by block.
+    def _sums(self, design, point):
+        """Sherman-Morrison accumulators of a stack, computed block by block.
 
-        Returns d = diag(D^-1), and per study s = 1'D^-1 1, the rank-one
-        correction c and S = 1'D^-1 [y X]; then [y X]' V^-1 [y X].
+        Per problem: d = diag(D^-1), and per study s = 1'D^-1 1, the rank-one
+        correction c, Sy = 1'D^-1 y and the columns Sx = X'D^-1 1; then
+        (D^-1 X)', y'V^-1 y, X'V^-1 y and X'V^-1 X.  The designs are stacked
+        as X' (S, f, m), so elementwise products run along whole rows.
         """
-        d = 1.0 / (self.v + sigma2_zeta)
-        s = np.add.reduceat(d, self.offsets)
-        c = sigma2_xi / (1.0 + sigma2_xi * s)
-        dyX = self.yX * d[:, None]
-        S = np.add.reduceat(dyX, self.offsets, axis=0)
-        return d, s, c, S, self.yX.T @ dyX - S.T @ (c[:, None] * S)
+        Xt = self.Xt[self.columns[design]]
+        xi, zeta = point[:, :1], point[:, 1:]
+        d = 1.0 / (self.v + zeta)
+        s = np.add.reduceat(d, self.offsets, axis=1)
+        c = xi / (1.0 + xi * s)
+        dy = d * self.y
+        Sy = np.add.reduceat(dy, self.offsets, axis=1)
+        dXt = Xt * d[:, None, :]
+        Sx = self._study_sums(dXt)
+        cSx = Sx * c[:, None, :]
+        return (d, s, c, Sy, Sx, dXt, (dy * self.y).sum(1) - (c * Sy * Sy).sum(1),
+                dXt @ self.y - (cSx @ Sy[:, :, None])[:, :, 0],
+                dXt @ Xt.transpose(0, 2, 1) - cSx @ Sx.transpose(0, 2, 1))
 
-    def _factor(self, M):
-        """Li with (X'V^-1 X)^-1 = Li' Li, from the one Cholesky factorization."""
+    def _study_sums(self, a):
+        """Per-study sums over the last (trial) axis of a (S, f, m) stack."""
+        return np.add.reduceat(a.reshape(-1, self.m), self.offsets, axis=1).reshape(
+            *a.shape[:2], self.h)
+
+    def _factor(self, A):
+        """Li with A^-1 = Li' Li for each X'V^-1 X in A, and which ones factored.
+
+        One failure makes a batched Cholesky raise for the whole stack, so the
+        stack is then factored problem by problem, with Li = I where it fails.
+        """
+        ok = np.ones(len(A), dtype=bool)
         try:
-            return np.linalg.inv(np.linalg.cholesky(M[1:, 1:]))
+            L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(_RANK_DEFICIENT) from None
+            L = np.empty_like(A)
+            for i, a in enumerate(A):
+                try:
+                    L[i] = np.linalg.cholesky(a)
+                except np.linalg.LinAlgError:
+                    L[i], ok[i] = np.eye(self.f), False
+        return np.linalg.inv(L), ok
 
-    def evaluate(self, sigma2_xi: float, sigma2_zeta: float):
-        """Log-likelihood, exact score and expected information.
+    def _blocks(self, kernel, design, point):
+        """Apply a kernel to (design, point) stacks in blocks of at most
+        _BLOCK // (m (f + 6)) problems; an empty stack gives empty results."""
+        design = np.asarray(design, dtype=np.intp)
+        point = np.asarray(point, dtype=np.float64).reshape(-1, 2)
+        rows = max(1, _BLOCK // (self.m * (self.f + 6)))
+        parts = [kernel(design[a:a + rows], point[a:a + rows])
+                 for a in range(0, max(len(design), 1), rows)]
+        return tuple(map(np.concatenate, zip(*parts)))
 
-        ML: -0.5 [m log 2pi + log|V| + r' V^-1 r] at the GLS solution;
-        REML additionally subtracts 0.5 log|X' V^-1 X| and replaces m by
-        m-f.  With V_k = dV/dsigma2_k (the study-indicator outer product
+    def evaluate_batch(self, design, point):
+        """Log-likelihood, exact score and expected information of many problems.
+
+        Problem i is design ``design[i]`` at ``point[i]`` = (sigma2_xi,
+        sigma2_zeta).  ML: -0.5 [m log 2pi + log|V| + r' V^-1 r] at the GLS
+        solution; REML additionally subtracts 0.5 log|X' V^-1 X| and replaces
+        m by m-f.  With V_k = dV/dsigma2_k (the study-indicator outer product
         for sigma2_xi, the identity for sigma2_zeta) the score is
         -0.5 [tr(P V_k) - r' V^-1 V_k V^-1 r] and the information is
         0.5 tr(P V_k P V_l), where P = V^-1 for ML and
-        V^-1 - V^-1 X (X' V^-1 X)^-1 X' V^-1 for REML.  Returns
-        (loglik, score, information), in the order (sigma2_xi, sigma2_zeta).
+        V^-1 - V^-1 X (X' V^-1 X)^-1 X' V^-1 for REML.  Returns (loglik (S,),
+        score (S, 2), information (S, 2, 2), ok (S,)), in the order
+        (sigma2_xi, sigma2_zeta).  ok is False where X' V^-1 X cannot be
+        factored; the other problems' results are those they have alone.
         """
-        d, s, c, S, M = self._sums(sigma2_xi, sigma2_zeta)
-        Li = self._factor(M)
-        z = Li @ M[1:, 0]
-        beta = Li.T @ z
-        rss = M[0, 0] - z @ z
-        logdetV = np.log(self.v + sigma2_zeta).sum() + np.log1p(sigma2_xi * s).sum()
+        return self._blocks(self._evaluate_block, design, point)
 
-        g = 1.0 / (1.0 + sigma2_xi * s)                  # 1'V_j^-1 a_j = g_j 1'D_j^-1 a_j
+    def _evaluate_block(self, design, point):
+        d, s, c, Sy, Sx, dXt, yVy, XVy, XVX = self._sums(design, point)
+        Li, ok = self._factor(XVX)
+        z = Li @ XVy[:, :, None]
+        beta = (Li.transpose(0, 2, 1) @ z).transpose(0, 2, 1)   # rows (S, 1, f)
+        rss = yVy - (z * z).sum((1, 2))
+        xi, zeta = point[:, :1], point[:, 1:]
+        logdetV = np.log(self.v + zeta).sum(1) + np.log1p(xi * s).sum(1)
+
+        g = 1.0 / (1.0 + xi * s)                         # 1'V_j^-1 a_j = g_j 1'D_j^-1 a_j
         sg = s * g                                       # 1'V_j^-1 1
-        rt = S[:, 0] - S[:, 1:] @ beta                   # 1'D_j^-1 r_j
-        u = d * (self.y - self.X @ beta - (c * rt)[self.index])         # V^-1 r
-        s2, s3 = np.add.reduceat(d[:, None] ** [2, 3], self.offsets, axis=0).T
-        trace = np.array([sg.sum(), d.sum() - c @ s2])  # tr(V^-1 V_k)
-        cross = (g * g) @ s2
-        info = np.array([[sg @ sg, cross],               # tr(V^-1 V_k V^-1 V_l)
-                         [cross, d @ d - 2.0 * c @ s3 + (c * s2) @ (c * s2)]])
+        rt = Sy - (beta @ Sx)[:, 0]                      # 1'D_j^-1 r_j
+        u = d * (self.y - (c * rt)[:, self.index]) - (beta @ dXt)[:, 0]  # V^-1 r
+        d2 = d * d
+        s2 = np.add.reduceat(d2, self.offsets, axis=1)
+        s3 = np.add.reduceat(d2 * d, self.offsets, axis=1)
+        trace = np.stack([sg.sum(1), d.sum(1) - (c * s2).sum(1)], axis=1)  # tr(V^-1 V_k)
+        info = np.empty((len(d), 2, 2))                  # tr(V^-1 V_k V^-1 V_l)
+        info[:, 0, 0] = (sg * sg).sum(1)
+        info[:, 0, 1] = (g * g * s2).sum(1)
+        info[:, 1, 1] = d2.sum(1) - 2.0 * (c * s3).sum(1) + ((c * s2) ** 2).sum(1)
         loglik = -0.5 * (self.m * math.log(2.0 * math.pi) + logdetV + rss)
         if self.method == "reml":                        # log|X'V^-1 X| = -2 sum log diag(Li)
-            loglik += 0.5 * self.f * math.log(2.0 * math.pi) + np.log(np.diag(Li)).sum()
+            loglik += (0.5 * self.f * math.log(2.0 * math.pi)
+                       + np.log(np.diagonal(Li, axis1=1, axis2=2)).sum(1))
             # P = V^-1 - H H' with H = V^-1 X Li'; the rows of G are 1'V_j^-1 H_j
             # and those of E are 1'D_j^-1 H_j, so the H terms are sums over rows.
-            T = S[:, 1:]
-            H = (d[:, None] * (self.X - (c[:, None] * T)[self.index])) @ Li.T
-            G = (T * g[:, None]) @ Li.T
-            E = np.add.reduceat(d[:, None] * H, self.offsets, axis=0)
-            gg, hh, ge = (G * G).sum(1), (H * H).sum(1), g @ (G * E).sum(1)
-            GG, HH = G.T @ G, H.T @ H
-            trace -= [gg.sum(), hh.sum()]
-            info -= 2.0 * np.array([[sg @ gg, ge], [ge, d @ hh - c @ (E * E).sum(1)]])
-            info += [[(GG * GG).sum(), (GG * HH).sum()], [(GG * HH).sum(), (HH * HH).sum()]]
-        score = -0.5 * (trace - [(g * rt) @ (g * rt), u @ u])
-        return float(loglik), score, 0.5 * info
+            # Ht, Gt and Et hold H', G' and E'; two (S, f, m) arrays do all the work.
+            Ht = np.repeat(Sx * c[:, None, :], self.group_sizes, axis=2)
+            Ht *= d[:, None, :]
+            dXt -= Ht                                    # (V^-1 X)' = (D X - D Z c Sx')'
+            np.matmul(Li, dXt, out=Ht)
+            Gt = Li @ (Sx * g[:, None, :])
+            np.multiply(Ht, d[:, None, :], out=dXt)
+            Et = self._study_sums(dXt)
+            n, size = len(d), self.f * self.m
+            dhh = (Ht.reshape(n, 1, size) @ dXt.reshape(n, size, 1))[:, 0, 0]  # sum_i d_i |H_i|^2
+            H = dXt.reshape(n, self.m, self.f)           # H'H runs faster on a copy of H
+            np.copyto(H, Ht.transpose(0, 2, 1))
+            GG, HH = Gt @ Gt.transpose(0, 2, 1), Ht @ H
+            gg = (Gt * Gt).sum(1)
+            trace -= np.stack([gg.sum(1), np.diagonal(HH, axis1=1, axis2=2).sum(1)], axis=1)
+            info[:, 0, 0] += (GG * GG).sum((1, 2)) - 2.0 * (sg * gg).sum(1)
+            info[:, 0, 1] += (GG * HH).sum((1, 2)) - 2.0 * (g * (Gt * Et).sum(1)).sum(1)
+            info[:, 1, 1] += ((HH * HH).sum((1, 2))
+                              - 2.0 * (dhh - (c * (Et * Et).sum(1)).sum(1)))
+        info[:, 1, 0] = info[:, 0, 1]
+        gr = g * rt
+        score = -0.5 * (trace - np.stack([(gr * gr).sum(1), (u * u).sum(1)], axis=1))
+        return loglik, score, 0.5 * info, ok
+
+    def evaluate(self, sigma2_xi: float, sigma2_zeta: float):
+        """(loglik, score, information) of the first design at one point.
+
+        The single-problem form of ``evaluate_batch``; raises LinAlgError
+        where that reports ok False.
+        """
+        loglik, score, info, ok = self.evaluate_batch([0], [sigma2_xi, sigma2_zeta])
+        if not ok[0]:
+            raise np.linalg.LinAlgError(_RANK_DEFICIENT)
+        return float(loglik[0]), score[0], info[0]
+
+    def gls_batch(self, design, point):
+        """GLS fixed effects (S, f), their covariances (S, f, f) and ok (S,),
+        per problem as in ``evaluate_batch``."""
+        return self._blocks(self._gls_block, design, point)
+
+    def _gls_block(self, design, point):
+        *_, XVy, XVX = self._sums(design, point)
+        Li, ok = self._factor(XVX)
+        cov = Li.transpose(0, 2, 1) @ Li                 # numpy forms A'A by syrk: symmetric
+        return (cov @ XVy[:, :, None])[:, :, 0], cov, ok
 
     def gls(self, sigma2_xi: float, sigma2_zeta: float):
-        """GLS fixed effects and their covariance at the given components."""
-        M = self._sums(sigma2_xi, sigma2_zeta)[-1]
-        Li = self._factor(M)
-        cov = Li.T @ Li                                  # numpy forms A'A by syrk: symmetric
-        return cov @ M[1:, 0], cov
+        """GLS fixed effects and their covariance of the first design at one point."""
+        beta, cov, ok = self.gls_batch([0], [sigma2_xi, sigma2_zeta])
+        if not ok[0]:
+            raise np.linalg.LinAlgError(_RANK_DEFICIENT)
+        return beta[0], cov[0]
 
 
 def log_likelihood(y, X, group_sizes, varcomps: VarianceComponents, v, method: str = "reml") -> float:
     """Marginal (ML) or restricted (REML) Gaussian log-likelihood.
 
-    See :meth:`Problem.evaluate`, which also returns the score and information.
+    See :meth:`Problem.evaluate_batch`, which also returns the score and information.
     """
     problem = Problem(y, X, group_sizes, v, method)
     return problem.evaluate(varcomps.sigma2_xi, varcomps.sigma2_zeta)[0]
@@ -236,43 +346,159 @@ def gls_fixed_effects(y, X, group_sizes, varcomps: VarianceComponents, v):
     return Problem(y, X, group_sizes, v).gls(varcomps.sigma2_xi, varcomps.sigma2_zeta)
 
 
-def _ascend(problem: Problem, start: tuple, pin_xi: bool):
-    """Fisher scoring from one start, first on its nonzero components with the
-    others held at VAR_FLOOR, then on both: (point, loglik, converged, evaluations)."""
-    point = np.array(start)
-    loglik, score, info = problem.evaluate(*point)
-    evaluations = 1
-    for last, movable in ((False, point > VAR_FLOOR), (True, np.ones(2, dtype=bool))):
-        movable[0] &= not pin_xi
-        while True:
-            free = movable & ((point > VAR_FLOOR) | (score > 0))
-            while True:
-                step = np.zeros(2)
-                step[free] = np.linalg.lstsq(info[np.ix_(free, free)], score[free])[0]
-                blocked = free & (point <= VAR_FLOOR) & (step < 0)
-                if not blocked.any():
-                    break
-                free &= ~blocked
-            decrement = float(score @ step)
+def _lstsq2(info, score, free):
+    """Per problem, the minimum-norm least-squares solution of
+    info[F, F] step[F] = score[F] over its free set F, zero off it, as
+    np.linalg.lstsq gives it: a singular value at most _RCOND times the
+    largest counts as zero."""
+    a, b, c = info[:, 0, 0], info[:, 0, 1], info[:, 1, 1]
+    s0, s1 = score[:, 0], score[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = a * c - b * b
+        # both free and numerically rank one: project on the eigenvector of the
+        # eigenvalue of largest modulus, taken from the longer row of info - big I
+        mean = 0.5 * (a + c)
+        big = mean + np.copysign(np.hypot(0.5 * (a - c), b), mean)
+        row = abs(big - a) >= abs(big - c)
+        v0, v1 = np.where(row, b, big - c), np.where(row, big - a, b)
+        along = (v0 * s0 + v1 * s1) / (big * (v0 * v0 + v1 * v1))
+        rank1 = (abs(det) <= _RCOND * big * big)
+        both = free[:, 0] & free[:, 1]
+        step = np.empty_like(score)
+        step[:, 0] = np.where(both, np.where(rank1, v0 * along, (c * s0 - b * s1) / det),
+                              np.where(free[:, 0] & (a != 0.0), s0 / a, 0.0))
+        step[:, 1] = np.where(both, np.where(rank1, v1 * along, (a * s1 - b * s0) / det),
+                              np.where(free[:, 1] & (c != 0.0), s1 / c, 0.0))
+    step[both & rank1 & (big == 0.0)] = 0.0
+    return step
+
+
+def _bounded_step(info, score, free, at_floor):
+    """Fisher steps over the free components; a component at VAR_FLOOR whose
+    step points down leaves the free set and the step is solved again."""
+    while True:
+        step = _lstsq2(info, score, free)
+        blocked = free & at_floor & (step < 0)
+        if not blocked.any():
+            return step
+        free = free & ~blocked
+
+
+def _ascend(problem: Problem, design, start):
+    """Fisher scoring of many (design, start) problems in lockstep.
+
+    Each problem keeps its own phase, free set, step, halving count and
+    stopping state (see fit_model).  A round evaluates the next trial point
+    of every unfinished problem in one batched call, so each problem takes
+    the iterates and the evaluations it takes alone.  Returns per problem
+    (point, loglik, converged, evaluations, factored); factored is False
+    where the start itself cannot be factored, and that problem stops there.
+    """
+    point = np.array(start, dtype=np.float64)
+    loglik, score, info, factored = problem.evaluate_batch(design, point)
+    n = len(point)
+    evaluations = np.ones(n, dtype=np.int64)
+    pin = problem.pin_xi[design]
+    last = np.zeros(n, dtype=bool)                       # in the phase that moves both
+    movable = point > VAR_FLOOR
+    movable[:, 0] &= ~pin
+    step, decrement = np.zeros((n, 2)), np.zeros(n)
+    tries, halving = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    converged, done = np.zeros(n, dtype=bool), ~factored
+
+    def end_phase(i):
+        """End the phase of problems i; returns those that go on to the last phase."""
+        converged[i] = decrement[i] <= _STALL_DECREMENT
+        done[i[last[i]]] = True
+        i = i[~last[i]]
+        last[i] = True
+        movable[i, 0], movable[i, 1] = ~pin[i], True
+        return i
+
+    def plan(i):
+        """Next step of problems i; a problem with no trial to take ends its phase."""
+        while i.size:
+            free = movable[i] & ((point[i] > VAR_FLOOR) | (score[i] > 0))
+            step[i] = _bounded_step(info[i], score[i], free, point[i] <= VAR_FLOOR)
+            decrement[i] = score[i, 0] * step[i, 0] + score[i, 1] * step[i, 1]
             # the last phase still takes, once and unhalved, the step that passes the test
-            tries = _MAX_HALVINGS if decrement > _DECREMENT_TOL else int(last and decrement > 0)
-            raised = False
-            for halving in range(tries):
-                if evaluations >= MAX_EVALUATIONS:
-                    return point, loglik, decrement <= _DECREMENT_TOL, evaluations
-                evaluations += 1
-                trial = np.clip(point + 0.5 ** halving * step, VAR_FLOOR, VAR_CEIL)
-                try:
-                    result = problem.evaluate(*trial)
-                except np.linalg.LinAlgError:
-                    continue
-                if result[0] > loglik:
-                    point, (loglik, score, info), raised = trial, result, True
-                    break
-            if decrement <= _DECREMENT_TOL or not raised:
-                converged = decrement <= _STALL_DECREMENT
-                break
-    return point, loglik, converged, evaluations
+            tries[i] = np.where(decrement[i] > _DECREMENT_TOL, _MAX_HALVINGS,
+                                last[i] & (decrement[i] > 0))
+            halving[i] = 0
+            i = end_phase(i[tries[i] == 0])
+
+    plan(np.flatnonzero(factored))
+    while True:
+        i = np.flatnonzero(~done)
+        capped = i[evaluations[i] >= MAX_EVALUATIONS]
+        converged[capped] = decrement[capped] <= _DECREMENT_TOL
+        done[capped] = True
+        i = i[evaluations[i] < MAX_EVALUATIONS]
+        if not i.size:
+            return point, loglik, converged, evaluations, factored
+        evaluations[i] += 1
+        trial = np.clip(point[i] + 0.5 ** halving[i, None] * step[i], VAR_FLOOR, VAR_CEIL)
+        trial_loglik, trial_score, trial_info, ok = problem.evaluate_batch(design[i], trial)
+        rose = ok & (trial_loglik > loglik[i])           # an unfactored trial is no rise
+        up, flat = i[rose], i[~rose]
+        point[up], loglik[up] = trial[rose], trial_loglik[rose]
+        score[up], info[up] = trial_score[rose], trial_info[rose]
+        halving[flat] += 1
+        # a rise ends the phase when its step passed the test, as does the last halving
+        passed = decrement[up] <= _DECREMENT_TOL
+        ended = end_phase(np.concatenate([up[passed], flat[halving[flat] >= tries[flat]]]))
+        plan(np.concatenate([up[~passed], ended]))
+
+
+def _require_more_trials(m: int, f: int):
+    if m <= f:
+        raise ValidationError(f"need more trials than coefficients (m={m}, f={f})")
+
+
+def fit_designs(problem: Problem):
+    """Fit every design of ``problem`` as fit_model fits one.
+
+    The starts of all designs ascend in lockstep (see ``_ascend``), and the
+    best start of each design wins.  Returns an iterator with one FitResult
+    per design, in order, or, for a design that a start cannot factor, the
+    LinAlgError that fit_model raises.  Raises ValidationError when the
+    designs have no more trials than columns.
+    """
+    _require_more_trials(problem.m, problem.f)
+    s = float(np.clip(np.var(problem.y), VAR_FLOOR, VAR_CEIL))
+    starts = [(VAR_FLOOR, VAR_FLOOR), (VAR_FLOOR, s), (s, VAR_FLOOR)]
+    design, start = [], []
+    for k, pin in enumerate(problem.pin_xi):
+        for point in dict.fromkeys(starts[:2] if pin else starts):
+            design.append(k)
+            start.append(point)
+    design = np.array(design, dtype=np.intp)
+    point, loglik, converged, evaluations, factored = _ascend(problem, design, start)
+
+    count = len(problem.columns)
+    best = np.full(count, -1)
+    for i, k in enumerate(design):                       # the first best start, as max() takes it
+        if best[k] < 0 or loglik[i] > loglik[best[k]]:
+            best[k] = i
+    fitted = np.ones(count, dtype=bool)
+    fitted[design[~factored]] = False
+    total = np.zeros(count, dtype=np.int64)
+    np.add.at(total, design, evaluations)
+    beta, cov, _ = problem.gls_batch(np.flatnonzero(fitted), point[best[fitted]])
+    row = np.cumsum(fitted) - 1
+
+    def result(k):
+        if not fitted[k]:
+            return np.linalg.LinAlgError(_RANK_DEFICIENT)
+        i = best[k]
+        return FitResult(
+            beta=beta[row[k]], labels=[f"b{j}" for j in range(problem.f)],
+            cov_beta=cov[row[k]], varcomps=VarianceComponents(*map(float, point[i])),
+            loglik=float(loglik[i]), method=problem.method, converged=bool(converged[i]),
+            n_evaluations=int(total[k]), m=problem.m, h=problem.h, f=problem.f,
+            y=problem.y, X=problem.X[:, problem.columns[k]],
+            group_sizes=problem.group_sizes, v=problem.v)
+    return map(result, range(count))
 
 
 def fit_model(y, X, group_sizes, v, method: str = "reml") -> FitResult:
@@ -289,40 +515,25 @@ def fit_model(y, X, group_sizes, v, method: str = "reml") -> FitResult:
     1e-9 (that last step is still taken once), or at most 1e-6 once no
     halving raises the loglik (its rounding limit); one that uses up
     MAX_EVALUATIONS gives converged=False.  sigma2_xi stays at VAR_FLOOR
-    when the study indicators lie in span(X) (projected on ``Problem.basis``),
-    as with a single study.  A design with no more trials than columns
-    raises ValidationError, a collinear one LinAlgError (see Problem).
+    when ``Problem.pin_xi`` is set, as with a single study.  The fit is the
+    one-design case of ``fit_designs``: its starts ascend in lockstep.  A
+    design with no more trials than columns raises ValidationError, a
+    collinear one LinAlgError (see Problem).
     """
     shape = np.shape(getattr(X, "matrix", X))   # Problem calls columns past m rank deficient
-    if len(shape) == 2 and shape[0] <= shape[1]:
-        raise ValidationError(f"need more trials than coefficients (m={shape[0]}, f={shape[1]})")
+    if len(shape) == 2:
+        _require_more_trials(*shape)
     problem = Problem(y, X, group_sizes, v, method)
-    m, f, h = problem.m, problem.f, problem.h
-    if h < 2:
+    if problem.h < 2:
         warnings.warn("only one study: sigma2_xi is not identifiable and is fixed at 0",
                       stacklevel=2)
-    # with the study indicators Z in span(X) the GLS mean absorbs any study
-    # effect, so neither likelihood rises with sigma2_xi: Z_j in span(X) iff |Z_j'basis|^2 = n_j
-    proj = np.add.reduceat(problem.basis, problem.offsets, axis=0)
-    pin_xi = h < 2 or bool(np.all(problem.group_sizes - (proj * proj).sum(1)
-                                  <= 1e-8 * problem.group_sizes))
-    s = float(np.clip(np.var(problem.y), VAR_FLOOR, VAR_CEIL))
-    starts = [(VAR_FLOOR, VAR_FLOOR), (VAR_FLOOR, s), (s, VAR_FLOOR)]
-
-    runs = [_ascend(problem, start, pin_xi)
-            for start in dict.fromkeys(starts[:2] if pin_xi else starts)]
-    point, loglik, converged, _ = max(runs, key=lambda run: run[1])     # first of ties
-    evaluations = sum(run[3] for run in runs)
-
-    varcomps = VarianceComponents(*map(float, point))
-    beta, cov = problem.gls(*point)
+    fit = next(fit_designs(problem))
+    if isinstance(fit, np.linalg.LinAlgError):
+        raise fit
     labels = getattr(X, "labels", None)
-    return FitResult(
-        beta=beta, labels=[f"b{i}" for i in range(f)] if labels is None else list(labels),
-        cov_beta=cov, varcomps=varcomps,
-        loglik=loglik, method=method, converged=converged,
-        n_evaluations=evaluations, m=m, h=h, f=f,
-        y=problem.y, X=problem.X, group_sizes=problem.group_sizes, v=problem.v)
+    if labels is not None:
+        fit.labels = list(labels)
+    return fit
 
 
 @dataclass(frozen=True)

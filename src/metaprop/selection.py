@@ -5,7 +5,12 @@ every feature, and one model optimized for each of AIC, BIC, and RMSE.
 Categorical features enter and leave the candidate designs as whole
 dummy blocks.  The default search is exhaustive over the feature
 groups, which is deliberate: with a dozen groups that is a few thousand
-fits and removes any search-strategy ambiguity from the results.
+fits and removes any search-strategy ambiguity from the results.  The
+candidates of one design width, all of them or those of one stepwise
+pass, form one ``engine.Problem``: a column slice of the dataset's
+candidate columns each, fitted together in lockstep by
+``engine.fit_designs``.  Each trail record is still the fit that
+``engine.fit_model`` gives that subset alone.
 
 A caveat worth stating once: comparing REML likelihoods across models
 with different fixed effects is not strictly clean, but it mirrors the
@@ -87,19 +92,46 @@ def _fit_subset(dataset: Dataset, y, v, group_sizes, features, method: str):
     return fit, y - fit.X @ fit.beta
 
 
-def _evaluate_subset(dataset, y, v, group_sizes, index, features, method):
-    try:
-        fit, residuals = _fit_subset(dataset, y, v, group_sizes, features, method)
-    except (ValidationError, np.linalg.LinAlgError) as exc:
+def _record(index, features, fit) -> TrailRecord:
+    if isinstance(fit, (ValidationError, np.linalg.LinAlgError)):
         return TrailRecord(index=index, features=tuple(features), f=0, loglik=None,
                            aic=None, bic=None, rmse=None, converged=False,
-                           skipped=str(exc))
+                           skipped=str(fit))
+    residuals = fit.y - fit.X @ fit.beta
     return TrailRecord(
         index=index, features=tuple(features), f=fit.f, loglik=fit.loglik,
         aic=criterion(fit, residuals, "aic"),
         bic=criterion(fit, residuals, "bic"),
         rmse=criterion(fit, residuals, "rmse"),
         converged=fit.converged)
+
+
+def _subset_trail(dataset: Dataset, y, v, group_sizes, subsets, method: str,
+                  first: int = 0) -> list:
+    """One TrailRecord per feature subset, in order, indexed from ``first``.
+
+    A subset's design is its ``encode_design`` slice of the candidate
+    columns.  The designs of equal width form one engine.Problem, whose
+    subsets and starts ``engine.fit_designs`` fits in lockstep; each record
+    is the one ``fit_model`` gives that subset alone.
+    """
+    candidates, labels, _ = dataset.candidate_columns
+    position = {label: i for i, label in enumerate(labels)}
+    widths: dict = {}
+    for j, features in enumerate(subsets):
+        columns = [position[label] for label in encode_design(dataset, features).labels]
+        widths.setdefault(len(columns), []).append((j, columns))
+    records = [None] * len(subsets)
+    for members in widths.values():
+        problem = engine.Problem(y, candidates, group_sizes, v, method,
+                                 columns=[columns for _, columns in members])
+        try:
+            fits = engine.fit_designs(problem)
+        except ValidationError as exc:                   # no more trials than columns
+            fits = [exc] * len(members)
+        for (j, _), fit in zip(members, fits):
+            records[j] = _record(first + j, subsets[j], fit)
+    return records
 
 
 def _exhaustive_trail(dataset: Dataset, method: str) -> list:
@@ -110,10 +142,9 @@ def _exhaustive_trail(dataset: Dataset, method: str) -> list:
             f"exhaustive search over {n_feat} features is infeasible "
             f"(limit {MAX_EXHAUSTIVE_FEATURES}); use strategy='stepwise'")
     y, v = engine.effect_arrays(dataset)
-    group_sizes = dataset.group_sizes()
-    return [_evaluate_subset(dataset, y, v, group_sizes, mask,  # mask doubles as index
-                             tuple(n for i, n in enumerate(names) if mask >> i & 1), method)
-            for mask in range(2 ** n_feat)]
+    subsets = [tuple(n for i, n in enumerate(names) if mask >> i & 1)  # mask doubles as index
+               for mask in range(2 ** n_feat)]
+    return _subset_trail(dataset, y, v, dataset.group_sizes(), subsets, method)
 
 
 def _best_record(trail, kind: str) -> TrailRecord:
@@ -124,20 +155,19 @@ def _best_record(trail, kind: str) -> TrailRecord:
 
 
 def _stepwise_trail(dataset, y, v, group_sizes, method: str, kind: str) -> tuple:
-    """Greedy forward-backward passes; returns (best_features, trail)."""
+    """Greedy forward-backward passes; returns (best_features, trail).
+
+    The moves of one pass are fitted together."""
     names = dataset.schema.names
     trail: list = []
-    index = 0
 
-    def score(features):
-        nonlocal index
-        rec = _evaluate_subset(dataset, y, v, group_sizes, index, tuple(features), method)
-        index += 1
-        trail.append(rec)
-        return rec
+    def score(subsets):
+        records = _subset_trail(dataset, y, v, group_sizes, subsets, method, len(trail))
+        trail.extend(records)
+        return records
 
     current: list = []
-    best = score(current)
+    best = score([current])[0]
     if best.skipped is not None:
         raise ValidationError(f"null model failed: {best.skipped}")
     while True:
@@ -147,7 +177,7 @@ def _stepwise_trail(dataset, y, v, group_sizes, method: str, kind: str) -> tuple
                 moves.append([f for f in current if f != name])
             else:
                 moves.append(sorted(current + [name], key=names.index))
-        candidates = [score(mv) for mv in moves]
+        candidates = score(moves)
         viable = [r for r in candidates if r.skipped is None]
         if not viable:
             break

@@ -426,6 +426,13 @@ class TestImport:
                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         assert self.python("-c", code) == "[]"
 
+    def test_import_leaves_out_xml_sax_and_urllib(self):
+        # xml.sax.saxutils pulls in urllib and http.client, ~40 ms of every command
+        code = ("import sys, metaprop.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith(('xml.sax', 'urllib.request', 'http'))))")
+        assert self.python("-c", code) == "[]"
+
     def test_commands_run_with_scipy_import_refused(self, tmp_path, example_paths):
         # a lazy import inside any command would fail under the refusing finder
         out = self.python("-c", REFUSE_SCIPY, example_paths["data"],

@@ -148,6 +148,91 @@ class TestScore:
             assert np.allclose(info, dense, rtol=1e-10, atol=0)
 
 
+def dense_evaluate(y, X, sizes, point, v, method):
+    """Dense (loglik, score, information), from V, P and the derivatives of V."""
+    m = len(y)
+    Z = np.repeat(np.eye(len(sizes)), sizes, axis=0)
+    V = point[0] * Z @ Z.T + np.diag(point[1] + v)
+    Vi = np.linalg.inv(V)
+    P = Vi - Vi @ X @ np.linalg.inv(X.T @ Vi @ X) @ X.T @ Vi if method == "reml" else Vi
+    r = y - X @ np.linalg.solve(X.T @ Vi @ X, X.T @ Vi @ y)
+    derivs = [Z @ Z.T, np.eye(m)]
+    score = [-0.5 * (np.trace(P @ a) - r @ Vi @ a @ Vi @ r) for a in derivs]
+    info = [[0.5 * np.trace(P @ a @ P @ b) for b in derivs] for a in derivs]
+    loglik = dense_loglik(y, X, sizes, VarianceComponents(*point), v, method)
+    return loglik, np.array(score), np.array(info)
+
+
+class TestBatchedKernel:
+    """Problem.evaluate_batch on stacks of designs of one width."""
+
+    @staticmethod
+    def instance(seed=8, f=3, designs=5, tiny=False):
+        gen = np.random.default_rng(seed)
+        sizes = np.array([3, 1, 4, 2, 5, 3])
+        m = int(sizes.sum())
+        y, v = gen.normal(1.0, 0.4, m), gen.uniform(0.01, 0.4, m)
+        # the last pool column is 1e-200 times a normal one: the rank rule, which
+        # is free of scale, keeps it, but X'V^-1 X underflows and cannot be factored
+        pool = np.column_stack([np.ones(m), gen.normal(size=(m, 6)), 1e-200 * gen.normal(size=m)])
+        columns = [np.r_[0, np.sort(gen.choice(np.arange(1, 7), f - 1, replace=False))]
+                   for _ in range(designs)]
+        if tiny:
+            columns[1] = np.r_[0, np.arange(1, f - 1), 7]
+        return y, v, sizes, pool, np.array(columns), gen
+
+    @pytest.mark.parametrize("method", ["reml", "ml"])
+    def test_matches_single_problems_and_dense_oracle(self, method):
+        y, v, sizes, pool, columns, gen = self.instance()
+        problem = Problem(y, pool, sizes, v, method, columns=columns)
+        design = np.array([0, 3, 1, 3, 4, 2, 0, 1])      # repeated designs at mixed points
+        points = np.exp(gen.uniform(math.log(1e-5), math.log(0.5), (len(design), 2)))
+        points[2] = [engine.VAR_FLOOR, 0.03]
+        loglik, score, info, ok = problem.evaluate_batch(design, points)
+        assert ok.all()
+        for i, k in enumerate(design):
+            X = pool[:, columns[k]]
+            single = Problem(y, X, sizes, v, method).evaluate(*points[i])
+            assert loglik[i] == pytest.approx(single[0], rel=1e-12)
+            np.testing.assert_allclose(score[i], single[1], rtol=1e-12)
+            np.testing.assert_allclose(info[i], single[2], rtol=1e-12)
+            dense = dense_evaluate(y, X, sizes, points[i], v, method)
+            assert loglik[i] == pytest.approx(dense[0], rel=1e-8)
+            np.testing.assert_allclose(score[i], dense[1], rtol=1e-8,
+                                       atol=1e-8 * np.abs(dense[2]).max() * points[i].max())
+            np.testing.assert_allclose(info[i], dense[2], rtol=1e-8)
+
+    @pytest.mark.parametrize("method", ["reml", "ml"])
+    def test_unfactored_problem_leaves_its_companions(self, method):
+        y, v, sizes, pool, columns, gen = self.instance(tiny=True)
+        problem = Problem(y, pool, sizes, v, method, columns=columns)
+        design = np.array([0, 1, 2, 1, 3, 4])
+        points = np.exp(gen.uniform(math.log(1e-4), math.log(0.2), (len(design), 2)))
+        *results, ok = problem.evaluate_batch(design, points)
+        assert ok.tolist() == [True, False, True, False, True, True]
+        *alone, alone_ok = problem.evaluate_batch(design[ok], points[ok])
+        assert alone_ok.all()
+        for batched, single in zip(results, alone):
+            assert np.array_equal(batched[ok], single)
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            Problem(y, pool[:, columns[1]], sizes, v, method).evaluate(*points[1])
+
+    def test_closed_form_step_matches_lstsq(self):
+        gen = np.random.default_rng(2)
+        infos = [gen.normal(size=(2, 2)) for _ in range(40)]
+        infos = [a @ a.T for a in infos] + [np.full((2, 2), 3.0), np.zeros((2, 2)),
+                                            np.diag([2.0, 0.0]), np.array([[1.0, 2.0], [2.0, 4.0]])]
+        for info in infos:
+            score = gen.normal(size=2)
+            for free in ([True, True], [True, False], [False, True], [False, False]):
+                free = np.array(free)
+                want = np.zeros(2)
+                if free.any():
+                    want[free] = np.linalg.lstsq(info[np.ix_(free, free)], score[free])[0]
+                got = engine._lstsq2(info[None], score[None], free[None])[0]
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
+
+
 class TestGls:
     def test_degenerate_weighted_mean(self):
         # zero variance components: exact inverse-variance weighting

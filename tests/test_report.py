@@ -33,6 +33,25 @@ class TestForestPlot:
         assert svg.count("<rect") == 20 + 1  # one marker per study + background
         assert svg.count("<polygon") == 1    # pooled diamond
 
+    def test_study_ids_are_escaped(self):
+        from xml.sax.saxutils import escape
+
+        from metaprop import report
+        from metaprop.ingest import FeatureSchema, parse_dataset
+
+        for text in ["A&B", "<x>", "a>b&c<d", "&amp;", "]]>", "plain", ""]:
+            assert report._escape(text) == escape(text)
+        ids = ["A&B", "<x>", "a>b&c<d"]
+        rows = "".join(f'"{sid}",t{j},{30 + 7 * i + 3 * j},{60 + 5 * i}\n'
+                       for i, sid in enumerate(ids) for j in range(3))
+        dataset = parse_dataset("study_id,trial_id,k,n\n" + rows,
+                                FeatureSchema.from_yaml("features: {}"))
+        y, v = engine.effect_arrays(dataset)
+        fit = engine.fit_model(y, np.ones((dataset.m, 1)), dataset.group_sizes(), v)
+        svg, _ = forest_plot(fit, dataset)
+        texts = [t.text for t in ET.fromstring(svg).iter() if t.tag.endswith("text")]
+        assert set(ids) <= set(texts)
+
     def test_weights_sum_to_one(self, fitted_example):
         fit, dataset = fitted_example
         _, rows = forest_plot(fit, dataset)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from metaprop import selection
-from metaprop.ingest import ValidationError
+from metaprop import engine, selection
+from metaprop.ingest import ValidationError, encode_design, load_schema, parse_dataset
 from metaprop.selection import criterion, five_model_protocol, search
 from metaprop.simulate import Moderator, SimConfig, generate
 
@@ -118,6 +118,34 @@ class TestSearchBehavior:
             search(data, "mdl")
         with pytest.raises(ValueError):
             search(data, "aic", strategy="annealing")
+
+
+class TestLockstepSearch:
+    """The search fits subsets of one width together; a record must not depend on that."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        from conftest import DATA, TESTDATA
+
+        schema = load_schema(TESTDATA / "small_schema.yaml")
+        return parse_dataset((DATA / "example_trials.csv").read_text(encoding="utf-8"), schema)
+
+    @pytest.mark.parametrize("method", ["reml", "ml"])
+    def test_record_matches_fit_alone(self, small, method):
+        y, v = engine.effect_arrays(small)
+        trail = selection._exhaustive_trail(small, method)
+        assert len({r.f for r in trail}) < len(trail)    # some subsets share a Problem
+        for record in trail:
+            fit = engine.fit_model(y, encode_design(small, record.features),
+                                   small.group_sizes(), v, method=method)
+            assert record.skipped is None
+            assert record.loglik == pytest.approx(fit.loglik, abs=1e-12)
+            assert (record.f, record.converged) == (fit.f, fit.converged)
+
+    def test_evaluation_cap_reaches_every_record(self, small, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_EVALUATIONS", 2)
+        trail = selection._exhaustive_trail(small, "reml")
+        assert [r.converged for r in trail] == [False] * len(trail)
 
 
 class TestFiveModelProtocol:
