@@ -9,9 +9,12 @@ Python-level loops.
 
 :func:`binomial` takes arrays of keys, sizes and probabilities and
 returns one count per key.  Each draw reads its own fixed set of lane
-substreams, so it is the same whichever other draws share the call; the
-lanes of all draws advance together in blocks of whole draws of at most
-_BLOCK_LANES lanes, which bounds memory and changes no stream.
+substreams, so it is the same whichever other draws share the call.
+The draws are the rows of a draw x lane grid of streams, and a hit is
+an integer comparison of the top 53 bits of a lane's output with the
+threshold ceil(p * 2**53), which needs no float uniform.  Rows advance together
+in blocks of at most _BLOCK_LANES lanes, a size set by measurement that
+bounds memory and changes no stream.
 """
 
 from __future__ import annotations
@@ -56,8 +59,11 @@ def stream_key(seed: int, *path: int) -> np.ndarray:
 class Streams:
     """A bank of independent xoshiro256** streams advancing in lockstep.
 
-    ``keys`` is the uint64 array of stream keys from :func:`stream_key`;
-    each key expands into a distinct 256-bit state via splitmix64.
+    ``keys`` is a uint64 array of stream keys, of any shape, from
+    :func:`stream_key`; each key expands into a distinct 256-bit state
+    via splitmix64, and every draw has the keys' shape.  The state is
+    never all zero, as xoshiro requires: s1 = _mix64(s0) and _mix64(0)
+    is not 0, so s0 and s1 are never both 0.
     """
 
     def __init__(self, keys: np.ndarray):
@@ -68,30 +74,35 @@ class Streams:
         for i in range(1, 4):
             s[i] = s[i - 1]
             _mix64(s[i])
-        # Guard the all-zero state (xoshiro requirement); astronomically
-        # unlikely but cheap to rule out.
-        dead = ~np.any(s != 0, axis=0)
-        if np.any(dead):
-            s[0][dead] = _GOLDEN
         self._s = s
 
-    @property
-    def n(self) -> int:
-        return self._s.shape[1]
+    def head(self, rows: int) -> Streams:
+        """The streams of the first ``rows`` entries of the bank's first axis.
+
+        The result shares this bank's state, so advancing it advances
+        those streams here too.
+        """
+        view = object.__new__(Streams)
+        view._s = self._s[:, :rows]
+        return view
 
     def next_u64(self) -> np.ndarray:
         s0, s1, s2, s3 = self._s                         # views: updated in place
         with np.errstate(over="ignore"):
             result = s1 * _U64(5)
-            np.bitwise_or(result << _U64(7), result >> _U64(57), out=result)
+            t = result >> _U64(57)                       # the one scratch array
+            result <<= _U64(7)
+            result |= t
             result *= _U64(9)
-        t = s1 << _U64(17)
+        np.left_shift(s1, _U64(17), out=t)
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        np.bitwise_or(s3 << _U64(45), s3 >> _U64(19), out=s3)
+        np.right_shift(s3, _U64(19), out=t)
+        s3 <<= _U64(45)
+        s3 |= t
         return result
 
     def uniform(self) -> np.ndarray:
@@ -120,8 +131,8 @@ class Streams:
         return low + np.minimum((self.uniform() * span).astype(np.int64), span - 1)
 
 
-_LANES = 1024          # substreams per draw: part of every binomial stream
-_BLOCK_LANES = 4096    # lanes advanced together: bounds memory, not a stream
+_LANES = 1024           # substreams per draw: part of every binomial stream
+_BLOCK_LANES = 16384    # lanes advanced together: bounds memory, not a stream
 with np.errstate(over="ignore"):
     _LANE_SALT = _mix64((np.arange(_LANES, dtype=_U64) + _U64(1)) * _GOLDEN)
 
@@ -134,38 +145,51 @@ def binomial(keys, n, p) -> np.ndarray:
     min(n_i, _LANES) substreams (key_i, 0), (key_i, 1), ..., the first
     n_i mod lanes of them taking one trial more, and counts the uniforms
     below p_i that each lane reads.  So a draw depends only on its own
-    key, n and p.  The lanes of all draws advance in lockstep, in blocks
-    of whole draws of at most _BLOCK_LANES lanes.
+    key, n and p.
+
+    Each draw is one row of a grid of lanes.  Round r reads one number
+    from every lane of the rows still drawing: all _LANES lanes, or in a
+    row's last round only its first n_i - r * _LANES.  A hit is
+    ``(x >> 11) < ceil(p_i * 2**53)`` on the raw 64-bit output x, which
+    is the same test as ``uniform() < p_i`` since both sides scale by
+    2**53 exactly.  Rows are sorted by n, so the rows still drawing are
+    always the leading ones and only they advance.  The rows go in
+    blocks of at most _BLOCK_LANES lanes, which bounds memory and
+    changes no stream.
     """
     keys, n, p = np.broadcast_arrays(np.asarray(keys, dtype=_U64),
                                      np.asarray(n, dtype=np.int64),
                                      np.asarray(p, dtype=np.float64))
     if np.any(n < 0):
         raise ValueError("n must be nonnegative")
-    counts = np.zeros(n.size, dtype=np.int64)
-    shape, drawn = n.shape, np.flatnonzero(n)            # n = 0 takes no lanes and counts 0
-    # blocks of draws with alike round counts waste few uniforms on lanes already done
-    drawn = drawn[np.argsort(-(-n.ravel()[drawn] // _LANES), kind="stable")]
-    keys, n, p = keys.ravel()[drawn], n.ravel()[drawn], p.ravel()[drawn]
-    lanes = np.minimum(n, _LANES)
-    ends = np.cumsum(lanes)
-    k = np.empty(drawn.size, dtype=np.int64)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("p must lie in [0, 1]")
+    counts, shape = np.zeros(n.size, dtype=np.int64), n.shape
+    order = np.argsort(-n.ravel(), kind="stable")
+    drawn = order[:np.count_nonzero(n)]                  # n = 0 takes no lanes and counts 0
+    keys, n = keys.ravel()[drawn], n.ravel()[drawn]
+    below = np.ceil(p.ravel()[drawn] * 2.0 ** 53).astype(_U64)
     a = 0
-    while a < drawn.size:
-        base = ends[a] - lanes[a]
-        b = int(np.searchsorted(ends, base + _BLOCK_LANES, side="right"))
-        width = lanes[a:b]
-        starts = ends[a:b] - width - base                 # each draw's first lane in the block
-        draw = np.repeat(np.arange(b - a), width)
-        lane = np.arange(draw.size) - starts[draw]
-        bank = Streams(_mix64(keys[a:b][draw] ^ _LANE_SALT[lane]))
-        quota, extra = np.divmod(n[a:b], width)
-        quota = quota[draw] + (lane < extra[draw])
-        below = p[a:b][draw]
-        hits = np.zeros(draw.size, dtype=np.int64)
-        for r in range(int(quota.max())):
-            hits += (bank.uniform() < below) & (quota > r)
-        k[a:b] = np.add.reduceat(hits, starts)
+    while a < n.size:
+        b = min(n.size, a + _BLOCK_LANES // min(int(n[a]), _LANES))
+        counts[drawn[a:b]] = _grid_counts(keys[a:b], n[a:b], below[a:b])
         a = b
-    counts[drawn] = k
     return counts.reshape(shape)
+
+
+def _grid_counts(keys, n, below) -> np.ndarray:
+    """Hits of draws sorted by n, largest first, on a grid of one row per draw."""
+    width = min(int(n[0]), _LANES)
+    bank = Streams(_mix64(keys[:, None] ^ _LANE_SALT[:width]))
+    rounds = -(-n // _LANES)
+    last = n - (rounds - 1) * _LANES                     # lanes read in a row's last round
+    lane = np.arange(width)
+    k = np.zeros(n.size, dtype=np.int64)
+    for r in range(int(rounds[0])):
+        live = int(np.count_nonzero(rounds > r))         # the leading rows, since n descends
+        ending = int(np.count_nonzero(rounds > r + 1))   # rows from here on end this round
+        bank = bank.head(live)
+        hit = (bank.next_u64() >> _U64(11)) < below[:live, None]
+        hit[ending:] &= lane < last[ending:live, None]
+        k[:live] += np.count_nonzero(hit, axis=1)
+    return k

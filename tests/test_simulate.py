@@ -1,14 +1,41 @@
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaprop import rng
 from metaprop.ingest import ValidationError, parse_dataset, write_dataset_csv
 from metaprop.simulate import (Moderator, SimConfig, generate, load_simconfig,
                                recovery_experiment)
 from metaprop.transforms import ft_inverse
+
+
+def reference_binomial(key, n, p):
+    """One binomial draw the plain way: lane j reads its quota of uniforms below p."""
+    lanes = min(n, rng._LANES)
+    count = 0
+    for j in range(lanes):
+        lane = rng.Streams(rng._mix64(np.uint64(key) ^ rng._LANE_SALT[j]))
+        for _ in range(n // lanes + (j < n % lanes)):
+            count += int(lane.uniform()[0] < p)
+    return count
+
+
+def first_read_p(key, step):
+    """j * 2**-53 for the first value j that lane 0 of ``key`` reads, moved by
+    ``step`` (-1, 0 or 1) to a neighbouring double: the p at which a hit turns."""
+    lane = rng.Streams(rng._mix64(np.uint64(key) ^ rng._LANE_SALT[0]))
+    p = float(lane.next_u64()[0] >> np.uint64(11)) * 2.0 ** -53
+    return float(np.nextafter(p, step * 2.0)) if step else p
+
+
+_N_CASES = st.sampled_from([1, 2, 1022, 1023, 1024, 1025, 2047, 2048]) | st.integers(0, 2100)
+_P_CASES = (st.sampled_from([0.0, 1.0, 2.0 ** -53, 1 - 2.0 ** -53]) | st.floats(0.0, 1.0)
+            | st.sampled_from([-1, 0, 1]))      # an int is a step for first_read_p
 
 
 def base_config(**kw):
@@ -73,8 +100,25 @@ class TestRng:
         assert np.array_equal(together[p == 1], n[p == 1])
         assert np.array_equal(rng.binomial(keys.reshape(3, 6), n.reshape(3, 6), p.reshape(3, 6)),
                               together.reshape(3, 6))
-        with pytest.raises(ValueError):
-            rng.binomial(keys[:2], [3, -1], 0.5)
+        for n_bad, p_bad in [([3, -1], 0.5), (3, [0.5, -0.1]), (3, [1.5, 0.5]), (3, np.nan),
+                             ([3, 0], [0.5, np.nan])]:
+            with pytest.raises(ValueError):
+                rng.binomial(keys[:2], n_bad, p_bad)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), draws=st.lists(st.tuples(_N_CASES, _P_CASES),
+                                                        min_size=1, max_size=3))
+    def test_binomial_matches_plain_reference(self, seed, draws):
+        keys = rng.stream_key(seed, np.arange(len(draws)))
+        n = [d[0] for d in draws]
+        p = [first_read_p(key, d[1]) if isinstance(d[1], int) else d[1]
+             for key, d in zip(keys, draws)]
+        assert rng.binomial(keys, n, p).tolist() == [
+            reference_binomial(key, n_i, p_i) for key, n_i, p_i in zip(keys, n, p)]
+
+    def test_mix64_of_zero_is_not_zero(self):
+        # so a stream's s0 and s1 = _mix64(s0) are never both zero
+        assert rng._mix64(np.uint64(0)) != 0
 
 
 class TestGenerate:
@@ -168,6 +212,15 @@ class TestGenerate:
         # literal counts: the binomial streams must not change
         data = generate(config, replicate=replicate)
         assert [(t.k, t.n) for t in data.trials] == expected
+
+    def test_example_binomial_datasets_pinned(self, example_paths):
+        # digest of replicates 0-39 of the example config in binomial mode
+        cfg = load_simconfig(example_paths["simconfig"])
+        cfg.mode = "binomial"
+        h = hashlib.sha256()
+        for r in range(40):
+            h.update(repr([(t.k, t.n) for t in generate(cfg, r).trials]).encode())
+        assert h.hexdigest() == "67f795183c480d2f597a33196ecdf2e3da68d9b7a988b444a4775cc886a24a01"
 
     def test_generated_csv_reingests(self):
         cfg = base_config(moderators=[Moderator("x", 0.1),
