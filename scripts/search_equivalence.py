@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Check that the exhaustive search gives the same results as another checkout.
+"""Check that the subset search gives the same results as another checkout.
 
     python3 scripts/search_equivalence.py PARENT_DIR
 
 Runs ``metaprop select data/example_trials.csv data/example_schema.yaml``
 from this checkout and from PARENT_DIR (a copy of another commit, such as
 one made with ``git archive``), both on this checkout's data and each
-with one BLAS thread, and checks that:
+with one BLAS thread, once per search: exhaustive and stepwise, each with
+REML and with ML criterion likelihoods.  For every search it checks that:
 
 - the exit codes are equal, and stdout and comparison.md byte-identical;
-- both reproduce the five-model table below (REML, exhaustive search);
 - every search_trail.jsonl record has the same features, f, converged
-  and skipped, and a loglik within 1e-8.
+  and skipped, and a loglik within 1e-8;
+
+and that both reproduce the five-model table below (REML, exhaustive).
 
 Cells of comparison.csv that differ are listed, not failed: that file
 prints six significant digits of quantities such as r2_xi, which the flat
@@ -36,6 +38,8 @@ ALL = ("train_test_ratio", "training_size", "sentiment_classes", "ml_model",
        "n_extraction_methods", "extraction_method", "language", "labeling_method",
        "majority_class", "topic", "dataset_type", "confusion_matrix")
 # row, f, AIC, BIC (4 decimals), RMSE (6 decimals), features
+SEARCHES = [("exhaustive", "reml"), ("exhaustive", "ml"), ("stepwise", "reml"),
+            ("stepwise", "ml")]
 FIVE_MODEL_TABLE = [
     ("AIC", 5, -372.4292, -349.7000, 0.129252, ("ml_model",)),
     ("Null", 1, -367.8744, -358.0708, 0.134372, ()),
@@ -45,7 +49,8 @@ FIVE_MODEL_TABLE = [
 ]
 
 
-def run_select(checkout: pathlib.Path, out_dir: pathlib.Path) -> tuple:
+def run_select(checkout: pathlib.Path, out_dir: pathlib.Path, strategy: str,
+               likelihood: str) -> tuple:
     """(exit code, stdout) of the command; exit 3 (a model did not converge)
     still writes every output."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -53,6 +58,7 @@ def run_select(checkout: pathlib.Path, out_dir: pathlib.Path) -> tuple:
                                                         os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "metaprop.cli", "select", str(DATA), str(SCHEMA),
+         "--strategy", strategy, "--criterion-likelihood", likelihood,
          "--out-dir", str(out_dir)],
         cwd=checkout, env=env, capture_output=True, check=False)
     if proc.returncode not in (0, 3):
@@ -87,24 +93,56 @@ def five_model_problems(side: str, out_dir: pathlib.Path) -> list:
     return problems
 
 
-def trail_problems(ours: pathlib.Path, theirs: pathlib.Path) -> list:
+def trail_problems(ours: pathlib.Path, theirs: pathlib.Path, label: str) -> list:
     a = [json.loads(line) for line in open(ours / "search_trail.jsonl", encoding="utf-8")]
     b = [json.loads(line) for line in open(theirs / "search_trail.jsonl", encoding="utf-8")]
     if len(a) != len(b):
-        return [f"search_trail.jsonl has {len(a)} records here and {len(b)} in the parent"]
+        return [f"{label}: search_trail.jsonl has {len(a)} records here and {len(b)} "
+                "in the parent"]
     problems, worst = [], 0.0
     for x, y in zip(a, b):
         for key in ("index", "features", "f", "converged", "skipped"):
             if x[key] != y[key]:
-                problems.append(f"trail record {y['index']}: {key} {x[key]!r} != {y[key]!r}")
+                problems.append(f"{label}: trail record {y['index']}: "
+                                f"{key} {x[key]!r} != {y[key]!r}")
         if (x["loglik"] is None) != (y["loglik"] is None):
-            problems.append(f"trail record {y['index']}: loglik {x['loglik']} != {y['loglik']}")
+            problems.append(f"{label}: trail record {y['index']}: "
+                            f"loglik {x['loglik']} != {y['loglik']}")
         elif x["loglik"] is not None:
             gap = abs(x["loglik"] - y["loglik"])
             worst = max(worst, gap)
             if not gap <= LOGLIK_TOL:
-                problems.append(f"trail record {y['index']}: loglik differs by {gap:.3g}")
-    print(f"search_trail.jsonl: {len(a)} records, largest loglik difference {worst:.3g}")
+                problems.append(f"{label}: trail record {y['index']}: "
+                                f"loglik differs by {gap:.3g}")
+    print(f"{label}: search_trail.jsonl: {len(a)} records, "
+          f"largest loglik difference {worst:.3g}")
+    return problems
+
+
+def search_problems(parent: pathlib.Path, tmp: pathlib.Path, strategy: str,
+                    likelihood: str) -> list:
+    """Run one search on both sides and compare what it writes."""
+    label = f"{strategy} {likelihood}"
+    ours, theirs = tmp / f"{strategy}_{likelihood}", tmp / f"parent_{strategy}_{likelihood}"
+    code, stdout = run_select(ROOT, ours, strategy, likelihood)
+    parent_code, parent_stdout = run_select(parent, theirs, strategy, likelihood)
+    problems = []
+    if code != parent_code:
+        problems.append(f"{label}: exit code {code} here, {parent_code} in the parent")
+    if stdout != parent_stdout:
+        problems.append(f"{label}: stdout differs")
+    if (ours / "comparison.md").read_bytes() != (theirs / "comparison.md").read_bytes():
+        problems.append(f"{label}: comparison.md differs")
+    if (strategy, likelihood) == ("exhaustive", "reml"):
+        problems += five_model_problems("here", ours) + five_model_problems("parent", theirs)
+    problems += trail_problems(ours, theirs, label)
+    parent_rows = {row["model"]: row for row in read_csv(theirs / "comparison.csv")}
+    for x in read_csv(ours / "comparison.csv"):
+        y = parent_rows.get(x["model"], {})
+        for key in x:
+            if x[key] != y.get(key):
+                print(f"{label}: comparison.csv {x['model']}.{key}: {x[key]} here, "
+                      f"{y.get(key)} in the parent")
     return problems
 
 
@@ -116,23 +154,10 @@ def main(argv) -> int:
     if not (parent / "src" / "metaprop" / "cli.py").is_file():
         print(f"error: no metaprop checkout at {parent}", file=sys.stderr)
         return 2
+    problems = []
     with tempfile.TemporaryDirectory() as tmp:
-        ours, theirs = pathlib.Path(tmp) / "ours", pathlib.Path(tmp) / "parent"
-        code, stdout = run_select(ROOT, ours)
-        parent_code, parent_stdout = run_select(parent, theirs)
-        problems = []
-        if code != parent_code:
-            problems.append(f"exit code {code} here, {parent_code} in the parent")
-        if stdout != parent_stdout:
-            problems.append("stdout differs")
-        if (ours / "comparison.md").read_bytes() != (theirs / "comparison.md").read_bytes():
-            problems.append("comparison.md differs")
-        problems += five_model_problems("here", ours) + five_model_problems("parent", theirs)
-        problems += trail_problems(ours, theirs)
-        for x, y in zip(read_csv(ours / "comparison.csv"), read_csv(theirs / "comparison.csv")):
-            for key in x:
-                if x[key] != y.get(key):
-                    print(f"comparison.csv {x['model']}.{key}: {x[key]} here, {y.get(key)} in the parent")
+        for strategy, likelihood in SEARCHES:
+            problems += search_problems(parent, pathlib.Path(tmp), strategy, likelihood)
     for problem in problems:
         print(f"MISMATCH {problem}")
     print("equivalent" if not problems else f"{len(problems)} mismatches")

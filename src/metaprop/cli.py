@@ -1,7 +1,9 @@
 """Command-line interface wiring ingest -> engine -> reports.
 
 Human-readable text goes to stdout; artifacts (tables, plots, search
-trails) go to files under --out-dir together with a run manifest.  With
+trails) go to files under --out-dir together with a run manifest; forest
+and simulate, which name their output file, write the manifest beside it
+when neither --out-dir nor $METAPROP_OUT_DIR is set.  With
 --format=json each command prints a single machine-readable document
 instead of text.  Exit codes: 0 success, 2 input or validation error,
 3 numerical failure (including non-convergence).
@@ -221,10 +223,10 @@ def cmd_forest(args) -> int:
     svg, rows = report.forest_plot(fit, dataset, scale=args.scale, method=args.study_effects)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
+    out_dir = _default_out_dir(args) or os.path.dirname(args.out) or "."
     _write_manifest(_manifest("forest", {"data": args.data, "schema": args.schema,
                                          "out": args.out, "scale": args.scale},
-                              out_dir=os.path.dirname(args.out) or "."),
-                    os.path.dirname(args.out) or ".")
+                              out_dir=out_dir), out_dir)
     if args.format == "json":
         print(json.dumps({"out": args.out, "rows": [asdict(r) for r in rows]}, indent=2))
     else:
@@ -242,9 +244,9 @@ def cmd_simulate(args) -> int:
         schema_out = os.path.splitext(args.out)[0] + "_schema.yaml"
     with open(schema_out, "w", encoding="utf-8") as fh:
         fh.write(dataset.schema.to_yaml())
+    out_dir = _default_out_dir(args) or os.path.dirname(args.out) or "."
     _write_manifest(_manifest("simulate", {"config": args.config, "out": args.out},
-                              seed=config.seed, out_dir=os.path.dirname(args.out) or "."),
-                    os.path.dirname(args.out) or ".")
+                              seed=config.seed, out_dir=out_dir), out_dir)
     if args.format == "json":
         print(json.dumps({"out": args.out, "schema_out": schema_out,
                           "m": dataset.m, "h": dataset.h}, indent=2))
@@ -256,6 +258,11 @@ def cmd_simulate(args) -> int:
 def cmd_recover(args) -> int:
     config = simulate.load_simconfig(args.config)
     summary = simulate.recovery_experiment(config, args.reps, method=args.method)
+    out_dir = _default_out_dir(args)
+    if out_dir:
+        _write_manifest(_manifest("recover", {"config": args.config, "reps": args.reps,
+                                              "method": args.method},
+                                  seed=config.seed, out_dir=out_dir), out_dir)
     payload = {
         "replications": summary.replications,
         "truth": {"mu": config.mu, "sigma2_xi": config.sigma2_xi,

@@ -19,8 +19,9 @@ A ``Problem`` holds many designs of one width and evaluates a stack of
 (design, point) problems with batched products and factorizations.  One
 Fisher-scoring routine advances every start of every design in lockstep,
 each with its own phase, step, halving and stopping state, so a problem's
-iterates do not depend on its companions: ``fit_model`` is the one-design
-case of ``fit_designs``, which the subset search calls once per width.
+iterates do not depend on its companions.  ``fit_designs`` takes column
+lists of any widths, builds one Problem per width itself and yields the
+fits lazily; ``fit_model`` is its one-design case.
 """
 
 from __future__ import annotations
@@ -127,14 +128,17 @@ class Problem:
     """Validated likelihood problems of one study layout: data, designs, method.
 
     Holds K designs of f columns each: design k is ``X[:, columns[k]]``, or
-    X itself when ``columns`` is None.  It is built once per fit, or once
-    per group of equally wide subsets in a search, so the inputs are
-    checked once.  A design from which ``independent_columns`` (the rule
-    ``encode_design`` applies) would drop a column raises LinAlgError:
+    X itself when ``columns`` is None.  ``fit_designs`` builds one per
+    width of the designs it fits, so the inputs are checked once.  A
+    design from which ``independent_columns`` (the rule ``encode_design``
+    applies) would drop a column raises LinAlgError:
     X'V^-1 X has the rank of X, and its Cholesky factorization can succeed
-    at a condition number near 1e16.  ``pin_xi[k]`` is set when sigma2_xi
-    is not identified on design k: one study, or every study indicator in
-    its span, where the GLS mean absorbs any study effect.
+    at a condition number near 1e16.  ``pin[k]`` marks the components
+    (sigma2_xi, sigma2_zeta) not identified on design k.  sigma2_xi is not
+    with one study, or with every study indicator in the span, where the GLS
+    mean absorbs any study effect.  sigma2_zeta is not when every study has
+    one trial: V then depends only on sigma2_xi + sigma2_zeta, so sigma2_xi
+    carries the sum (Konstantopoulos 2011).
 
     ``evaluate_batch`` is the kernel.  It evaluates a stack of problems,
     each a design at its own point, with batched products and
@@ -169,14 +173,16 @@ class Problem:
         np.cumsum(self.group_sizes[:-1], out=self.offsets[1:])
         self.index = np.repeat(np.arange(self.h), self.group_sizes)
         self.Xt = np.ascontiguousarray(self.X.T)
-        self.pin_xi = np.full(len(self.columns), self.h < 2)
+        self.pin = np.zeros((len(self.columns), 2), dtype=bool)
+        self.pin[:, 0] = self.h < 2
+        self.pin[:, 1] = np.all(self.group_sizes == 1)
         for k, cols in enumerate(self.columns):
             kept, basis = independent_columns(self.X[:, cols])
             if kept.size < self.f:
                 raise np.linalg.LinAlgError(_RANK_DEFICIENT)
             # study indicator Z_j lies in span(X) iff |Z_j'basis|^2 = n_j
             proj = np.add.reduceat(basis, self.offsets, axis=0)
-            self.pin_xi[k] |= bool(np.all(self.group_sizes - (proj * proj).sum(1)
+            self.pin[k, 0] |= bool(np.all(self.group_sizes - (proj * proj).sum(1)
                                           <= 1e-8 * self.group_sizes))
 
     def _sums(self, design, point):
@@ -398,10 +404,9 @@ def _ascend(problem: Problem, design, start):
     loglik, score, info, factored = problem.evaluate_batch(design, point)
     n = len(point)
     evaluations = np.ones(n, dtype=np.int64)
-    pin = problem.pin_xi[design]
+    pin = problem.pin[design]
     last = np.zeros(n, dtype=bool)                       # in the phase that moves both
-    movable = point > VAR_FLOOR
-    movable[:, 0] &= ~pin
+    movable = (point > VAR_FLOOR) & ~pin
     step, decrement = np.zeros((n, 2)), np.zeros(n)
     tries, halving = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     converged, done = np.zeros(n, dtype=bool), ~factored
@@ -412,7 +417,7 @@ def _ascend(problem: Problem, design, start):
         done[i[last[i]]] = True
         i = i[~last[i]]
         last[i] = True
-        movable[i, 0], movable[i, 1] = ~pin[i], True
+        movable[i] = ~pin[i]
         return i
 
     def plan(i):
@@ -450,26 +455,18 @@ def _ascend(problem: Problem, design, start):
         plan(np.concatenate([up[~passed], ended]))
 
 
-def _require_more_trials(m: int, f: int):
-    if m <= f:
-        raise ValidationError(f"need more trials than coefficients (m={m}, f={f})")
-
-
-def fit_designs(problem: Problem):
-    """Fit every design of ``problem`` as fit_model fits one.
+def _fit_problem(problem: Problem):
+    """One FitResult per design of ``problem``, in order, or, for a design
+    that a start cannot factor, the LinAlgError that fit_model raises.
 
     The starts of all designs ascend in lockstep (see ``_ascend``), and the
-    best start of each design wins.  Returns an iterator with one FitResult
-    per design, in order, or, for a design that a start cannot factor, the
-    LinAlgError that fit_model raises.  Raises ValidationError when the
-    designs have no more trials than columns.
+    best start of each design wins.
     """
-    _require_more_trials(problem.m, problem.f)
     s = float(np.clip(np.var(problem.y), VAR_FLOOR, VAR_CEIL))
-    starts = [(VAR_FLOOR, VAR_FLOOR), (VAR_FLOOR, s), (s, VAR_FLOOR)]
+    starts = np.array([(VAR_FLOOR, VAR_FLOOR), (VAR_FLOOR, s), (s, VAR_FLOOR)])
     design, start = [], []
-    for k, pin in enumerate(problem.pin_xi):
-        for point in dict.fromkeys(starts[:2] if pin else starts):
+    for k, pin in enumerate(problem.pin):                # no start lifts a pinned component
+        for point in dict.fromkeys(map(tuple, starts[~(pin & (starts > VAR_FLOOR)).any(1)])):
             design.append(k)
             start.append(point)
     design = np.array(design, dtype=np.intp)
@@ -501,6 +498,33 @@ def fit_designs(problem: Problem):
     return map(result, range(count))
 
 
+def fit_designs(y, X, group_sizes, v, method: str = "reml", columns=None):
+    """Fit designs of any widths, each as fit_model fits it alone.
+
+    Design k is ``X[:, columns[k]]``, or X itself when ``columns`` is None.
+    The designs of one width form one Problem, whose designs and starts
+    ascend in lockstep.  Yields (k, result) pairs lazily, one width at a
+    time in order of first appearance, so only one width's fits are alive
+    at once.  result is the FitResult, or the error fit_model raises:
+    ValidationError for a design with no more trials than columns,
+    LinAlgError for one that a start cannot factor.  A collinear design
+    raises LinAlgError for its whole width (see Problem).
+    """
+    X = np.asarray(getattr(X, "matrix", X), dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("design must be a 2-d matrix")
+    widths: dict = {}
+    for k, cols in enumerate([range(X.shape[1])] if columns is None else columns):
+        widths.setdefault(len(cols), []).append((k, cols))
+    for f, members in widths.items():
+        if X.shape[0] <= f:
+            error = ValidationError(f"need more trials than coefficients (m={X.shape[0]}, f={f})")
+            yield from ((k, error) for k, _ in members)
+            continue
+        problem = Problem(y, X, group_sizes, v, method, columns=[cols for _, cols in members])
+        yield from zip((k for k, _ in members), _fit_problem(problem))
+
+
 def fit_model(y, X, group_sizes, v, method: str = "reml") -> FitResult:
     """Maximize the log-likelihood over the two variance components.
 
@@ -514,20 +538,19 @@ def fit_model(y, X, group_sizes, v, method: str = "reml") -> FitResult:
     A start has converged when the Newton decrement score @ step is at most
     1e-9 (that last step is still taken once), or at most 1e-6 once no
     halving raises the loglik (its rounding limit); one that uses up
-    MAX_EVALUATIONS gives converged=False.  sigma2_xi stays at VAR_FLOOR
-    when ``Problem.pin_xi`` is set, as with a single study.  The fit is the
-    one-design case of ``fit_designs``: its starts ascend in lockstep.  A
-    design with no more trials than columns raises ValidationError, a
-    collinear one LinAlgError (see Problem).
+    MAX_EVALUATIONS gives converged=False.  A component that ``Problem.pin``
+    marks as not identified stays at VAR_FLOOR: sigma2_xi with a single
+    study, sigma2_zeta when every study has one trial.  The fit is the
+    one-design case of ``fit_designs``.  A design with no more trials than
+    columns raises ValidationError, a collinear one LinAlgError (see
+    Problem).
     """
-    shape = np.shape(getattr(X, "matrix", X))   # Problem calls columns past m rank deficient
-    if len(shape) == 2:
-        _require_more_trials(*shape)
-    problem = Problem(y, X, group_sizes, v, method)
-    if problem.h < 2:
+    _, fit = next(fit_designs(y, X, group_sizes, v, method))
+    if isinstance(fit, ValidationError):
+        raise fit
+    if np.size(group_sizes) < 2:
         warnings.warn("only one study: sigma2_xi is not identifiable and is fixed at 0",
                       stacklevel=2)
-    fit = next(fit_designs(problem))
     if isinstance(fit, np.linalg.LinAlgError):
         raise fit
     labels = getattr(X, "labels", None)

@@ -5,12 +5,14 @@ every feature, and one model optimized for each of AIC, BIC, and RMSE.
 Categorical features enter and leave the candidate designs as whole
 dummy blocks.  The default search is exhaustive over the feature
 groups, which is deliberate: with a dozen groups that is a few thousand
-fits and removes any search-strategy ambiguity from the results.  The
-candidates of one design width, all of them or those of one stepwise
-pass, form one ``engine.Problem``: a column slice of the dataset's
-candidate columns each, fitted together in lockstep by
-``engine.fit_designs``.  Each trail record is still the fit that
-``engine.fit_model`` gives that subset alone.
+fits and removes any search-strategy ambiguity from the results.
+
+Every fit here, the search trail's, the five rows' and ``search``'s,
+goes through ``_fits``: each subset's design is a column slice of the
+dataset's candidate columns, and ``engine.fit_designs`` fits the slices
+of one call together, batched by width inside the engine.  Each fit is
+still the one ``engine.fit_model`` gives that subset alone, so a row's
+AIC, BIC and RMSE equal its subset's trail record.
 
 A caveat worth stating once: comparing REML likelihoods across models
 with different fixed effects is not strictly clean, but it mirrors the
@@ -87,9 +89,16 @@ class SearchResult:
     trail: list
 
 
-def _fit_subset(dataset: Dataset, y, v, group_sizes, features, method: str):
-    fit = engine.fit_model(y, encode_design(dataset, features), group_sizes, v, method=method)
-    return fit, y - fit.X @ fit.beta
+def _fits(dataset: Dataset, subsets, method: str):
+    """(j, fit or error) per feature subset, lazily: the one place this module
+    fits anything.  Subset j's design is its ``encode_design`` slice of the
+    candidate columns; ``engine.fit_designs`` batches the designs."""
+    candidates, labels, _ = dataset.candidate_columns
+    position = {label: i for i, label in enumerate(labels)}
+    columns = [[position[label] for label in encode_design(dataset, features).labels]
+               for features in subsets]
+    y, v = engine.effect_arrays(dataset)
+    return engine.fit_designs(y, candidates, dataset.group_sizes(), v, method, columns)
 
 
 def _record(index, features, fit) -> TrailRecord:
@@ -106,31 +115,11 @@ def _record(index, features, fit) -> TrailRecord:
         converged=fit.converged)
 
 
-def _subset_trail(dataset: Dataset, y, v, group_sizes, subsets, method: str,
-                  first: int = 0) -> list:
-    """One TrailRecord per feature subset, in order, indexed from ``first``.
-
-    A subset's design is its ``encode_design`` slice of the candidate
-    columns.  The designs of equal width form one engine.Problem, whose
-    subsets and starts ``engine.fit_designs`` fits in lockstep; each record
-    is the one ``fit_model`` gives that subset alone.
-    """
-    candidates, labels, _ = dataset.candidate_columns
-    position = {label: i for i, label in enumerate(labels)}
-    widths: dict = {}
-    for j, features in enumerate(subsets):
-        columns = [position[label] for label in encode_design(dataset, features).labels]
-        widths.setdefault(len(columns), []).append((j, columns))
+def _subset_trail(dataset: Dataset, subsets, method: str, first: int = 0) -> list:
+    """One TrailRecord per feature subset, in order, indexed from ``first``."""
     records = [None] * len(subsets)
-    for members in widths.values():
-        problem = engine.Problem(y, candidates, group_sizes, v, method,
-                                 columns=[columns for _, columns in members])
-        try:
-            fits = engine.fit_designs(problem)
-        except ValidationError as exc:                   # no more trials than columns
-            fits = [exc] * len(members)
-        for (j, _), fit in zip(members, fits):
-            records[j] = _record(first + j, subsets[j], fit)
+    for j, fit in _fits(dataset, subsets, method):
+        records[j] = _record(first + j, subsets[j], fit)
     return records
 
 
@@ -141,10 +130,9 @@ def _exhaustive_trail(dataset: Dataset, method: str) -> list:
         raise ValidationError(
             f"exhaustive search over {n_feat} features is infeasible "
             f"(limit {MAX_EXHAUSTIVE_FEATURES}); use strategy='stepwise'")
-    y, v = engine.effect_arrays(dataset)
     subsets = [tuple(n for i, n in enumerate(names) if mask >> i & 1)  # mask doubles as index
                for mask in range(2 ** n_feat)]
-    return _subset_trail(dataset, y, v, dataset.group_sizes(), subsets, method)
+    return _subset_trail(dataset, subsets, method)
 
 
 def _best_record(trail, kind: str) -> TrailRecord:
@@ -154,7 +142,7 @@ def _best_record(trail, kind: str) -> TrailRecord:
     return min(viable, key=lambda r: (getattr(r, kind), r.f, r.features))
 
 
-def _stepwise_trail(dataset, y, v, group_sizes, method: str, kind: str) -> tuple:
+def _stepwise_trail(dataset: Dataset, method: str, kind: str) -> tuple:
     """Greedy forward-backward passes; returns (best_features, trail).
 
     The moves of one pass are fitted together."""
@@ -162,7 +150,7 @@ def _stepwise_trail(dataset, y, v, group_sizes, method: str, kind: str) -> tuple
     trail: list = []
 
     def score(subsets):
-        records = _subset_trail(dataset, y, v, group_sizes, subsets, method, len(trail))
+        records = _subset_trail(dataset, subsets, method, len(trail))
         trail.extend(records)
         return records
 
@@ -178,16 +166,33 @@ def _stepwise_trail(dataset, y, v, group_sizes, method: str, kind: str) -> tuple
             else:
                 moves.append(sorted(current + [name], key=names.index))
         candidates = score(moves)
-        viable = [r for r in candidates if r.skipped is None]
-        if not viable:
+        if all(r.skipped is not None for r in candidates):
             break
-        challenger = min(viable, key=lambda r: (getattr(r, kind), r.f, r.features))
+        challenger = _best_record(candidates, kind)
         if getattr(challenger, kind) < getattr(best, kind):
             best = challenger
             current = list(challenger.features)
         else:
             break
     return best.features, trail
+
+
+def _winners(dataset: Dataset, kinds, strategy: str, method: str) -> tuple:
+    """({kind: criterion-minimal features}, trail) for each criterion kind.
+
+    Exhaustive evaluates every subset of the feature groups once for all
+    kinds; stepwise runs its own passes per kind, and the trail joins them.
+    """
+    if strategy == "exhaustive":
+        trail = _exhaustive_trail(dataset, method)
+        return {kind: _best_record(trail, kind).features for kind in kinds}, trail
+    if strategy == "stepwise":
+        winners, trail = {}, []
+        for kind in kinds:
+            winners[kind], sub_trail = _stepwise_trail(dataset, method, kind)
+            trail.extend(sub_trail)
+        return winners, trail
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def search(dataset: Dataset, criterion_kind: str, strategy: str = "exhaustive",
@@ -201,20 +206,13 @@ def search(dataset: Dataset, criterion_kind: str, strategy: str = "exhaustive",
     """
     if criterion_kind not in _CRITERIA:
         raise ValueError(f"criterion must be one of {_CRITERIA}, got {criterion_kind!r}")
-    y, v = engine.effect_arrays(dataset)
-    group_sizes = dataset.group_sizes()
-    if strategy == "exhaustive":
-        trail = _exhaustive_trail(dataset, method)
-        best = _best_record(trail, criterion_kind)
-        features = best.features
-    elif strategy == "stepwise":
-        features, trail = _stepwise_trail(dataset, y, v, group_sizes, method, criterion_kind)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    fit, residuals = _fit_subset(dataset, y, v, group_sizes, features, method)
+    winners, trail = _winners(dataset, [criterion_kind], strategy, method)
+    features = winners[criterion_kind]
+    [(_, fit)] = _fits(dataset, [features], method)
+    fit.labels = list(encode_design(dataset, features).labels)
     return SearchResult(features=tuple(features), fit=fit,
                         criterion_kind=criterion_kind,
-                        criterion_value=criterion(fit, residuals, criterion_kind),
+                        criterion_value=criterion(fit, fit.y - fit.X @ fit.beta, criterion_kind),
                         trail=trail)
 
 
@@ -246,22 +244,25 @@ class ModelComparisonRow:
     note: str | None = None
 
 
-def _comparison_row(name, features, fit, residuals, fit_null, sigma2_eps) -> ModelComparisonRow:
-    q, df, p = heterogeneity.cochran_q(fit.y, fit.X, fit.v)
-    i2_xi, i2_zeta, _ = heterogeneity.i_squared_levels(fit.varcomps, sigma2_eps)
+def _comparison_row(name, features, fit, fit_null) -> ModelComparisonRow:
+    if isinstance(fit, (ValidationError, np.linalg.LinAlgError)):
+        return ModelComparisonRow(
+            name=name, features=tuple(features), f=0, aic=math.nan, bic=math.nan,
+            rmse=math.nan, q=math.nan, q_df=0, q_pvalue=math.nan,
+            sigma2_xi=math.nan, sigma2_zeta=math.nan, i2_xi=math.nan,
+            i2_zeta=math.nan, mu=math.nan, mu_se=math.nan, mu_prop=math.nan,
+            mu_prop_low=math.nan, mu_prop_high=math.nan, r2_xi=None,
+            r2_zeta=None, converged=False, note=str(fit))
+    record = _record(0, features, fit)
+    het = heterogeneity.heterogeneity_report(fit)
     pooled = engine.pooled_estimate(fit)
-    if name == "Null":
-        r2 = (None, None)
-    else:
-        r2 = heterogeneity.r_squared(fit, fit_null)
+    r2 = (None, None) if name == "Null" else heterogeneity.r_squared(fit, fit_null)
     return ModelComparisonRow(
         name=name, features=tuple(features), f=fit.f,
-        aic=criterion(fit, residuals, "aic"),
-        bic=criterion(fit, residuals, "bic"),
-        rmse=criterion(fit, residuals, "rmse"),
-        q=q, q_df=df, q_pvalue=p,
+        aic=record.aic, bic=record.bic, rmse=record.rmse,
+        q=het.q, q_df=het.q_df, q_pvalue=het.q_pvalue,
         sigma2_xi=fit.varcomps.sigma2_xi, sigma2_zeta=fit.varcomps.sigma2_zeta,
-        i2_xi=i2_xi, i2_zeta=i2_zeta,
+        i2_xi=het.i2_xi, i2_zeta=het.i2_zeta,
         mu=pooled.mu, mu_se=pooled.se, mu_prop=pooled.prop,
         mu_prop_low=pooled.prop_low, mu_prop_high=pooled.prop_high,
         r2_xi=r2[0], r2_zeta=r2[1], converged=fit.converged)
@@ -272,46 +273,16 @@ def five_model_protocol(dataset: Dataset, strategy: str = "exhaustive",
     """Fit Null, Full, and the AIC/BIC/RMSE-optimized models.
 
     Returns (rows, trail) with rows ordered by AIC ascending.  Fit
-    failures annotate the affected row instead of aborting the protocol.
+    failures annotate the affected row instead of aborting the protocol;
+    only a failed Null fit, which every R^2 needs, raises.
     """
-    y, v = engine.effect_arrays(dataset)
-    group_sizes = dataset.group_sizes()
-    names = dataset.schema.names
-    sigma2_eps = heterogeneity.pooled_sampling_variance(v)
-
-    fit_null, resid_null = _fit_subset(dataset, y, v, group_sizes, (), method)
-
-    winners: dict = {}
-    if strategy == "exhaustive":
-        trail = _exhaustive_trail(dataset, method)
-        for kind in _CRITERIA:
-            winners[kind] = _best_record(trail, kind).features
-    elif strategy == "stepwise":
-        trail = []
-        for kind in _CRITERIA:
-            feats, sub_trail = _stepwise_trail(dataset, y, v, group_sizes, method, kind)
-            winners[kind] = feats
-            trail.extend(sub_trail)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    plan = [("Null", ()), ("Full", tuple(names)),
+    winners, trail = _winners(dataset, _CRITERIA, strategy, method)
+    plan = [("Null", ()), ("Full", tuple(dataset.schema.names)),
             ("AIC", winners["aic"]), ("BIC", winners["bic"]), ("RMSE", winners["rmse"])]
-    rows = []
-    for title, feats in plan:
-        if title == "Null":
-            rows.append(_comparison_row(title, feats, fit_null, resid_null, fit_null, sigma2_eps))
-            continue
-        try:
-            fit, residuals = _fit_subset(dataset, y, v, group_sizes, feats, method)
-            rows.append(_comparison_row(title, feats, fit, residuals, fit_null, sigma2_eps))
-        except (ValidationError, np.linalg.LinAlgError) as exc:
-            rows.append(ModelComparisonRow(
-                name=title, features=tuple(feats), f=0, aic=math.nan, bic=math.nan,
-                rmse=math.nan, q=math.nan, q_df=0, q_pvalue=math.nan,
-                sigma2_xi=math.nan, sigma2_zeta=math.nan, i2_xi=math.nan,
-                i2_zeta=math.nan, mu=math.nan, mu_se=math.nan, mu_prop=math.nan,
-                mu_prop_low=math.nan, mu_prop_high=math.nan, r2_xi=None,
-                r2_zeta=None, converged=False, note=str(exc)))
+    fits = dict(_fits(dataset, [features for _, features in plan], method))
+    if not isinstance(fits[0], engine.FitResult):
+        raise fits[0]
+    rows = [_comparison_row(name, features, fits[j], fits[0])
+            for j, (name, features) in enumerate(plan)]
     rows.sort(key=lambda r: (math.inf if math.isnan(r.aic) else r.aic))
     return rows, trail

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import metaprop
 from metaprop.cli import main
+from metaprop.simulate import load_simconfig
 
 TESTDATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -318,6 +319,24 @@ class TestSimulateAndRecover:
         payload = json.loads(out)
         assert payload["replications"] == 3
         assert 0.0 <= payload["coverage"] <= 1.0
+
+    @pytest.mark.parametrize("command", ["forest", "simulate", "recover"])
+    def test_manifest_goes_to_out_dir(self, capsys, tmp_path, monkeypatch, example_paths,
+                                      command):
+        monkeypatch.delenv("METAPROP_OUT_DIR", raising=False)
+        file_dir, out_dir = tmp_path / "file", tmp_path / "out"
+        file_dir.mkdir()
+        argv = {"forest": ["forest", example_paths["data"], example_paths["schema"],
+                           file_dir / "forest.svg"],
+                "simulate": ["simulate", example_paths["simconfig"], file_dir / "sim.csv"],
+                "recover": ["recover", example_paths["simconfig"], "--reps", "2"]}[command]
+        code, _, _ = run(capsys, *argv, "--out-dir", out_dir)
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["command"] == command and manifest["out_dir"] == str(out_dir)
+        if command != "forest":
+            assert manifest["seed"] == load_simconfig(example_paths["simconfig"]).seed
+        assert not (file_dir / "manifest.json").exists()
 
 
 FUZZ_CSV = [["study_id", "trial_id", "k", "n", "size", "model"],

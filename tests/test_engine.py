@@ -233,6 +233,29 @@ class TestBatchedKernel:
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
 
 
+class TestFitDesigns:
+    """engine.fit_designs batches designs of any widths behind one call."""
+
+    @pytest.mark.parametrize("method", ["reml", "ml"])
+    def test_each_design_fits_as_alone(self, method):
+        gen = np.random.default_rng(31)
+        sizes = np.array([3, 1, 4, 2, 5, 3])
+        m = int(sizes.sum())
+        y, v = gen.normal(1.0, 0.4, m), gen.uniform(0.01, 0.4, m)
+        pool = np.column_stack([np.ones(m), gen.normal(size=(m, m - 1))])
+        columns = [[0], [0, 2, 5], [4], [0, 1], list(range(m))]   # widths 1, 3, 1, 2, m
+        results = list(engine.fit_designs(y, pool, sizes, v, method, columns))
+        assert [k for k, _ in results] == [0, 2, 1, 3, 4]         # by width, first seen first
+        for k, fit in results:
+            if k == 4:
+                assert isinstance(fit, ValidationError)
+                continue
+            alone = fit_model(y, pool[:, columns[k]], sizes, v, method=method)
+            assert fit.varcomps == alone.varcomps
+            assert (fit.converged, fit.n_evaluations) == (alone.converged, alone.n_evaluations)
+            assert fit.loglik == pytest.approx(alone.loglik, abs=1e-12)
+
+
 class TestGls:
     def test_degenerate_weighted_mean(self):
         # zero variance components: exact inverse-variance weighting
@@ -374,6 +397,29 @@ class TestFitModel:
     def test_m_not_greater_than_f(self):
         with pytest.raises(ValidationError):
             fit_model([1.0], np.ones((1, 1)), [1], [0.1])
+
+    @pytest.mark.parametrize("method", ["reml", "ml"])
+    def test_one_trial_per_study_pins_zeta(self, method):
+        # V depends only on sigma2_xi + sigma2_zeta: sigma2_xi carries the sum,
+        # at the loglik the fit reaches with sigma2_zeta left free
+        gen = np.random.default_rng(5)
+        lifted = 0
+        for _ in range(24):
+            h = int(gen.integers(2, 12))
+            sizes = np.ones(h, dtype=np.int64)
+            v = 1.0 / (4.0 * np.exp(gen.uniform(math.log(10), math.log(5000), h)) + 2.0)
+            X = np.column_stack([np.ones(h), gen.normal(size=h)])[:, :int(gen.integers(1, 3))]
+            y = 1.1 + gen.normal(0.0, np.sqrt(np.exp(gen.uniform(math.log(1e-5), math.log(0.05))) + v))
+            if h <= X.shape[1]:
+                continue
+            fit = fit_model(y, X, sizes, v, method=method)
+            assert fit.varcomps.sigma2_zeta == engine.VAR_FLOOR
+            free = Problem(y, X, sizes, v, method)
+            free.pin[:, 1] = False
+            unpinned = next(engine._fit_problem(free))
+            assert fit.loglik == pytest.approx(unpinned.loglik, abs=1e-8)
+            lifted += unpinned.varcomps.sigma2_zeta > 1e-6
+        assert lifted > 0
 
     def test_single_study_warns_and_pins_xi(self):
         y, X, _, v = toy_instance(4, n_studies=1, trials=6)

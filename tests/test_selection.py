@@ -142,6 +142,13 @@ class TestLockstepSearch:
             assert record.loglik == pytest.approx(fit.loglik, abs=1e-12)
             assert (record.f, record.converged) == (fit.f, fit.converged)
 
+    def test_rows_equal_their_trail_records(self, small):
+        rows, trail = five_model_protocol(small)
+        by_features = {r.features: r for r in trail}
+        for row in rows:
+            record = by_features[row.features]
+            assert (row.aic, row.bic, row.rmse) == (record.aic, record.bic, record.rmse)
+
     def test_evaluation_cap_reaches_every_record(self, small, monkeypatch):
         monkeypatch.setattr(engine, "MAX_EVALUATIONS", 2)
         trail = selection._exhaustive_trail(small, "reml")
