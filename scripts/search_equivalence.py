@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Check that the subset search gives the same results as another checkout.
+"""Check that the subset search and the recovery experiment give the same
+results as another checkout.
 
     python3 scripts/search_equivalence.py PARENT_DIR
 
@@ -17,8 +18,16 @@ and that both reproduce the five-model table below (REML, exhaustive).
 
 Cells of comparison.csv that differ are listed, not failed: that file
 prints six significant digits of quantities such as r2_xi, which the flat
-top of the likelihood does not determine that far.  Exits 1 on any
-mismatch.
+top of the likelihood does not determine that far.
+
+It then runs ``metaprop recover CONFIG --reps 300 --format json`` on both
+sides for three configs: the example simconfig in gaussian and in
+binomial mode, and a small layout with a numeric and a categorical
+moderator, whose design width varies across replicates.  300 replicates
+span more than one fitted chunk.  The exit codes must be equal and the
+stdout byte-identical; keys that only this checkout prints are listed,
+and the parent's keys must serialize to the parent's bytes.  Exits 1 on
+any mismatch.
 """
 
 import csv
@@ -29,10 +38,19 @@ import subprocess
 import sys
 import tempfile
 
+import yaml
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "data" / "example_trials.csv"
 SCHEMA = ROOT / "data" / "example_schema.yaml"
+SIMCONFIG = ROOT / "data" / "example_simconfig.yaml"
 LOGLIK_TOL = 1e-8
+RECOVER_REPS = 300
+MODERATED_CONFIG = {"simulation": {
+    "h": 5, "trials_per_study": [2, 3, 1, 2, 4], "mu": 1.1, "sigma2_xi": 0.01,
+    "sigma2_zeta": 0.005, "n_range": [50, 400], "seed": 9,
+    "moderators": [{"name": "x", "effect": 0.1, "kind": "numeric"},
+                   {"name": "g", "effect": 0.05, "kind": "categorical"}]}}
 
 ALL = ("train_test_ratio", "training_size", "sentiment_classes", "ml_model",
        "n_extraction_methods", "extraction_method", "language", "labeling_method",
@@ -49,22 +67,25 @@ FIVE_MODEL_TABLE = [
 ]
 
 
+def run_cli(checkout: pathlib.Path, *argv, codes=(0,)) -> tuple:
+    """(exit code, stdout) of ``metaprop ARGV`` run from ``checkout``."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(checkout / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "metaprop.cli", *map(str, argv)],
+                          cwd=checkout, env=env, capture_output=True, check=False)
+    if proc.returncode not in codes:
+        sys.exit(f"metaprop {argv[0]} in {checkout} exited {proc.returncode}:\n"
+                 f"{proc.stderr.decode(errors='replace')}")
+    return proc.returncode, proc.stdout
+
+
 def run_select(checkout: pathlib.Path, out_dir: pathlib.Path, strategy: str,
                likelihood: str) -> tuple:
     """(exit code, stdout) of the command; exit 3 (a model did not converge)
     still writes every output."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(checkout / "src"),
-                                                        os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "metaprop.cli", "select", str(DATA), str(SCHEMA),
-         "--strategy", strategy, "--criterion-likelihood", likelihood,
-         "--out-dir", str(out_dir)],
-        cwd=checkout, env=env, capture_output=True, check=False)
-    if proc.returncode not in (0, 3):
-        sys.exit(f"metaprop select in {checkout} exited {proc.returncode}:\n"
-                 f"{proc.stderr.decode(errors='replace')}")
-    return proc.returncode, proc.stdout
+    return run_cli(checkout, "select", DATA, SCHEMA, "--strategy", strategy,
+                   "--criterion-likelihood", likelihood, "--out-dir", out_dir, codes=(0, 3))
 
 
 def read_csv(path: pathlib.Path) -> list:
@@ -146,6 +167,33 @@ def search_problems(parent: pathlib.Path, tmp: pathlib.Path, strategy: str,
     return problems
 
 
+def recover_configs() -> dict:
+    """The recover configs by name, as YAML mappings."""
+    example = yaml.safe_load(SIMCONFIG.read_text(encoding="utf-8"))
+    binomial = {"simulation": dict(example["simulation"], mode="binomial")}
+    return {"gaussian": example, "binomial": binomial, "moderated": MODERATED_CONFIG}
+
+
+def recover_problems(parent: pathlib.Path, tmp: pathlib.Path, name: str, config: dict) -> list:
+    """Run one recovery experiment on both sides and compare the JSON it prints."""
+    label = f"recover {name}"
+    path = tmp / f"recover_{name}.yaml"
+    path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    argv = ("recover", path, "--reps", RECOVER_REPS, "--format", "json")
+    (code, stdout), (parent_code, parent_stdout) = run_cli(ROOT, *argv), run_cli(parent, *argv)
+    problems = []
+    if code != parent_code:
+        problems.append(f"{label}: exit code {code} here, {parent_code} in the parent")
+    ours, theirs = json.loads(stdout), json.loads(parent_stdout)
+    added = [key for key in ours if key not in theirs]
+    shared = json.dumps({key: ours[key] for key in ours if key in theirs}, indent=2) + "\n"
+    if shared.encode() != parent_stdout or set(theirs) - set(ours):
+        problems.append(f"{label}: stdout differs")
+    print(f"{label}: {ours['replications']} replicates, coverage {ours['coverage']}"
+          + (f", keys only here: {', '.join(added)}" if added else ""))
+    return problems
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -158,6 +206,8 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for strategy, likelihood in SEARCHES:
             problems += search_problems(parent, pathlib.Path(tmp), strategy, likelihood)
+        for name, config in recover_configs().items():
+            problems += recover_problems(parent, pathlib.Path(tmp), name, config)
     for problem in problems:
         print(f"MISMATCH {problem}")
     print("equivalent" if not problems else f"{len(problems)} mismatches")

@@ -274,6 +274,7 @@ def cmd_recover(args) -> int:
         "bias_sigma2_xi": summary.bias_sigma2_xi,
         "bias_sigma2_zeta": summary.bias_sigma2_zeta,
         "n_nonconverged": summary.n_nonconverged,
+        "coverage_se": summary.coverage_se,
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -281,7 +282,8 @@ def cmd_recover(args) -> int:
         print(f"Replications: {summary.replications} "
               f"(non-converged: {summary.n_nonconverged})")
         print(f"mu: truth {config.mu:.4f}, mean estimate {summary.mean_mu:.4f}, "
-              f"95% CI coverage {summary.coverage:.3f}")
+              f"95% CI coverage {summary.coverage:.3f} "
+              f"(Monte Carlo SE {summary.coverage_se:.3f})")
         print(f"sigma2_xi: truth {config.sigma2_xi:.4f}, "
               f"mean {summary.mean_sigma2_xi:.4f} "
               f"(rel. bias {summary.bias_sigma2_xi:+.3f})")

@@ -15,13 +15,19 @@ scoring directly on the variance scale, within [VAR_FLOOR, VAR_CEIL],
 from three deterministic starts; fixed effects follow by generalized
 least squares at the optimum.
 
-A ``Problem`` holds many designs of one width and evaluates a stack of
-(design, point) problems with batched products and factorizations.  One
-Fisher-scoring routine advances every start of every design in lockstep,
-each with its own phase, step, halving and stopping state, so a problem's
-iterates do not depend on its companions.  ``fit_designs`` takes column
-lists of any widths, builds one Problem per width itself and yields the
-fits lazily; ``fit_model`` is its one-design case.
+A ``Problem`` holds many designs of one width over one study layout,
+each with its own effects y and sampling variances v or all sharing one
+row of each, and evaluates a stack of (design, point) problems with
+batched products and factorizations.  Every per-problem sum runs over
+that problem's own row, so a result does not depend on which problems
+share its batch.  One Fisher-scoring routine advances every start of
+every design in lockstep, each with its own phase, step, halving and
+stopping state, so a problem's iterates do not depend on its companions.
+``fit_designs`` takes column lists of any widths, builds one Problem per
+width itself and yields the fits lazily; it fits the subsets of a model
+search (one shared y and v) as well as the replicates of a recovery
+experiment (one y and v per design).  ``fit_model`` is its one-design
+case.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ __all__ = [
     "log_likelihood",
     "gls_fixed_effects",
     "fit_designs",
+    "fit_or_raise",
     "fit_model",
     "pooled_estimate",
     "predict_study_effects",
@@ -128,8 +135,10 @@ class Problem:
     """Validated likelihood problems of one study layout: data, designs, method.
 
     Holds K designs of f columns each: design k is ``X[:, columns[k]]``, or
-    X itself when ``columns`` is None.  ``fit_designs`` builds one per
-    width of the designs it fits, so the inputs are checked once.  A
+    X itself when ``columns`` is None, with effects ``y[k]`` and sampling
+    variances ``v[k]`` when these have shape (K, m), or the shared y and v
+    when they have shape (m,).  ``fit_designs`` builds one per width of the
+    designs it fits, so the inputs are checked once.  A
     design from which ``independent_columns`` (the rule ``encode_design``
     applies) would drop a column raises LinAlgError:
     X'V^-1 X has the rank of X, and its Cholesky factorization can succeed
@@ -151,7 +160,6 @@ class Problem:
         if method not in ("reml", "ml"):
             raise ValueError(f"method must be 'reml' or 'ml', got {method!r}")
         self.method = method
-        self.y = np.asarray(y, dtype=np.float64)
         self.X = np.asarray(getattr(X, "matrix", X), dtype=np.float64)
         if self.X.ndim != 2:
             raise ValueError("design must be a 2-d matrix")
@@ -160,11 +168,9 @@ class Problem:
         if self.columns.ndim != 2:
             raise ValueError("columns must be a 2-d array of column indices")
         self.group_sizes = np.asarray(group_sizes, dtype=np.int64)
-        self.v = np.asarray(v, dtype=np.float64)
         self.m, self.f = self.X.shape[0], self.columns.shape[1]
         self.h = len(self.group_sizes)
-        if self.y.size != self.m or self.v.size != self.m:
-            raise ValueError("y, X, and v must agree on the number of trials")
+        self.y, self.v = self._rows(y), self._rows(v)   # row k belongs to design k
         if int(self.group_sizes.sum()) != self.m or np.any(self.group_sizes < 1):
             raise ValueError("group sizes must be positive and sum to the number of trials")
         if np.any(self.v <= 0):
@@ -185,26 +191,38 @@ class Problem:
             self.pin[k, 0] |= bool(np.all(self.group_sizes - (proj * proj).sum(1)
                                           <= 1e-8 * self.group_sizes))
 
+    def _rows(self, a):
+        """y or v as a (K, m) array whose row k is design k's: a (K, m) array
+        as it is, and a shared (m,) row repeated as a read-only view."""
+        a = np.asarray(a, dtype=np.float64)
+        if a.shape not in ((self.m,), (len(self.columns), self.m)):
+            raise ValueError(f"y and v must have shape (m,) or (designs, m) = "
+                             f"{(len(self.columns), self.m)}, got {a.shape}")
+        return np.broadcast_to(a, (len(self.columns), self.m))
+
     def _sums(self, design, point):
         """Sherman-Morrison accumulators of a stack, computed block by block.
 
-        Per problem: d = diag(D^-1), and per study s = 1'D^-1 1, the rank-one
-        correction c, Sy = 1'D^-1 y and the columns Sx = X'D^-1 1; then
-        (D^-1 X)', y'V^-1 y, X'V^-1 y and X'V^-1 X.  The designs are stacked
-        as X' (S, f, m), so elementwise products run along whole rows.
+        Per problem, over its own rows y and v: d = diag(D^-1), and per study
+        s = 1'D^-1 1, the rank-one correction c, Sy = 1'D^-1 y and the
+        columns Sx = X'D^-1 1; then (D^-1 X)', y'V^-1 y, X'V^-1 y and
+        X'V^-1 X.  The designs are stacked as X' (S, f, m) and y, v as
+        (S, m), so elementwise products run along whole rows and every sum
+        and product stays within one problem.  Returns y and v too.
         """
         Xt = self.Xt[self.columns[design]]
+        y, v = self.y[design], self.v[design]
         xi, zeta = point[:, :1], point[:, 1:]
-        d = 1.0 / (self.v + zeta)
+        d = 1.0 / (v + zeta)
         s = np.add.reduceat(d, self.offsets, axis=1)
         c = xi / (1.0 + xi * s)
-        dy = d * self.y
+        dy = d * y
         Sy = np.add.reduceat(dy, self.offsets, axis=1)
         dXt = Xt * d[:, None, :]
         Sx = self._study_sums(dXt)
         cSx = Sx * c[:, None, :]
-        return (d, s, c, Sy, Sx, dXt, (dy * self.y).sum(1) - (c * Sy * Sy).sum(1),
-                dXt @ self.y - (cSx @ Sy[:, :, None])[:, :, 0],
+        return (y, v, d, s, c, Sy, Sx, dXt, (dy * y).sum(1) - (c * Sy * Sy).sum(1),
+                (dXt @ y[:, :, None] - cSx @ Sy[:, :, None])[:, :, 0],
                 dXt @ Xt.transpose(0, 2, 1) - cSx @ Sx.transpose(0, 2, 1))
 
     def _study_sums(self, a):
@@ -258,18 +276,18 @@ class Problem:
         return self._blocks(self._evaluate_block, design, point)
 
     def _evaluate_block(self, design, point):
-        d, s, c, Sy, Sx, dXt, yVy, XVy, XVX = self._sums(design, point)
+        y, v, d, s, c, Sy, Sx, dXt, yVy, XVy, XVX = self._sums(design, point)
         Li, ok = self._factor(XVX)
         z = Li @ XVy[:, :, None]
         beta = (Li.transpose(0, 2, 1) @ z).transpose(0, 2, 1)   # rows (S, 1, f)
         rss = yVy - (z * z).sum((1, 2))
         xi, zeta = point[:, :1], point[:, 1:]
-        logdetV = np.log(self.v + zeta).sum(1) + np.log1p(xi * s).sum(1)
+        logdetV = np.log(v + zeta).sum(1) + np.log1p(xi * s).sum(1)
 
         g = 1.0 / (1.0 + xi * s)                         # 1'V_j^-1 a_j = g_j 1'D_j^-1 a_j
         sg = s * g                                       # 1'V_j^-1 1
         rt = Sy - (beta @ Sx)[:, 0]                      # 1'D_j^-1 r_j
-        u = d * (self.y - (c * rt)[:, self.index]) - (beta @ dXt)[:, 0]  # V^-1 r
+        u = d * (y - (c * rt)[:, self.index]) - (beta @ dXt)[:, 0]  # V^-1 r
         d2 = d * d
         s2 = np.add.reduceat(d2, self.offsets, axis=1)
         s3 = np.add.reduceat(d2 * d, self.offsets, axis=1)
@@ -462,10 +480,10 @@ def _fit_problem(problem: Problem):
     The starts of all designs ascend in lockstep (see ``_ascend``), and the
     best start of each design wins.
     """
-    s = float(np.clip(np.var(problem.y), VAR_FLOOR, VAR_CEIL))
-    starts = np.array([(VAR_FLOOR, VAR_FLOOR), (VAR_FLOOR, s), (s, VAR_FLOOR)])
     design, start = [], []
     for k, pin in enumerate(problem.pin):                # no start lifts a pinned component
+        s = float(np.clip(np.var(problem.y[k]), VAR_FLOOR, VAR_CEIL))
+        starts = np.array([(VAR_FLOOR, VAR_FLOOR), (VAR_FLOOR, s), (s, VAR_FLOOR)])
         for point in dict.fromkeys(map(tuple, starts[~(pin & (starts > VAR_FLOOR)).any(1)])):
             design.append(k)
             start.append(point)
@@ -493,8 +511,8 @@ def _fit_problem(problem: Problem):
             cov_beta=cov[row[k]], varcomps=VarianceComponents(*map(float, point[i])),
             loglik=float(loglik[i]), method=problem.method, converged=bool(converged[i]),
             n_evaluations=int(total[k]), m=problem.m, h=problem.h, f=problem.f,
-            y=problem.y, X=problem.X[:, problem.columns[k]],
-            group_sizes=problem.group_sizes, v=problem.v)
+            y=problem.y[k], X=problem.X[:, problem.columns[k]],
+            group_sizes=problem.group_sizes, v=problem.v[k])
     return map(result, range(count))
 
 
@@ -502,10 +520,12 @@ def fit_designs(y, X, group_sizes, v, method: str = "reml", columns=None):
     """Fit designs of any widths, each as fit_model fits it alone.
 
     Design k is ``X[:, columns[k]]``, or X itself when ``columns`` is None.
-    The designs of one width form one Problem, whose designs and starts
-    ascend in lockstep.  Yields (k, result) pairs lazily, one width at a
-    time in order of first appearance, so only one width's fits are alive
-    at once.  result is the FitResult, or the error fit_model raises:
+    y and v have shape (m,), shared by every design, or (K, m), row k
+    belonging to design k; the study layout is shared.  The designs of one
+    width form one Problem, which gets their rows, and whose designs and
+    starts ascend in lockstep.  Yields (k, result) pairs lazily, one width
+    at a time in order of first appearance, so only one width's fits are
+    alive at once.  result is the FitResult, or the error fit_model raises:
     ValidationError for a design with no more trials than columns,
     LinAlgError for one that a start cannot factor.  A collinear design
     raises LinAlgError for its whole width (see Problem).
@@ -513,16 +533,38 @@ def fit_designs(y, X, group_sizes, v, method: str = "reml", columns=None):
     X = np.asarray(getattr(X, "matrix", X), dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("design must be a 2-d matrix")
+    designs = [range(X.shape[1])] if columns is None else list(columns)
+    y, v = np.asarray(y, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    if any(a.ndim == 2 and len(a) != len(designs) for a in (y, v)):
+        raise ValueError("y and v of shape (K, m) need one row per design")
     widths: dict = {}
-    for k, cols in enumerate([range(X.shape[1])] if columns is None else columns):
+    for k, cols in enumerate(designs):
         widths.setdefault(len(cols), []).append((k, cols))
     for f, members in widths.items():
         if X.shape[0] <= f:
             error = ValidationError(f"need more trials than coefficients (m={X.shape[0]}, f={f})")
             yield from ((k, error) for k, _ in members)
             continue
-        problem = Problem(y, X, group_sizes, v, method, columns=[cols for _, cols in members])
-        yield from zip((k for k, _ in members), _fit_problem(problem))
+        keys = [k for k, _ in members]
+        y_rows, v_rows = (a[keys] if a.ndim == 2 and len(keys) < len(a) else a for a in (y, v))
+        problem = Problem(y_rows, X, group_sizes, v_rows, method,
+                          columns=[cols for _, cols in members])
+        yield from zip(keys, _fit_problem(problem))
+
+
+def fit_or_raise(result, group_sizes) -> FitResult:
+    """A result of ``fit_designs`` as fit_model returns it: the FitResult,
+    or its error raised.  With one study it first warns, to the caller's
+    caller, that sigma2_xi is fixed at 0, unless the error is the
+    ValidationError of a design with too few trials."""
+    if isinstance(result, ValidationError):
+        raise result
+    if np.size(group_sizes) < 2:
+        warnings.warn("only one study: sigma2_xi is not identifiable and is fixed at 0",
+                      stacklevel=3)
+    if isinstance(result, np.linalg.LinAlgError):
+        raise result
+    return result
 
 
 def fit_model(y, X, group_sizes, v, method: str = "reml") -> FitResult:
@@ -545,14 +587,7 @@ def fit_model(y, X, group_sizes, v, method: str = "reml") -> FitResult:
     columns raises ValidationError, a collinear one LinAlgError (see
     Problem).
     """
-    _, fit = next(fit_designs(y, X, group_sizes, v, method))
-    if isinstance(fit, ValidationError):
-        raise fit
-    if np.size(group_sizes) < 2:
-        warnings.warn("only one study: sigma2_xi is not identifiable and is fixed at 0",
-                      stacklevel=2)
-    if isinstance(fit, np.linalg.LinAlgError):
-        raise fit
+    fit = fit_or_raise(next(fit_designs(y, X, group_sizes, v, method))[1], group_sizes)
     labels = getattr(X, "labels", None)
     if labels is not None:
         fit.labels = list(labels)

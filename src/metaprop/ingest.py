@@ -279,7 +279,8 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
     The header must contain study_id, trial_id, n, one column per schema
     feature, and either k or accuracy (in which case k = round(accuracy*n)).
     Trials are stably sorted by study_id so studies form contiguous blocks;
-    input order within a study is preserved.
+    input order within a study is preserved.  A file needs at least 2 data
+    rows, since no model can be fitted to one trial.
     """
     reader = csv.DictReader(io.StringIO(csv_text, newline=None))  # universal newlines
     try:
@@ -352,6 +353,9 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
 
     if not trials:
         raise ValidationError("empty file: no data rows")
+    if len(trials) < 2:
+        raise ValidationError(f"line {rows[0][0]}: the file has one data row and needs at "
+                              "least 2: no model can be fitted to one trial")
     trials.sort(key=lambda t: t.study_id)  # stable: keeps input order within studies
     return Dataset(trials=tuple(trials), schema=schema)
 

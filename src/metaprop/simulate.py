@@ -244,6 +244,9 @@ def generate(config: SimConfig, replicate: int = 0) -> Dataset:
     return Dataset(trials=tuple(trials), schema=schema)
 
 
+_CHUNK = 256   # replicates per fit_designs call: bounds memory, not results
+
+
 @dataclass(frozen=True)
 class RecoveryRecord:
     """Estimates from one replicate of the recovery experiment."""
@@ -269,9 +272,25 @@ class RecoverySummary:
     mean_sigma2_xi: float
     mean_sigma2_zeta: float
     coverage: float
+    coverage_se: float
     bias_sigma2_xi: float
     bias_sigma2_zeta: float
     n_nonconverged: int
+
+
+def _replicates(config: SimConfig, reps: range):
+    """The keyword arguments of ``fit_designs`` for replicates ``reps``,
+    generated in order: y and v with one row per replicate, and the
+    designs side by side in X, replicate k's in ``columns[k]``."""
+    m = sum(config.trial_counts())
+    y, v, designs = np.empty((len(reps), m)), np.empty((len(reps), m)), []
+    for k, rep in enumerate(reps):
+        data = generate(config, replicate=rep)
+        y[k], v[k] = engine.effect_arrays(data)
+        designs.append(encode_design(data, data.schema.names).matrix)
+    ends = np.cumsum([design.shape[1] for design in designs])
+    columns = [range(end - design.shape[1], end) for design, end in zip(designs, ends)]
+    return {"y": y, "X": np.hstack(designs), "v": v, "columns": columns}
 
 
 def recovery_experiment(config: SimConfig, replications: int,
@@ -280,30 +299,41 @@ def recovery_experiment(config: SimConfig, replications: int,
 
     The fitted model includes whatever moderators the generator injected
     (so the intercept estimates mu); coverage counts 95% CIs containing
-    the true mu.  Relative variance-component biases are against the
-    configured truths, or nan for truths of zero.
+    the true mu, and coverage_se is its Monte Carlo standard error.
+    Relative variance-component biases are against the configured
+    truths, or nan for truths of zero.
+
+    Replicates are generated in order, _CHUNK at a time, and only their
+    effects, sampling variances and design matrices are kept; each chunk
+    is then fitted by one ``engine.fit_designs`` call, which advances the
+    starts of every replicate of one design width in lockstep.  Memory
+    thus grows with _CHUNK, not with the replications, and each record
+    equals ``engine.fit_model`` on its replicate alone.  The first failing
+    replicate raises fit_model's error.
     """
     if replications < 1:
         raise ValidationError("replications must be >= 1")
 
+    group_sizes = np.array(config.trial_counts())
     records = []
-    for rep in range(replications):
-        data = generate(config, replicate=rep)
-        y, v = engine.effect_arrays(data)
-        design = encode_design(data, data.schema.names)
-        fit = engine.fit_model(y, design, data.group_sizes(), v, method=method)
-        mu_hat = float(fit.beta[0])
-        se = math.sqrt(max(float(fit.cov_beta[0, 0]), 0.0))
-        covered = abs(mu_hat - config.mu) <= engine.Z95 * se
-        pooled = engine.pooled_estimate(fit)
-        records.append(RecoveryRecord(
-            replicate=rep, mu_hat=mu_hat, se=se,
-            sigma2_xi_hat=fit.varcomps.sigma2_xi,
-            sigma2_zeta_hat=fit.varcomps.sigma2_zeta,
-            covered=covered, prop=pooled.prop, converged=fit.converged))
+    for first in range(0, replications, _CHUNK):
+        reps = range(first, min(first + _CHUNK, replications))
+        fits = dict(engine.fit_designs(group_sizes=group_sizes, method=method,
+                                       **_replicates(config, reps)))
+        for k, rep in enumerate(reps):
+            fit = engine.fit_or_raise(fits.pop(k), group_sizes)
+            mu_hat = float(fit.beta[0])
+            se = math.sqrt(max(float(fit.cov_beta[0, 0]), 0.0))
+            records.append(RecoveryRecord(
+                replicate=rep, mu_hat=mu_hat, se=se,
+                sigma2_xi_hat=fit.varcomps.sigma2_xi,
+                sigma2_zeta_hat=fit.varcomps.sigma2_zeta,
+                covered=abs(mu_hat - config.mu) <= engine.Z95 * se,
+                prop=engine.pooled_estimate(fit).prop, converged=fit.converged))
 
     mean_xi = float(np.mean([r.sigma2_xi_hat for r in records]))
     mean_zeta = float(np.mean([r.sigma2_zeta_hat for r in records]))
+    coverage = float(np.mean([r.covered for r in records]))
 
     def rel_bias(mean_est, truth):
         return (mean_est - truth) / truth if truth > 0 else math.nan
@@ -312,7 +342,8 @@ def recovery_experiment(config: SimConfig, replications: int,
         config=config, replications=replications, records=records,
         mean_mu=float(np.mean([r.mu_hat for r in records])),
         mean_sigma2_xi=mean_xi, mean_sigma2_zeta=mean_zeta,
-        coverage=float(np.mean([r.covered for r in records])),
+        coverage=coverage,
+        coverage_se=math.sqrt(coverage * (1.0 - coverage) / replications),
         bias_sigma2_xi=rel_bias(mean_xi, config.sigma2_xi),
         bias_sigma2_zeta=rel_bias(mean_zeta, config.sigma2_zeta),
         n_nonconverged=sum(1 for r in records if not r.converged))

@@ -130,6 +130,16 @@ class TestFit:
         assert code == 2
         assert needle in err
 
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_one_trial_exit_2(self, capsys, tmp_path, command):
+        # no model fits one trial: ingest says so, not the engine or the search
+        data, schema = tmp_path / "one.csv", tmp_path / "schema.yaml"
+        data.write_text("study_id,trial_id,k,n\nS1,t1,8,10\n")
+        schema.write_text("features: {}\n")
+        code, out, err = run(capsys, command, data, schema, "--out-dir", tmp_path / "out")
+        assert code == 2 and out == ""
+        assert "line 2: the file has one data row and needs at least 2" in err
+
     def test_missing_file_exit_2(self, capsys, example_paths):
         code, _, err = run(capsys, "fit", "/nonexistent.csv", example_paths["schema"])
         assert code == 2

@@ -256,6 +256,32 @@ class TestFitDesigns:
             assert fit.loglik == pytest.approx(alone.loglik, abs=1e-12)
 
 
+    @pytest.mark.parametrize("method", ["reml", "ml"])
+    def test_rows_per_design_fit_as_separate_calls(self, method):
+        # y and v of shape (K, m): design k fits its own rows, as K separate calls
+        gen = np.random.default_rng(47)
+        sizes = np.array([3, 1, 4, 2, 5, 3])
+        m = int(sizes.sum())
+        pool = np.column_stack([np.ones(m), gen.normal(size=(m, 3))])
+        columns = [[0], [0, 1], [0], [0, 2, 3], [0, 1], [0]]
+        ys = gen.normal(1.0, 0.4, (len(columns), m))
+        vs = gen.uniform(0.01, 0.4, (len(columns), m))
+        for y, v in [(ys, vs), (ys, vs[0]), (ys[0], vs)]:
+            results = dict(engine.fit_designs(y, pool, sizes, v, method, columns))
+            for k, cols in enumerate(columns):
+                y_k, v_k = (a[k] if a.ndim == 2 else a for a in (y, v))
+                alone = fit_model(y_k, pool[:, cols], sizes, v_k, method=method)
+                fit = results[k]
+                assert (fit.varcomps, fit.loglik, fit.converged, fit.n_evaluations) == \
+                    (alone.varcomps, alone.loglik, alone.converged, alone.n_evaluations)
+                for name in ("beta", "cov_beta", "y", "v", "X"):
+                    assert np.array_equal(getattr(fit, name), getattr(alone, name)), name
+        with pytest.raises(ValueError, match="one row per design"):
+            next(engine.fit_designs(ys[:3], pool, sizes, vs, method, columns))
+        with pytest.raises(ValueError, match="shape"):
+            Problem(ys[:3], pool, sizes, vs[0], method, columns=[[0], [1]])
+
+
 class TestGls:
     def test_degenerate_weighted_mean(self):
         # zero variance components: exact inverse-variance weighting

@@ -55,9 +55,15 @@ class TestParse:
         assert ds.trials[2].features["model"] == "base"
 
     def test_accuracy_column_instead_of_k(self):
-        text = "study_id,trial_id,accuracy,n,size,model,lang\nS1,t1,0.8,100,1000,lr,en\n"
+        text = ("study_id,trial_id,accuracy,n,size,model,lang\nS1,t1,0.8,100,1000,lr,en\n"
+                "S1,t2,0.45,50,1000,lr,en\n")
         ds = parse_dataset(text, SCHEMA)
-        assert ds.trials[0].k == 80
+        assert [t.k for t in ds.trials] == [80, 23]
+
+    def test_one_trial_rejected(self):
+        text = "study_id,trial_id,k,n,size,model,lang\nS1,t1,80,100,1000,lr,en\n"
+        with pytest.raises(ValidationError, match="line 2: the file has one data row"):
+            parse_dataset(text, SCHEMA)
 
     def test_k_greater_than_n(self):
         bad = "study_id,trial_id,k,n,size,model,lang\nS1,t1,101,100,1000,lr,en\n"

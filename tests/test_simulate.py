@@ -1,17 +1,29 @@
 import hashlib
 import io
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaprop import rng
-from metaprop.ingest import ValidationError, parse_dataset, write_dataset_csv
+from metaprop import engine, rng, simulate
+from metaprop.ingest import ValidationError, encode_design, parse_dataset, write_dataset_csv
 from metaprop.simulate import (Moderator, SimConfig, generate, load_simconfig,
                                recovery_experiment)
 from metaprop.transforms import ft_inverse
+
+EXAMPLE_SIMCONFIG = pathlib.Path(__file__).resolve().parents[1] / "data" / "example_simconfig.yaml"
+# four studies: in replicates 1, 6 and 13 every study draws the same level of g,
+# so g drops out and those designs have two columns instead of three
+MODERATED = SimConfig(h=4, trials_per_study=[2, 3, 1, 3], mu=1.1, sigma2_xi=0.01,
+                      sigma2_zeta=0.005, n_range=(50, 400), seed=1,
+                      moderators=[Moderator("x", 0.1), Moderator("g", 0.05, "categorical")])
 
 
 def reference_binomial(key, n, p):
@@ -36,6 +48,37 @@ def first_read_p(key, step):
 _N_CASES = st.sampled_from([1, 2, 1022, 1023, 1024, 1025, 2047, 2048]) | st.integers(0, 2100)
 _P_CASES = (st.sampled_from([0.0, 1.0, 2.0 ** -53, 1 - 2.0 ** -53]) | st.floats(0.0, 1.0)
             | st.sampled_from([-1, 0, 1]))      # an int is a step for first_read_p
+
+
+def batch_mismatches(chunk=5):
+    """Records of ``recovery_experiment``, fitted ``chunk`` replicates per
+    ``fit_designs`` call, that differ in any bit from ``fit_model`` on their
+    replicate alone: example gaussian and binomial, and MODERATED by REML
+    and by ML.  Returns (config, replicate, record, alone) tuples."""
+    example = load_simconfig(EXAMPLE_SIMCONFIG)
+    binomial = load_simconfig(EXAMPLE_SIMCONFIG)
+    binomial.mode = "binomial"
+    cases = [("gaussian", example, 12, "reml"), ("binomial", binomial, 12, "reml"),
+             ("moderated", MODERATED, 16, "reml"), ("moderated-ml", MODERATED, 16, "ml")]
+    saved, simulate._CHUNK = simulate._CHUNK, chunk
+    try:
+        mismatches = []
+        for name, config, reps, method in cases:
+            for rec in recovery_experiment(config, reps, method=method).records:
+                data = generate(config, rec.replicate)
+                y, v = engine.effect_arrays(data)
+                fit = engine.fit_model(y, encode_design(data, data.schema.names),
+                                       data.group_sizes(), v, method=method)
+                alone = (float(fit.beta[0]), math.sqrt(max(float(fit.cov_beta[0, 0]), 0.0)),
+                         fit.varcomps.sigma2_xi, fit.varcomps.sigma2_zeta,
+                         engine.pooled_estimate(fit).prop, fit.converged)
+                got = (rec.mu_hat, rec.se, rec.sigma2_xi_hat, rec.sigma2_zeta_hat, rec.prop,
+                       rec.converged)
+                if got != alone:
+                    mismatches.append((name, rec.replicate, repr(got), repr(alone)))
+        return mismatches
+    finally:
+        simulate._CHUNK = saved
 
 
 def base_config(**kw):
@@ -281,3 +324,68 @@ class TestRecovery:
     def test_invalid_replications(self):
         with pytest.raises(ValidationError):
             recovery_experiment(base_config(), 0)
+
+    def test_batched_records_equal_fit_model_alone(self):
+        widths = {encode_design(generate(MODERATED, r), ["x", "g"]).f for r in range(16)}
+        assert widths == {2, 3}
+        assert batch_mismatches() == []
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_batched_records_equal_fit_model_alone_per_blas_threads(self, threads):
+        tests, src = pathlib.Path(__file__).resolve().parent, pathlib.Path(simulate.__file__)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src.parents[1]),
+                                                            os.environ.get("PYTHONPATH")])))
+        code = (f"import json, sys, warnings; sys.path.insert(0, {str(tests)!r}); "
+                "warnings.simplefilter('ignore', UserWarning); import test_simulate; "
+                "print(json.dumps(test_simulate.batch_mismatches()))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=300)
+        assert json.loads(out.stdout) == []
+
+    def test_records_pinned(self):
+        # literal records: the batched fit gives the values of one fit per replicate
+        cfg = SimConfig(h=3, trials_per_study=[2, 3, 2], mu=1.0, sigma2_xi=0.01,
+                        sigma2_zeta=0.004, n_range=(30, 300), seed=5)
+        summary = recovery_experiment(cfg, 3)
+        expected = [
+            (0.9929871122506918, 0.03749658638147092, 0.0013259825452214763,
+             0.0052206495769035865, 0.7019596785631987),
+            (1.115904760260548, 0.07288019453956926, 0.014621838942765775,
+             0.0010391118886385262, 0.8085819806669832),
+            (1.0614872754041766, 0.08905992609619606, 0.022185674771215025,
+             0.0016628672467013882, 0.7643404472657607)]
+        for r, (rec, values) in enumerate(zip(summary.records, expected)):
+            assert (rec.replicate, rec.covered, rec.converged) == (r, True, True)
+            assert (rec.mu_hat, rec.se, rec.sigma2_xi_hat, rec.sigma2_zeta_hat,
+                    rec.prop) == pytest.approx(values, rel=1e-10)
+        assert summary.coverage == 1.0 and summary.coverage_se == 0.0
+
+    def test_chunks_keep_replicate_order_and_errors(self, monkeypatch):
+        # 7 replicates in chunks of 3 give the records of one chunk, in order; of
+        # two failing replicates, the first raises fit_model's error
+        monkeypatch.setattr(simulate, "_CHUNK", 3)
+        cfg = base_config(h=5, trials_per_study=2)
+        chunked = recovery_experiment(cfg, 7)
+        assert [r.replicate for r in chunked.records] == list(range(7))
+        monkeypatch.setattr(simulate, "_CHUNK", 256)
+        assert recovery_experiment(cfg, 7).records == chunked.records
+        fit_designs = engine.fit_designs
+
+        def failing(*args, **kwargs):
+            for k, fit in fit_designs(*args, **kwargs):
+                yield k, np.linalg.LinAlgError(f"design {k}") if k in (4, 5) else fit
+        monkeypatch.setattr(engine, "fit_designs", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="design 4"):
+            recovery_experiment(cfg, 7)
+
+    def test_single_study_warns(self):
+        cfg = base_config(h=1, trials_per_study=6)
+        with pytest.warns(UserWarning, match="one study"):
+            summary = recovery_experiment(cfg, 3)
+        assert all(r.sigma2_xi_hat == engine.VAR_FLOOR for r in summary.records)
+
+    def test_coverage_se(self):
+        summary = recovery_experiment(base_config(h=5, trials_per_study=3), 8)
+        c = summary.coverage
+        assert summary.coverage_se == math.sqrt(c * (1.0 - c) / 8)
