@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Check that the subset search and the recovery experiment give the same
-results as another checkout.
+"""Check that the subset search, the recovery experiment and the other
+commands give the same results as another checkout.
 
     python3 scripts/search_equivalence.py PARENT_DIR
 
@@ -26,8 +26,13 @@ binomial mode, and a small layout with a numeric and a categorical
 moderator, whose design width varies across replicates.  300 replicates
 span more than one fitted chunk.  The exit codes must be equal and the
 stdout byte-identical; keys that only this checkout prints are listed,
-and the parent's keys must serialize to the parent's bytes.  Exits 1 on
-any mismatch.
+and the parent's keys must serialize to the parent's bytes.
+
+Last, on both sides, it runs ``metaprop simulate`` on the same three
+configs, ``metaprop fit --diagnostics --format json`` and ``metaprop
+forest`` on the example, and checks that the exit codes are equal and
+the simulated CSV and schema, the fit's stdout and the forest SVG
+byte-identical.  Exits 1 on any mismatch.
 """
 
 import csv
@@ -174,12 +179,16 @@ def recover_configs() -> dict:
     return {"gaussian": example, "binomial": binomial, "moderated": MODERATED_CONFIG}
 
 
+def write_config(tmp: pathlib.Path, name: str, config: dict) -> pathlib.Path:
+    path = tmp / f"config_{name}.yaml"
+    path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    return path
+
+
 def recover_problems(parent: pathlib.Path, tmp: pathlib.Path, name: str, config: dict) -> list:
     """Run one recovery experiment on both sides and compare the JSON it prints."""
     label = f"recover {name}"
-    path = tmp / f"recover_{name}.yaml"
-    path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
-    argv = ("recover", path, "--reps", RECOVER_REPS, "--format", "json")
+    argv = ("recover", write_config(tmp, name, config), "--reps", RECOVER_REPS, "--format", "json")
     (code, stdout), (parent_code, parent_stdout) = run_cli(ROOT, *argv), run_cli(parent, *argv)
     problems = []
     if code != parent_code:
@@ -194,6 +203,32 @@ def recover_problems(parent: pathlib.Path, tmp: pathlib.Path, name: str, config:
     return problems
 
 
+def output_problems(parent: pathlib.Path, tmp: pathlib.Path, label: str, argv,
+                    outputs=()) -> list:
+    """Run ``metaprop ARGV`` on both sides and compare the bytes it writes.
+
+    Each name in OUTPUTS is a file the command writes into a directory of
+    each side's own; an ARGV item equal to the first name stands for its
+    path there.  Without OUTPUTS, stdout is compared.
+    """
+    results = []
+    for side, checkout in (("here", ROOT), ("parent", parent)):
+        where = tmp / f"{side} {label}"
+        where.mkdir()
+        code, stdout = run_cli(checkout, *(where / a if outputs and a == outputs[0] else a
+                                          for a in argv))
+        results.append((code, [(where / name).read_bytes() for name in outputs] or [stdout]))
+    (code, ours), (parent_code, theirs) = results
+    problems = []
+    if code != parent_code:
+        problems.append(f"{label}: exit code {code} here, {parent_code} in the parent")
+    for name, x, y in zip(outputs or ["stdout"], ours, theirs):
+        if x != y:
+            problems.append(f"{label}: {name} differs")
+    print(f"{label}: compared {', '.join(outputs or ['stdout'])}")
+    return problems
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -203,11 +238,19 @@ def main(argv) -> int:
         print(f"error: no metaprop checkout at {parent}", file=sys.stderr)
         return 2
     problems = []
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp_name:
+        tmp = pathlib.Path(tmp_name)
         for strategy, likelihood in SEARCHES:
-            problems += search_problems(parent, pathlib.Path(tmp), strategy, likelihood)
+            problems += search_problems(parent, tmp, strategy, likelihood)
         for name, config in recover_configs().items():
-            problems += recover_problems(parent, pathlib.Path(tmp), name, config)
+            problems += recover_problems(parent, tmp, name, config)
+            problems += output_problems(parent, tmp, f"simulate {name}",
+                                        ("simulate", write_config(tmp, name, config), "sim.csv"),
+                                        ("sim.csv", "sim_schema.yaml"))
+        problems += output_problems(parent, tmp, "fit --diagnostics",
+                                    ("fit", DATA, SCHEMA, "--diagnostics", "--format", "json"))
+        problems += output_problems(parent, tmp, "forest", ("forest", DATA, SCHEMA, "forest.svg"),
+                                    ("forest.svg",))
     for problem in problems:
         print(f"MISMATCH {problem}")
     print("equivalent" if not problems else f"{len(problems)} mismatches")

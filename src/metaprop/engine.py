@@ -39,8 +39,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .ingest import ValidationError, independent_columns
-from .transforms import HALF_PI, ft_inverse, ft_theta, ft_variance
+from .ingest import COLLINEARITY_TOL, ValidationError
+from .transforms import HALF_PI, ft_inverse_array, ft_theta, ft_variance
 
 __all__ = [
     "VAR_FLOOR",
@@ -56,6 +56,7 @@ __all__ = [
     "fit_designs",
     "fit_or_raise",
     "fit_model",
+    "pooled_mean",
     "pooled_estimate",
     "predict_study_effects",
     "study_weights",
@@ -119,16 +120,9 @@ def marginal_covariance(group_sizes, varcomps: VarianceComponents, v) -> np.ndar
     sizes = np.asarray(group_sizes, dtype=np.int64)
     if int(sizes.sum()) != v.size:
         raise ValueError("group sizes must sum to the number of trials")
-    m = v.size
-    V = np.zeros((m, m))
-    start = 0
-    for size in sizes:
-        stop = start + int(size)
-        V[start:stop, start:stop] = varcomps.sigma2_xi
-        idx = np.arange(start, stop)
-        V[idx, idx] += varcomps.sigma2_zeta + v[start:stop]
-        start = stop
-    return V
+    study = np.repeat(np.arange(sizes.size), sizes)
+    return (varcomps.sigma2_xi * (study[:, None] == study[None, :])
+            + np.diag(varcomps.sigma2_zeta + v))
 
 
 class Problem:
@@ -169,6 +163,7 @@ class Problem:
             raise ValueError("columns must be a 2-d array of column indices")
         self.group_sizes = np.asarray(group_sizes, dtype=np.int64)
         self.m, self.f = self.X.shape[0], self.columns.shape[1]
+        self.block = max(1, _BLOCK // (self.m * (self.f + 6)))   # problems per kernel call
         self.h = len(self.group_sizes)
         self.y, self.v = self._rows(y), self._rows(v)   # row k belongs to design k
         if int(self.group_sizes.sum()) != self.m or np.any(self.group_sizes < 1):
@@ -182,14 +177,19 @@ class Problem:
         self.pin = np.zeros((len(self.columns), 2), dtype=bool)
         self.pin[:, 0] = self.h < 2
         self.pin[:, 1] = np.all(self.group_sizes == 1)
-        for k, cols in enumerate(self.columns):
-            kept, basis = independent_columns(self.X[:, cols])
-            if kept.size < self.f:
+        # one QR per design: independent_columns drops a column exactly when its
+        # first pass finds |R_ii| <= COLLINEARITY_TOL ||X_i||, or m < f; and
+        # study indicator Z_j lies in span(X) iff |Z_j'Q|^2 = n_j
+        for a in range(0, len(self.columns), self.block):
+            X = self.Xt[self.columns[a:a + self.block]].transpose(0, 2, 1)
+            Q, R = np.linalg.qr(X)
+            r = R.shape[1]                               # min(m, f)
+            if r < self.f or np.any(np.abs(np.diagonal(R, axis1=1, axis2=2))
+                                    <= COLLINEARITY_TOL * np.linalg.norm(X[:, :, :r], axis=1)):
                 raise np.linalg.LinAlgError(_RANK_DEFICIENT)
-            # study indicator Z_j lies in span(X) iff |Z_j'basis|^2 = n_j
-            proj = np.add.reduceat(basis, self.offsets, axis=0)
-            self.pin[k, 0] |= bool(np.all(self.group_sizes - (proj * proj).sum(1)
-                                          <= 1e-8 * self.group_sizes))
+            proj = np.add.reduceat(Q, self.offsets, axis=1)
+            self.pin[a:a + self.block, 0] |= np.all(
+                self.group_sizes - (proj * proj).sum(2) <= 1e-8 * self.group_sizes, axis=1)
 
     def _rows(self, a):
         """y or v as a (K, m) array whose row k is design k's: a (K, m) array
@@ -250,12 +250,11 @@ class Problem:
 
     def _blocks(self, kernel, design, point):
         """Apply a kernel to (design, point) stacks in blocks of at most
-        _BLOCK // (m (f + 6)) problems; an empty stack gives empty results."""
+        ``block`` problems; an empty stack gives empty results."""
         design = np.asarray(design, dtype=np.intp)
         point = np.asarray(point, dtype=np.float64).reshape(-1, 2)
-        rows = max(1, _BLOCK // (self.m * (self.f + 6)))
-        parts = [kernel(design[a:a + rows], point[a:a + rows])
-                 for a in range(0, max(len(design), 1), rows)]
+        parts = [kernel(design[a:a + self.block], point[a:a + self.block])
+                 for a in range(0, max(len(design), 1), self.block)]
         return tuple(map(np.concatenate, zip(*parts)))
 
     def evaluate_batch(self, design, point):
@@ -607,6 +606,13 @@ class PooledEstimate:
     prop_high: float
 
 
+def pooled_mean(fit: FitResult) -> tuple:
+    """(mu, se) of the model prediction at the column means of the design:
+    the transformed-scale part of ``pooled_estimate``."""
+    c = fit.X.mean(axis=0)
+    return float(c @ fit.beta), math.sqrt(max(float(c @ fit.cov_beta @ c), 0.0))
+
+
 def pooled_estimate(fit: FitResult, level: float = 0.95,
                     quantile: str = "normal") -> PooledEstimate:
     """Population mean with a symmetric CI, on both scales.
@@ -620,9 +626,7 @@ def pooled_estimate(fit: FitResult, level: float = 0.95,
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
-    c = fit.X.mean(axis=0)
-    mu = float(c @ fit.beta)
-    se = math.sqrt(max(float(c @ fit.cov_beta @ c), 0.0))
+    mu, se = pooled_mean(fit)
     if quantile == "normal":
         z = NormalDist().inv_cdf(0.5 + level / 2.0)
     elif quantile == "t":
@@ -631,12 +635,10 @@ def pooled_estimate(fit: FitResult, level: float = 0.95,
         raise ValueError(f"unknown quantile kind {quantile!r}")
     lo, hi = mu - z * se, mu + z * se
     n_equiv = math.inf if se == 0.0 else 1.0 / (se * se)
-    clamp = lambda t: min(max(t, 0.0), HALF_PI)
-    return PooledEstimate(
-        mu=mu, se=se, ci_low=lo, ci_high=hi,
-        prop=ft_inverse(clamp(mu), n_equiv),
-        prop_low=ft_inverse(clamp(lo), n_equiv),
-        prop_high=ft_inverse(clamp(hi), n_equiv))
+    prop, prop_low, prop_high = ft_inverse_array(np.clip([mu, lo, hi], 0.0, HALF_PI),
+                                                 n_equiv).tolist()
+    return PooledEstimate(mu=mu, se=se, ci_low=lo, ci_high=hi, prop=prop,
+                          prop_low=prop_low, prop_high=prop_high)
 
 
 def _t_quantile(df: int, p: float) -> float:
@@ -721,6 +723,4 @@ def study_weights(fit: FitResult) -> np.ndarray:
 
 def effect_arrays(dataset):
     """Transformed effect sizes and sampling variances for a dataset."""
-    k = dataset.k_array()
-    n = dataset.n_array()
-    return ft_theta(k, n), ft_variance(n)
+    return ft_theta(dataset.k, dataset.n), ft_variance(dataset.n)

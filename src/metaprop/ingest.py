@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -180,9 +182,8 @@ def load_schema(path) -> FeatureSchema:
     return FeatureSchema.from_yaml(read_text(path))
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial: classification counts plus feature values."""
+class TrialRecord(NamedTuple):
+    """One row of ``Dataset.trials``: a trial's counts and feature values."""
 
     study_id: str
     trial_id: str
@@ -190,73 +191,86 @@ class TrialRecord:
     n: int
     features: dict
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"trial {self.trial_id!r}: n must be >= 1, got {self.n}")
-        if not 0 <= self.k <= self.n:
-            raise ValidationError(f"trial {self.trial_id!r}: need 0 <= k <= n, got k={self.k}, n={self.n}")
-
     @property
     def p(self) -> float:
         return self.k / self.n
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """Validated trials grouped contiguously by study."""
+    """Validated trials, one read-only array per field: str ``study_id`` and
+    ``trial_id`` (object arrays, so a label keeps every character), int64
+    ``k`` and ``n``, and ``features``, each schema feature's float64 or str
+    column in schema order.  The columns are checked once, here: one value
+    per trial in each and at least one trial, n >= 1, 0 <= k <= n, and each
+    study's trials contiguous.
+    """
 
-    trials: tuple
-    schema: FeatureSchema
+    def __init__(self, study_id, trial_id, k, n, features: dict, schema: FeatureSchema):
+        if set(features) != set(schema.names):
+            raise ValidationError(f"feature columns {sorted(features)} do not match the schema")
+        self.schema = schema
+        self.study_id, self.trial_id = np.array(study_id, object), np.array(trial_id, object)
+        self.k, self.n = np.array(k, np.int64), np.array(n, np.int64)
+        self.features = {e.name: np.array(features[e.name], float if e.kind == "numeric" else object)
+                         for e in schema.entries}
+        columns = [self.study_id, self.trial_id, self.k, self.n, *self.features.values()]
+        for column in columns:
+            column.setflags(write=False)
+        if self.k.ndim != 1 or not self.m or any(c.shape != self.k.shape for c in columns):
+            raise ValidationError("every column needs one value per trial, for one trial or more")
+        for bad, rule in ((self.n < 1, "n must be >= 1"),
+                          ((self.k < 0) | (self.k > self.n), "need 0 <= k <= n")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValidationError(f"trial {self.trial_id[i]!r}: {rule}, "
+                                      f"got k={self.k[i]}, n={self.n[i]}")
+        first = np.ones(self.m, dtype=bool)              # where each study starts
+        np.not_equal(self.study_id[1:], self.study_id[:-1], out=first[1:])
+        self._starts = np.flatnonzero(first)
+        split = [sid for sid, runs in Counter(self.study_ids()).items() if runs > 1]
+        if split:
+            raise ValidationError(f"study {split[0]!r}: its trials are not contiguous")
 
     @property
     def m(self) -> int:
-        return len(self.trials)
+        return len(self.k)
 
     @property
     def h(self) -> int:
-        return len(set(t.study_id for t in self.trials))
+        return len(self._starts)
 
     def study_ids(self) -> list[str]:
-        out = []
-        for t in self.trials:
-            if not out or out[-1] != t.study_id:
-                out.append(t.study_id)
-        return out
+        return self.study_id[self._starts].tolist()
 
     def group_sizes(self) -> np.ndarray:
-        counts: list = []
-        prev = None
-        for t in self.trials:
-            if t.study_id != prev:
-                counts.append(0)
-                prev = t.study_id
-            counts[-1] += 1
-        return np.asarray(counts, dtype=np.int64)
+        return np.diff(self._starts, append=self.m).astype(np.int64)
 
-    def k_array(self) -> np.ndarray:
-        return np.asarray([t.k for t in self.trials], dtype=np.int64)
-
-    def n_array(self) -> np.ndarray:
-        return np.asarray([t.n for t in self.trials], dtype=np.int64)
+    @cached_property
+    def trials(self) -> tuple:
+        """The rows, built on first use: one TrialRecord of Python scalars per trial."""
+        names = list(self.features)
+        rows = zip(*(column.tolist() for column in self.features.values())) if names else [()] * self.m
+        return tuple(map(TrialRecord, self.study_id.tolist(), self.trial_id.tolist(),
+                         self.k.tolist(), self.n.tolist(), [dict(zip(names, row)) for row in rows]))
 
     @cached_property
     def candidate_columns(self) -> tuple:
         """(matrix, labels, owners) of every column ``encode_design`` can slice:
         the intercept (owner None), then per schema feature its numeric column
         or one 0/1 column per observed non-reference category, sorted."""
-        cols, labels, owners = [np.ones(self.m)], ["intercept"], [None]
+        blocks, labels, owners = [np.ones((self.m, 1))], ["intercept"], [None]
         for spec in self.schema.entries:
-            values = [t.features[spec.name] for t in self.trials]
+            column = self.features[spec.name]
             if spec.kind == "numeric":
-                cols.append(np.asarray(values, dtype=np.float64))
-                labels.append(spec.name)
-                owners.append(spec.name)
-                continue
-            for cat in sorted(set(values) - {spec.reference_level}):
-                cols.append(np.asarray([1.0 if v == cat else 0.0 for v in values]))
-                labels.append(f"{spec.name}={cat}")
-                owners.append(spec.name)
-        matrix = np.column_stack(cols)
+                blocks.append(column[:, None])
+                names = [spec.name]
+            else:
+                levels = sorted(set(column.tolist()) - {spec.reference_level})
+                blocks.append(column[:, None] == np.array(levels, dtype=object))
+                names = [f"{spec.name}={c}" for c in levels]
+            labels += names
+            owners += [spec.name] * len(names)
+        matrix = np.hstack(blocks, dtype=np.float64)
         matrix.setflags(write=False)                     # shared by every design of the dataset
         return matrix, tuple(labels), tuple(owners)
 
@@ -300,7 +314,8 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
     if missing_feats:
         raise ValidationError(f"missing feature columns: {missing_feats}")
 
-    trials = []
+    study_ids, trial_ids, ks, ns = [], [], [], []
+    features = {name: [] for name in schema.names}
     seen = set()
     for line, row in rows:
         study_id = (row.get("study_id") or "").strip()
@@ -326,7 +341,6 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
         if not 0 <= k <= n:
             raise ValidationError(f"line {line}: need 0 <= k <= n, got k={k}, n={n}")
 
-        feats = {}
         for spec in schema.entries:
             raw = row[spec.name]
             if raw is None or raw.strip() == "":
@@ -343,36 +357,36 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
                 if not math.isfinite(value):
                     raise ValidationError(f"line {line}: feature {spec.name!r} is not finite "
                                           f"after scaling: {raw!r} / {spec.scale!r}")
-                feats[spec.name] = value
             else:
                 try:
-                    feats[spec.name] = spec.map_category(raw)
+                    value = spec.map_category(raw)
                 except ValidationError as exc:
                     raise ValidationError(f"line {line}: {exc}") from None
-        trials.append(TrialRecord(study_id=study_id, trial_id=trial_id, k=k, n=n, features=feats))
+            features[spec.name].append(value)
+        study_ids.append(study_id)
+        trial_ids.append(trial_id)
+        ks.append(k)
+        ns.append(n)
 
-    if not trials:
+    if not study_ids:
         raise ValidationError("empty file: no data rows")
-    if len(trials) < 2:
+    if len(study_ids) < 2:
         raise ValidationError(f"line {rows[0][0]}: the file has one data row and needs at "
                               "least 2: no model can be fitted to one trial")
-    trials.sort(key=lambda t: t.study_id)  # stable: keeps input order within studies
-    return Dataset(trials=tuple(trials), schema=schema)
+    # one stable permutation orders every column: input order stays within studies
+    order = sorted(range(len(study_ids)), key=study_ids.__getitem__)
+    ordered = lambda values: np.array(values, dtype=object)[order]
+    return Dataset(study_id=ordered(study_ids), trial_id=ordered(trial_ids), k=ordered(ks),
+                   n=ordered(ns), schema=schema,
+                   features={name: ordered(values) for name, values in features.items()})
 
 
 def write_dataset_csv(dataset: Dataset, fh) -> None:
     """Serialize a dataset back to the ingest CSV layout."""
-    names = dataset.schema.names
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["study_id", "trial_id", "k", "n"] + names)
-    for t in dataset.trials:
-        writer.writerow([t.study_id, t.trial_id, t.k, t.n] + [_csv_value(t.features[n]) for n in names])
-
-
-def _csv_value(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
+    writer = csv.writer(fh, lineterminator="\n")             # writes a float as its repr
+    writer.writerow(["study_id", "trial_id", "k", "n"] + dataset.schema.names)
+    columns = [dataset.study_id, dataset.trial_id, dataset.k, dataset.n, *dataset.features.values()]
+    writer.writerows(zip(*(column.tolist() for column in columns)))
 
 
 @dataclass
@@ -391,7 +405,7 @@ class DesignMatrix:
 
 
 def independent_columns(X):
-    """The collinearity rule: (indices of the kept columns, orthonormal basis of their span).
+    """The collinearity rule: the indices of the kept columns.
 
     A column is dropped when its residual on the kept columns before it is at
     most COLLINEARITY_TOL times its norm (so all-zero columns and columns past
@@ -400,11 +414,11 @@ def independent_columns(X):
     X = np.asarray(X, dtype=np.float64)
     kept = np.arange(X.shape[1])
     while True:
-        Q, R = np.linalg.qr(X[:, kept])
+        R = np.linalg.qr(X[:, kept], mode="r")
         r = R.shape[0]                                   # min(m, columns left)
         small = np.abs(np.diag(R)) <= COLLINEARITY_TOL * np.linalg.norm(X[:, kept[:r]], axis=0)
         if not small.any():
-            return kept[:r], Q
+            return kept[:r]
         kept = np.delete(kept, np.argmax(small))
 
 
@@ -423,14 +437,13 @@ def encode_design(dataset: Dataset, selected_features) -> DesignMatrix:
         raise ValidationError(f"unknown feature names: {unknown}")
     candidates, labels, owners = dataset.candidate_columns
     offered = [i for i, owner in enumerate(owners) if owner is None or owner in selected]
-    kept = [offered[j] for j in independent_columns(candidates[:, offered])[0]]
-    dropped = set(offered) - set(kept)
+    kept = [offered[j] for j in independent_columns(candidates[:, offered])]
     references = {e.name: e.reference_level for e in dataset.schema.entries
                   if e.name in selected and e.kind == "categorical"}
     return DesignMatrix(
         labels=[labels[i] for i in kept],
         matrix=np.ascontiguousarray(candidates[:, kept]),  # BLAS rounding depends on layout
-        dropped=[labels[i] for i in offered if i in dropped],
+        dropped=[labels[i] for i in offered if i not in kept],
         feature_groups={f: [labels[i] for i in kept if owners[i] == f]
                         for f in dataset.schema.names if f in selected},
         reference_levels=references)
@@ -450,21 +463,15 @@ class FeatureSummary:
 
 def summarize_features(dataset: Dataset) -> list:
     """Per-feature category counts, or min/median/max for numerics."""
-    if dataset.m == 0:
-        raise ValidationError("empty dataset")
     out = []
     for spec in dataset.schema.entries:
-        values = [t.features[spec.name] for t in dataset.trials]
+        column = dataset.features[spec.name]
         if spec.kind == "numeric":
-            arr = np.asarray(values, dtype=np.float64)
             out.append(FeatureSummary(name=spec.name, kind="numeric",
-                                      minimum=float(arr.min()),
-                                      median=float(np.median(arr)),
-                                      maximum=float(arr.max())))
+                                      minimum=float(column.min()),
+                                      median=float(np.median(column)),
+                                      maximum=float(column.max())))
         else:
-            counts: dict = {}
-            for v in values:
-                counts[v] = counts.get(v, 0) + 1
             out.append(FeatureSummary(name=spec.name, kind="categorical",
-                                      counts=dict(sorted(counts.items()))))
+                                      counts=dict(sorted(Counter(column.tolist()).items()))))
     return out

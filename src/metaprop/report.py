@@ -17,7 +17,7 @@ import numpy as np
 from . import engine
 from .engine import Z95
 from .ingest import ValidationError
-from .transforms import HALF_PI, ft_inverse
+from .transforms import HALF_PI, ft_inverse_array
 
 __all__ = [
     "ForestRow",
@@ -41,18 +41,13 @@ class ForestRow:
     weight: float
 
 
-def _to_prop(t: float, se: float) -> float:
-    n_equiv = math.inf if se <= 0.0 else 1.0 / (se * se)
-    return ft_inverse(min(max(t, 0.0), HALF_PI), n_equiv)
-
-
 def forest_rows(fit: engine.FitResult, effects) -> list:
     """Forest rows on the proportion scale from ``engine.predict_study_effects``."""
     rows = []
     for eff, w in zip(effects, engine.study_weights(fit)):
-        est = _to_prop(eff.kappa_hat, eff.se)
-        lo = _to_prop(eff.kappa_hat - Z95 * eff.se, eff.se)
-        hi = _to_prop(eff.kappa_hat + Z95 * eff.se, eff.se)
+        n_equiv = math.inf if eff.se <= 0.0 else 1.0 / (eff.se * eff.se)
+        ends = [eff.kappa_hat, eff.kappa_hat - Z95 * eff.se, eff.kappa_hat + Z95 * eff.se]
+        est, lo, hi = ft_inverse_array(np.clip(ends, 0.0, HALF_PI), n_equiv).tolist()
         rows.append(ForestRow(study_id=eff.study_id, trials=eff.trials,
                               estimate=est, ci=(lo, hi), weight=float(w)))
     return rows

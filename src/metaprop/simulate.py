@@ -3,10 +3,12 @@
 Effect sizes are drawn on the transformed scale: population mean, plus a
 study-level deviation with the between-study variance, plus a
 trial-level deviation with the within-study variance, plus (in gaussian
-mode) a sampling error with variance 1/(4n+2).  Gaussian mode matches
-the estimator's assumed model exactly and is the reference for
-recovery checks; binomial mode instead draws k ~ Binomial(n, p) around
-the back-transformed proportion to probe transform adequacy.
+mode) a sampling error with variance 1/(4n+2).  Effects are then clamped
+to [0, pi/2], the range of the transform, with a warning when more than
+5% are.  Gaussian mode is the reference for recovery checks: it matches
+the estimator's assumed model except where that clamping moves an
+effect.  Binomial mode instead draws k ~ Binomial(n, p) around the
+back-transformed proportion to probe transform adequacy.
 
 All randomness flows through the package PRNG with substreams keyed by
 (replicate, study, trial), so datasets are reproducible across
@@ -24,8 +26,8 @@ import numpy as np
 import yaml
 
 from . import rng
-from .ingest import (Dataset, FeatureSchema, FeatureSpec, TrialRecord, ValidationError,
-                     encode_design, load_mapping, read_text)
+from .ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError, encode_design,
+                     load_mapping, read_text)
 from .transforms import HALF_PI, ft_inverse_array, ft_variance
 from . import engine
 
@@ -150,14 +152,10 @@ class SimConfig:
         return yaml.safe_dump({"simulation": sim}, sort_keys=False)
 
     def schema(self) -> FeatureSchema:
-        entries = []
-        for mod in self.moderators:
-            if mod.kind == "numeric":
-                entries.append(FeatureSpec(name=mod.name, kind="numeric"))
-            else:
-                entries.append(FeatureSpec(name=mod.name, kind="categorical",
-                                           reference_level="a"))
-        return FeatureSchema(entries=tuple(entries))
+        return FeatureSchema(entries=tuple(
+            FeatureSpec(name=mod.name, kind=mod.kind,
+                        reference_level=None if mod.kind == "numeric" else "a")
+            for mod in self.moderators))
 
 
 def _finite(raw) -> float:
@@ -189,7 +187,6 @@ def generate(config: SimConfig, replicate: int = 0) -> Dataset:
     width = max(2, len(str(h)))
     study_idx = np.repeat(np.arange(h), sizes)
     trial_idx = np.concatenate([np.arange(s) for s in sizes])
-    m = int(study_idx.size)
 
     study_streams = rng.Streams(rng.stream_key(config.seed, replicate,
                                                np.arange(h), _STUDY_SENTINEL))
@@ -198,13 +195,11 @@ def generate(config: SimConfig, replicate: int = 0) -> Dataset:
     mod_values = {}
     for mod in config.moderators:
         if mod.kind == "numeric":
-            vals = study_streams.normal()
-            mod_shift += mod.effect * vals
-            mod_values[mod.name] = vals
+            shift = mod_values[mod.name] = study_streams.normal()
         else:
-            is_b = study_streams.uniform() < 0.5
-            mod_shift += mod.effect * is_b.astype(np.float64)
-            mod_values[mod.name] = np.where(is_b, "b", "a")
+            shift = (study_streams.uniform() < 0.5).astype(np.float64)
+            mod_values[mod.name] = np.where(shift, "b", "a")
+        mod_shift += mod.effect * shift
 
     trial_streams = rng.Streams(rng.stream_key(config.seed, replicate, study_idx, trial_idx))
     n = trial_streams.integers(config.n_range[0], config.n_range[1])
@@ -212,8 +207,7 @@ def generate(config: SimConfig, replicate: int = 0) -> Dataset:
 
     theta = config.mu + mod_shift[study_idx] + xi[study_idx] + zeta
     if config.mode == "gaussian":
-        eps = trial_streams.normal() * np.sqrt(ft_variance(n))
-        theta = theta + eps
+        theta = theta + trial_streams.normal() * np.sqrt(ft_variance(n))
     clamped = np.clip(theta, 0.0, HALF_PI)
     clamp_rate = float(np.mean(clamped != theta))
     if clamp_rate > 0.05:
@@ -223,25 +217,15 @@ def generate(config: SimConfig, replicate: int = 0) -> Dataset:
     p = ft_inverse_array(clamped, n.astype(np.float64))
 
     if config.mode == "gaussian":
-        k = np.floor(p * n + 0.5).astype(np.int64)
-        k = np.clip(k, 0, n)
+        k = np.clip(np.floor(p * n + 0.5).astype(np.int64), 0, n)
     else:
         k = rng.binomial(rng.stream_key(config.seed, replicate, study_idx, trial_idx,
                                         _BINOMIAL_SUBKEY), n, p)
 
-    schema = config.schema()
-    trials = []
-    for i in range(m):
-        j = int(study_idx[i])
-        feats = {}
-        for mod in config.moderators:
-            val = mod_values[mod.name][j]
-            feats[mod.name] = float(val) if mod.kind == "numeric" else str(val)
-        trials.append(TrialRecord(
-            study_id=f"S{j + 1:0{width}d}",
-            trial_id=f"S{j + 1:0{width}d}-t{int(trial_idx[i]) + 1}",
-            k=int(k[i]), n=int(n[i]), features=feats))
-    return Dataset(trials=tuple(trials), schema=schema)
+    study_id = np.array([f"S{j + 1:0{width}d}" for j in range(h)], dtype=object)[study_idx]
+    return Dataset(study_id=study_id, trial_id=study_id + "-t" + (trial_idx + 1).astype(str),
+                   k=k, n=n, schema=config.schema(),
+                   features={name: values[study_idx] for name, values in mod_values.items()})
 
 
 _CHUNK = 256   # replicates per fit_designs call: bounds memory, not results
@@ -320,8 +304,13 @@ def recovery_experiment(config: SimConfig, replications: int,
         reps = range(first, min(first + _CHUNK, replications))
         fits = dict(engine.fit_designs(group_sizes=group_sizes, method=method,
                                        **_replicates(config, reps)))
-        for k, rep in enumerate(reps):
-            fit = engine.fit_or_raise(fits.pop(k), group_sizes)
+        fitted = [engine.fit_or_raise(fits[k], group_sizes) for k in range(len(reps))]
+        # pooled_estimate's prop: the clamped pooled mean back-transformed at n = 1/se^2
+        pooled, pooled_se = np.array([engine.pooled_mean(fit) for fit in fitted]).T
+        with np.errstate(divide="ignore"):               # se 0 gives n = inf, as there
+            props = ft_inverse_array(np.clip(pooled, 0.0, HALF_PI),
+                                     1.0 / (pooled_se * pooled_se)).tolist()
+        for rep, fit, prop in zip(reps, fitted, props):
             mu_hat = float(fit.beta[0])
             se = math.sqrt(max(float(fit.cov_beta[0, 0]), 0.0))
             records.append(RecoveryRecord(
@@ -329,7 +318,7 @@ def recovery_experiment(config: SimConfig, replications: int,
                 sigma2_xi_hat=fit.varcomps.sigma2_xi,
                 sigma2_zeta_hat=fit.varcomps.sigma2_zeta,
                 covered=abs(mu_hat - config.mu) <= engine.Z95 * se,
-                prop=engine.pooled_estimate(fit).prop, converged=fit.converged))
+                prop=prop, converged=fit.converged))
 
     mean_xi = float(np.mean([r.sigma2_xi_hat for r in records]))
     mean_zeta = float(np.mean([r.sigma2_zeta_hat for r in records]))

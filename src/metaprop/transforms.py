@@ -235,15 +235,18 @@ def transform_diagnostic(dataset) -> list[DiagnosticRow]:
     """Shapiro-Wilk comparison of the candidate transforms on a dataset.
 
     Transforms that are undefined for some trial (logit/log at boundary
-    proportions) are reported as skipped rows rather than raising.
+    proportions) are reported as skipped rows rather than raising.  The
+    alternatives go through the scalar ``alt_transform``: numpy's arcsin and
+    log can differ from math.asin and math.log in the last bit.
     """
     rows = []
+    trials = list(zip(dataset.k.tolist(), dataset.n.tolist()))
     for kind in _DIAGNOSTIC_KINDS:
         try:
             if kind == "double_arcsine":
-                vals = [ft_transform(t.k, t.n).theta for t in dataset.trials]
+                vals = ft_theta(dataset.k, dataset.n)
             else:
-                vals = [alt_transform(t.k / t.n, t.n, kind).theta for t in dataset.trials]
+                vals = [alt_transform(k / n, n, kind).theta for k, n in trials]
             w, p = shapiro_wilk(vals)
             rows.append(DiagnosticRow(kind=kind, w=w, p_value=p))
         except ValueError as exc:

@@ -419,6 +419,12 @@ class TestFitModel:
             fit_model(y, X, [4, 4], v, method=method)
         with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
             Problem(y, np.column_stack([X[:, :3], np.zeros(8)]), [4, 4], v, method)
+        # one collinear design among full-rank ones of its width rejects the batch
+        both = np.column_stack([X, gen.normal(size=8)])
+        full_rank = [[0, 1, 2], [0, 1, 4], [0, 2, 4], [1, 2, 4]]
+        Problem(y, both, [4, 4], v, method, columns=full_rank)
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            Problem(y, both, [4, 4], v, method, columns=full_rank[:2] + [[1, 2, 3]] + full_rank[2:])
 
     def test_m_not_greater_than_f(self):
         with pytest.raises(ValidationError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaprop.engine import Problem, fit_model
-from metaprop.ingest import (FeatureSchema, FeatureSpec, ValidationError,
+from metaprop.ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError,
                              encode_design, parse_dataset, summarize_features,
                              write_dataset_csv)
 
@@ -123,6 +123,57 @@ class TestParse:
         again = parse_dataset(buf.getvalue(), _identity_schema())
         assert [(t.study_id, t.k, t.n) for t in again.trials] == \
                [(t.study_id, t.k, t.n) for t in ds.trials]
+
+
+def _columns(**changes):
+    """Keyword arguments of a valid two-study Dataset of SCHEMA, changed by CHANGES."""
+    columns = dict(study_id=["S1", "S1", "S2"], trial_id=["t1", "t2", "t1"], k=[45, 40, 80],
+                   n=[50, 50, 100], schema=SCHEMA,
+                   features={"size": [1.5, 3.0, 2.0], "model": ["svm", "nn", "base"],
+                             "lang": ["en", "en", "de"]})
+    return {**columns, **changes}
+
+
+class TestDatasetColumns:
+    def test_columns_and_accessors(self):
+        ds = Dataset(**_columns())
+        assert (ds.m, ds.h, ds.study_ids()) == (3, 2, ["S1", "S2"])
+        assert ds.group_sizes().tolist() == [2, 1]
+        assert ds.k.dtype == ds.n.dtype == np.int64
+        assert ds.features["size"].dtype == np.float64
+        assert ds.features["model"].tolist() == ["svm", "nn", "base"]
+        with pytest.raises(ValueError, match="read-only"):
+            ds.k[0] = 1
+        _, labels, _ = ds.candidate_columns
+        assert labels == ("intercept", "size", "model=nn", "model=svm", "lang=de")
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"n": [50, 0, 100]}, "trial 't2': n must be >= 1"),
+        ({"k": [45, 51, 80]}, "trial 't2': need 0 <= k <= n"),
+        ({"k": [45, 40, -1]}, "trial 't1': need 0 <= k <= n"),
+        ({"trial_id": ["t1", "t2"]}, "one value per trial"),
+        ({"features": {"size": [1.5, 3.0], "model": ["svm", "nn", "base"],
+                       "lang": ["en", "en", "de"]}}, "one value per trial"),
+        ({"study_id": ["S1", "S2", "S1"]}, "study 'S1': its trials are not contiguous"),
+        ({"study_id": [], "trial_id": [], "k": [], "n": [],
+          "features": {"size": [], "model": [], "lang": []}}, "one trial or more"),
+        ({"features": {"size": [1.5, 3.0, 2.0]}}, "do not match the schema"),
+    ], ids=["n-zero", "k-above-n", "k-negative", "short-id-column", "short-feature-column",
+            "non-contiguous", "no-trials", "schema-mismatch"])
+    def test_invalid_columns_rejected(self, changes, message):
+        with pytest.raises(ValidationError, match=message):
+            Dataset(**_columns(**changes))
+
+    def test_trials_rows_hold_python_scalars(self):
+        ds = parse_dataset(CSV, SCHEMA)
+        assert ds.trials is ds.trials                    # built once
+        for row in ds.trials:
+            assert type(row.study_id) is str and type(row.trial_id) is str
+            assert type(row.k) is int and type(row.n) is int
+            assert type(row.features["size"]) is float
+            assert type(row.features["model"]) is str and type(row.features["lang"]) is str
+            assert row.p == row.k / row.n
+        assert ds.trials[0] == ("S1", "t1", 45, 50, {"size": 1.5, "model": "svm", "lang": "en"})
 
 
 def _identity_schema():

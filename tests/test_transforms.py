@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from metaprop.transforms import (DiagnosticRow, alt_transform, ft_inverse,
                                  ft_inverse_array, ft_theta, ft_transform,
                                  shapiro_wilk, transform_diagnostic)
-from metaprop.ingest import Dataset, FeatureSchema, TrialRecord
+from metaprop.ingest import Dataset, FeatureSchema
 
 TESTDATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -189,11 +189,8 @@ class TestShapiroWilk:
 
 
 def _tiny_dataset(ks, ns):
-    schema = FeatureSchema(entries=())
-    trials = tuple(
-        TrialRecord(study_id="S1", trial_id=f"t{i}", k=k, n=n, features={})
-        for i, (k, n) in enumerate(zip(ks, ns)))
-    return Dataset(trials=trials, schema=schema)
+    return Dataset(study_id=["S1"] * len(ks), trial_id=[f"t{i}" for i in range(len(ks))],
+                   k=ks, n=ns, features={}, schema=FeatureSchema(entries=()))
 
 
 class TestTransformDiagnostic:
