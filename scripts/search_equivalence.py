@@ -28,11 +28,18 @@ span more than one fitted chunk.  The exit codes must be equal and the
 stdout byte-identical; keys that only this checkout prints are listed,
 and the parent's keys must serialize to the parent's bytes.
 
-Last, on both sides, it runs ``metaprop simulate`` on the same three
-configs, ``metaprop fit --diagnostics --format json`` and ``metaprop
-forest`` on the example, and checks that the exit codes are equal and
-the simulated CSV and schema, the fit's stdout and the forest SVG
-byte-identical.  Exits 1 on any mismatch.
+Last, it runs the other commands on both sides, each side in a fresh
+directory of its own so that relative paths in the arguments and in
+stdout are the same, and checks that the exit codes are equal and stdout
+and the files each command writes byte-identical: ``simulate`` on the
+same three configs and with ``--replicate 3 --format json``; ``fit`` as
+text, with ``--diagnostics --format json`` and with ``--method ml
+--out-dir`` (fit.json); ``regress --features=all`` as text and JSON with
+regression.md and regression.csv, and ``regress --features=ml_model``;
+``forest`` as text, and with ``--format json`` on both scales and with
+both study-effect methods (the SVG too); ``recover --reps 20`` as text;
+and a four-trial ``select`` whose Full model fails, which exits 3 with a
+notes footer (its comparison tables and trail).  Exits 1 on any mismatch.
 """
 
 import csv
@@ -57,6 +64,11 @@ MODERATED_CONFIG = {"simulation": {
     "moderators": [{"name": "x", "effect": 0.1, "kind": "numeric"},
                    {"name": "g", "effect": 0.05, "kind": "categorical"}]}}
 
+# four trials and a four-level feature: the Full model has m == f
+FAILING_SELECT = ("study_id,trial_id,k,n,grp\nS1,t1,80,100,a\nS1,t2,70,90,b\n"
+                  "S2,t1,60,100,c\nS2,t2,75,80,d\n",
+                  "features:\n  grp:\n    kind: categorical\n    reference_level: a\n")
+
 ALL = ("train_test_ratio", "training_size", "sentiment_classes", "ml_model",
        "n_extraction_methods", "extraction_method", "language", "labeling_method",
        "majority_class", "topic", "dataset_type", "confusion_matrix")
@@ -72,13 +84,14 @@ FIVE_MODEL_TABLE = [
 ]
 
 
-def run_cli(checkout: pathlib.Path, *argv, codes=(0,)) -> tuple:
-    """(exit code, stdout) of ``metaprop ARGV`` run from ``checkout``."""
+def run_cli(checkout: pathlib.Path, *argv, codes=(0,), cwd=None) -> tuple:
+    """(exit code, stdout) of ``metaprop ARGV`` run from ``checkout``, in
+    ``cwd`` (default: the checkout)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(checkout / "src"),
                                                         os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "metaprop.cli", *map(str, argv)],
-                          cwd=checkout, env=env, capture_output=True, check=False)
+                          cwd=cwd or checkout, env=env, capture_output=True, check=False)
     if proc.returncode not in codes:
         sys.exit(f"metaprop {argv[0]} in {checkout} exited {proc.returncode}:\n"
                  f"{proc.stderr.decode(errors='replace')}")
@@ -204,29 +217,66 @@ def recover_problems(parent: pathlib.Path, tmp: pathlib.Path, name: str, config:
 
 
 def output_problems(parent: pathlib.Path, tmp: pathlib.Path, label: str, argv,
-                    outputs=()) -> list:
+                    files=()) -> list:
     """Run ``metaprop ARGV`` on both sides and compare the bytes it writes.
 
-    Each name in OUTPUTS is a file the command writes into a directory of
-    each side's own; an ARGV item equal to the first name stands for its
-    path there.  Without OUTPUTS, stdout is compared.
+    Each side runs in a fresh directory of its own, so a relative path in
+    ARGV (an output file, an --out-dir) names a file there and prints the
+    same on both sides.  The exit codes, stdout and each file in FILES,
+    relative to that directory, must be equal; exit 3 (a failed fit) still
+    writes every output.
     """
     results = []
     for side, checkout in (("here", ROOT), ("parent", parent)):
         where = tmp / f"{side} {label}"
         where.mkdir()
-        code, stdout = run_cli(checkout, *(where / a if outputs and a == outputs[0] else a
-                                          for a in argv))
-        results.append((code, [(where / name).read_bytes() for name in outputs] or [stdout]))
+        code, stdout = run_cli(checkout, *argv, codes=(0, 3), cwd=where)
+        results.append((code, [stdout] + [(where / name).read_bytes() for name in files]))
     (code, ours), (parent_code, theirs) = results
     problems = []
     if code != parent_code:
         problems.append(f"{label}: exit code {code} here, {parent_code} in the parent")
-    for name, x, y in zip(outputs or ["stdout"], ours, theirs):
+    names = ["stdout", *files]
+    for name, x, y in zip(names, ours, theirs):
         if x != y:
             problems.append(f"{label}: {name} differs")
-    print(f"{label}: compared {', '.join(outputs or ['stdout'])}")
+    print(f"{label}: exit {code}, compared {', '.join(names)}")
     return problems
+
+
+def command_runs(tmp: pathlib.Path) -> list:
+    """(label, argv, files) of every command that output_problems compares."""
+    data, schema = tmp / "failing.csv", tmp / "failing_schema.yaml"
+    data.write_text(FAILING_SELECT[0], encoding="utf-8")
+    schema.write_text(FAILING_SELECT[1], encoding="utf-8")
+    simulated = ("sim.csv", "sim_schema.yaml")
+    regression = ("out/regression.md", "out/regression.csv")
+    runs = [(f"simulate {name}", ("simulate", write_config(tmp, name, config), "sim.csv"),
+             simulated) for name, config in recover_configs().items()]
+    runs += [
+        ("simulate --replicate 3",
+         ("simulate", SIMCONFIG, "sim.csv", "--replicate", 3, "--format", "json"), simulated),
+        ("fit", ("fit", DATA, SCHEMA), ()),
+        ("fit --diagnostics", ("fit", DATA, SCHEMA, "--diagnostics", "--format", "json"), ()),
+        ("fit --method ml", ("fit", DATA, SCHEMA, "--method", "ml", "--out-dir", "out"),
+         ("out/fit.json",)),
+        ("regress all", ("regress", DATA, SCHEMA, "--features=all", "--out-dir", "out"),
+         regression),
+        ("regress all json", ("regress", DATA, SCHEMA, "--features=all", "--format", "json",
+                              "--out-dir", "out"), regression),
+        ("regress ml_model", ("regress", DATA, SCHEMA, "--features=ml_model"), ()),
+        ("forest", ("forest", DATA, SCHEMA, "forest.svg"), ("forest.svg",)),
+    ]
+    runs += [(f"forest {scale} {effects}",
+              ("forest", DATA, SCHEMA, "forest.svg", "--scale", scale,
+               "--study-effects", effects, "--format", "json"), ("forest.svg",))
+             for scale in ("proportion", "transformed") for effects in ("blup", "pool")]
+    runs += [
+        ("recover --reps 20", ("recover", SIMCONFIG, "--reps", 20), ()),
+        ("select failing", ("select", data, schema, "--out-dir", "out"),
+         ("out/comparison.md", "out/comparison.csv", "out/search_trail.jsonl")),
+    ]
+    return runs
 
 
 def main(argv) -> int:
@@ -244,13 +294,8 @@ def main(argv) -> int:
             problems += search_problems(parent, tmp, strategy, likelihood)
         for name, config in recover_configs().items():
             problems += recover_problems(parent, tmp, name, config)
-            problems += output_problems(parent, tmp, f"simulate {name}",
-                                        ("simulate", write_config(tmp, name, config), "sim.csv"),
-                                        ("sim.csv", "sim_schema.yaml"))
-        problems += output_problems(parent, tmp, "fit --diagnostics",
-                                    ("fit", DATA, SCHEMA, "--diagnostics", "--format", "json"))
-        problems += output_problems(parent, tmp, "forest", ("forest", DATA, SCHEMA, "forest.svg"),
-                                    ("forest.svg",))
+        for label, argv, files in command_runs(tmp):
+            problems += output_problems(parent, tmp, label, argv, files)
     for problem in problems:
         print(f"MISMATCH {problem}")
     print("equivalent" if not problems else f"{len(problems)} mismatches")

@@ -1,11 +1,13 @@
 """Command-line interface wiring ingest -> engine -> reports.
 
-Human-readable text goes to stdout; artifacts (tables, plots, search
-trails) go to files under --out-dir together with a run manifest; forest
-and simulate, which name their output file, write the manifest beside it
-when neither --out-dir nor $METAPROP_OUT_DIR is set.  With
---format=json each command prints a single machine-readable document
-instead of text.  Exit codes: 0 success, 2 input or validation error,
+Each command returns an ``Outcome``; ``main`` alone prints it and writes
+it.  Human-readable text, or with --format=json a single
+machine-readable document, goes to stdout.  Artifacts (tables, search
+trails, fit payloads) go to files in the out-dir, together with a run
+manifest of every parsed argument; the out-dir is --out-dir, else
+$METAPROP_OUT_DIR, else the command's own fallback (select writes to
+metaprop_out; forest and simulate, which name their output file, write
+beside it).  Exit codes: 0 success, 2 input or validation error,
 3 numerical failure (including non-convergence).
 """
 
@@ -15,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -31,34 +33,38 @@ EXIT_NUMERIC = 3
 
 
 @dataclass
-class RunManifest:
-    """Reproducibility record written alongside every output set."""
+class Outcome:
+    """What a command produced, for ``main`` to print and write."""
 
-    command: str
-    inputs: dict
-    seed: int | None
-    out_dir: str | None
-    version: str
-    timestamp: str
-
-
-def _manifest(command: str, inputs: dict, seed=None, out_dir=None) -> RunManifest:
-    return RunManifest(command=command, inputs=inputs, seed=seed,
-                       out_dir=out_dir, version=__version__,
-                       timestamp=datetime.now(timezone.utc).isoformat())
+    code: int
+    payload: dict                  # printed with --format=json
+    text: str                      # printed otherwise
+    artifacts: dict = field(default_factory=dict)   # out-dir file name -> contents
+    out_dir: str | None = None     # when neither --out-dir nor $METAPROP_OUT_DIR is set
+    seed: int | None = None
 
 
-def _write_manifest(manifest: RunManifest, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
-        fh.write("\n")
-
-
-def _default_out_dir(args) -> str | None:
-    if args.out_dir is not None:
-        return args.out_dir
-    return os.environ.get("METAPROP_OUT_DIR")
+def _emit(args, outcome: Outcome) -> None:
+    """Write the manifest and the artifacts to the out-dir, if there is one,
+    then print the outcome: a command whose out-dir cannot be written
+    prints only the error."""
+    out_dir = args.out_dir if args.out_dir is not None else os.environ.get("METAPROP_OUT_DIR")
+    out_dir = out_dir or outcome.out_dir
+    if out_dir:
+        manifest = {"command": args.command,
+                    "inputs": {key: value for key, value in vars(args).items()
+                               if key not in ("command", "func", "format", "out_dir")},
+                    "seed": outcome.seed, "out_dir": out_dir, "version": __version__,
+                    "timestamp": datetime.now(timezone.utc).isoformat()}
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in {"manifest.json": json.dumps(manifest, indent=2) + "\n",
+                           **outcome.artifacts}.items():
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+    if args.format == "json":
+        print(json.dumps(outcome.payload, indent=2, default=str))
+    else:
+        print(outcome.text)
 
 
 def _load_dataset(data_path: str, schema_path: str) -> Dataset:
@@ -73,9 +79,12 @@ def _fit_dataset(dataset: Dataset, features,
     return fit, design
 
 
-def _fit_payload(fit: engine.FitResult, het: heterogeneity.HeterogeneityReport,
-                 pooled: engine.PooledEstimate) -> dict:
-    return {
+def cmd_fit(args) -> Outcome:
+    dataset = _load_dataset(args.data, args.schema)
+    fit, _ = _fit_dataset(dataset, (), args.method)
+    het = heterogeneity.heterogeneity_report(fit)
+    pooled = engine.pooled_estimate(fit)
+    payload = {
         "m": fit.m, "h": fit.h, "f": fit.f,
         "method": fit.method, "converged": fit.converged,
         "loglik": fit.loglik,
@@ -88,61 +97,33 @@ def _fit_payload(fit: engine.FitResult, het: heterogeneity.HeterogeneityReport,
         "sigma2_eps": het.sigma2_eps,
         "i2_xi": het.i2_xi, "i2_zeta": het.i2_zeta, "i2_total": het.i2_total,
     }
-
-
-def _print_fit_text(payload: dict) -> None:
-    print(f"Trials: {payload['m']}   Studies: {payload['h']}   "
-          f"Method: {payload['method'].upper()}   Converged: {payload['converged']}")
-    print(f"Pooled accuracy: {payload['prop']:.4f} "
-          f"[{payload['prop_ci'][0]:.4f}; {payload['prop_ci'][1]:.4f}]")
-    print(f"Transformed scale: mu = {payload['mu']:.4f} (SE {payload['se']:.4f}), "
-          f"95% CI [{payload['ci'][0]:.4f}; {payload['ci'][1]:.4f}]")
-    print(f"Variance components: sigma2_xi = {payload['sigma2_xi']:.6f}, "
-          f"sigma2_zeta = {payload['sigma2_zeta']:.6f}, "
-          f"sigma2_eps = {payload['sigma2_eps']:.6f}")
-    print(f"Cochran Q = {payload['q']:.2f} (df {payload['q_df']}, "
-          f"p = {report.format_p(payload['q_pvalue'])})")
-    print(f"I2: between-study {payload['i2_xi']:.2f}, "
-          f"within-study {payload['i2_zeta']:.2f}, total {payload['i2_total']:.2f}")
-
-
-def cmd_fit(args) -> int:
-    dataset = _load_dataset(args.data, args.schema)
-    fit, _ = _fit_dataset(dataset, (), args.method)
-    het = heterogeneity.heterogeneity_report(fit)
-    pooled = engine.pooled_estimate(fit)
-    payload = _fit_payload(fit, het, pooled)
-
+    text = (f"Trials: {fit.m}   Studies: {fit.h}   "
+            f"Method: {fit.method.upper()}   Converged: {fit.converged}\n"
+            f"Pooled accuracy: {pooled.prop:.4f} "
+            f"[{pooled.prop_low:.4f}; {pooled.prop_high:.4f}]\n"
+            f"Transformed scale: mu = {pooled.mu:.4f} (SE {pooled.se:.4f}), "
+            f"95% CI [{pooled.ci_low:.4f}; {pooled.ci_high:.4f}]\n"
+            f"Variance components: sigma2_xi = {fit.varcomps.sigma2_xi:.6f}, "
+            f"sigma2_zeta = {fit.varcomps.sigma2_zeta:.6f}, "
+            f"sigma2_eps = {het.sigma2_eps:.6f}\n"
+            f"Cochran Q = {het.q:.2f} (df {het.q_df}, p = {report.format_p(het.q_pvalue)})\n"
+            f"I2: between-study {het.i2_xi:.2f}, "
+            f"within-study {het.i2_zeta:.2f}, total {het.i2_total:.2f}")
     if args.diagnostics:
         diagnostics = transform_diagnostic(dataset)
-        rows = [(d.kind,
-                 "" if d.w is None else f"{d.w:.4f}",
-                 "" if d.p_value is None else f"{d.p_value:.4g}",
-                 d.skipped or "")
-                for d in diagnostics]
         payload["transform_diagnostics"] = [
             {"kind": d.kind, "w": d.w, "p_value": d.p_value, "skipped": d.skipped}
             for d in diagnostics]
-
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        _print_fit_text(payload)
-        if args.diagnostics:
-            print()
-            print(report.simple_table(["transform", "W", "p", "skipped"], rows))
-
-    out_dir = _default_out_dir(args)
-    if out_dir:
-        _write_manifest(_manifest("fit", {"data": args.data, "schema": args.schema},
-                                  out_dir=out_dir), out_dir)
-        with open(os.path.join(out_dir, "fit.json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    return EXIT_OK if fit.converged else EXIT_NUMERIC
+        text += "\n\n" + report.simple_table(
+            ["transform", "W", "p", "skipped"],
+            [(d.kind, "" if d.w is None else f"{d.w:.4f}",
+              "" if d.p_value is None else f"{d.p_value:.4g}", d.skipped or "")
+             for d in diagnostics])
+    return Outcome(EXIT_OK if fit.converged else EXIT_NUMERIC, payload, text,
+                   {"fit.json": json.dumps(payload, indent=2) + "\n"})
 
 
-def cmd_regress(args) -> int:
+def cmd_regress(args) -> Outcome:
     dataset = _load_dataset(args.data, args.schema)
     names = dataset.schema.names
     if args.features.strip() == "all":
@@ -156,6 +137,8 @@ def cmd_regress(args) -> int:
     fit_null, _ = _fit_dataset(dataset, (), args.method)
     table = report.regression_table(fit, design)
     r2_xi, r2_zeta = heterogeneity.r_squared(fit, fit_null)
+    if not fit.converged:
+        print("warning: fit did not converge", file=sys.stderr)
 
     payload = {
         "features": list(features), "f": fit.f, "m": fit.m, "h": fit.h,
@@ -165,76 +148,44 @@ def cmd_regress(args) -> int:
         "dropped": list(design.dropped),
         "coefficients": [asdict(row) for row in table.rows],
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(table.markdown())
-        fmt = lambda x: "undefined" if x is None else f"{x:.4f}"
-        print(f"R2 vs null: between-study {fmt(r2_xi)}, within-study {fmt(r2_zeta)}")
-        if not fit.converged:
-            print("warning: fit did not converge", file=sys.stderr)
-
-    out_dir = _default_out_dir(args)
-    if out_dir:
-        _write_manifest(_manifest("regress", {"data": args.data, "schema": args.schema,
-                                              "features": list(features)},
-                                  out_dir=out_dir), out_dir)
-        with open(os.path.join(out_dir, "regression.md"), "w", encoding="utf-8") as fh:
-            fh.write(table.markdown())
-        with open(os.path.join(out_dir, "regression.csv"), "w", encoding="utf-8") as fh:
-            fh.write(table.csv())
-    return EXIT_OK if fit.converged else EXIT_NUMERIC
+    fmt = lambda x: "undefined" if x is None else f"{x:.4f}"
+    markdown = table.markdown()
+    text = markdown + f"\nR2 vs null: between-study {fmt(r2_xi)}, within-study {fmt(r2_zeta)}"
+    return Outcome(EXIT_OK if fit.converged else EXIT_NUMERIC, payload, text,
+                   {"regression.md": markdown, "regression.csv": table.csv()})
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> Outcome:
     dataset = _load_dataset(args.data, args.schema)
     rows, trail = selection.five_model_protocol(
         dataset, strategy=args.strategy, method=args.criterion_likelihood)
-    md = report.comparison_table(rows, format="markdown")
-    csv_text = report.comparison_table(rows, format="csv")
-
-    if args.format == "json":
-        print(json.dumps({"criterion_likelihood": args.criterion_likelihood,
-                          "strategy": args.strategy,
-                          "rows": [asdict(r) for r in rows],
-                          "n_candidates": len(trail)}, indent=2, default=str))
-    else:
-        print(md)
-
-    out_dir = _default_out_dir(args) or "metaprop_out"
-    _write_manifest(_manifest("select", {"data": args.data, "schema": args.schema,
-                                         "strategy": args.strategy,
-                                         "criterion_likelihood": args.criterion_likelihood},
-                              out_dir=out_dir), out_dir)
-    with open(os.path.join(out_dir, "comparison.md"), "w", encoding="utf-8") as fh:
-        fh.write(md)
-    with open(os.path.join(out_dir, "comparison.csv"), "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
-    with open(os.path.join(out_dir, "search_trail.jsonl"), "w", encoding="utf-8") as fh:
-        for rec in trail:
-            fh.write(json.dumps(asdict(rec)) + "\n")
+    markdown = report.comparison_table(rows, format="markdown")
+    payload = {"criterion_likelihood": args.criterion_likelihood,
+               "strategy": args.strategy,
+               "rows": [asdict(r) for r in rows],
+               "n_candidates": len(trail)}
     failed = any(r.note is not None or not r.converged for r in rows)
-    return EXIT_NUMERIC if failed else EXIT_OK
+    return Outcome(EXIT_NUMERIC if failed else EXIT_OK, payload, markdown,
+                   {"comparison.md": markdown,
+                    "comparison.csv": report.comparison_table(rows, format="csv"),
+                    "search_trail.jsonl": "".join(json.dumps(asdict(rec)) + "\n"
+                                                  for rec in trail)},
+                   out_dir="metaprop_out")
 
 
-def cmd_forest(args) -> int:
+def cmd_forest(args) -> Outcome:
     dataset = _load_dataset(args.data, args.schema)
     fit, _ = _fit_dataset(dataset, (), args.method)
     svg, rows = report.forest_plot(fit, dataset, scale=args.scale, method=args.study_effects)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    out_dir = _default_out_dir(args) or os.path.dirname(args.out) or "."
-    _write_manifest(_manifest("forest", {"data": args.data, "schema": args.schema,
-                                         "out": args.out, "scale": args.scale},
-                              out_dir=out_dir), out_dir)
-    if args.format == "json":
-        print(json.dumps({"out": args.out, "rows": [asdict(r) for r in rows]}, indent=2))
-    else:
-        print(f"wrote {args.out} ({len(rows)} studies)")
-    return EXIT_OK if fit.converged else EXIT_NUMERIC
+    return Outcome(EXIT_OK if fit.converged else EXIT_NUMERIC,
+                   {"out": args.out, "rows": [asdict(r) for r in rows]},
+                   f"wrote {args.out} ({len(rows)} studies)",
+                   out_dir=os.path.dirname(args.out) or ".")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Outcome:
     config = simulate.load_simconfig(args.config)
     dataset = simulate.generate(config, replicate=args.replicate)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -244,25 +195,15 @@ def cmd_simulate(args) -> int:
         schema_out = os.path.splitext(args.out)[0] + "_schema.yaml"
     with open(schema_out, "w", encoding="utf-8") as fh:
         fh.write(dataset.schema.to_yaml())
-    out_dir = _default_out_dir(args) or os.path.dirname(args.out) or "."
-    _write_manifest(_manifest("simulate", {"config": args.config, "out": args.out},
-                              seed=config.seed, out_dir=out_dir), out_dir)
-    if args.format == "json":
-        print(json.dumps({"out": args.out, "schema_out": schema_out,
-                          "m": dataset.m, "h": dataset.h}, indent=2))
-    else:
-        print(f"wrote {args.out}: {dataset.m} trials in {dataset.h} studies")
-    return EXIT_OK
+    return Outcome(EXIT_OK,
+                   {"out": args.out, "schema_out": schema_out, "m": dataset.m, "h": dataset.h},
+                   f"wrote {args.out}: {dataset.m} trials in {dataset.h} studies",
+                   out_dir=os.path.dirname(args.out) or ".", seed=config.seed)
 
 
-def cmd_recover(args) -> int:
+def cmd_recover(args) -> Outcome:
     config = simulate.load_simconfig(args.config)
     summary = simulate.recovery_experiment(config, args.reps, method=args.method)
-    out_dir = _default_out_dir(args)
-    if out_dir:
-        _write_manifest(_manifest("recover", {"config": args.config, "reps": args.reps,
-                                              "method": args.method},
-                                  seed=config.seed, out_dir=out_dir), out_dir)
     payload = {
         "replications": summary.replications,
         "truth": {"mu": config.mu, "sigma2_xi": config.sigma2_xi,
@@ -276,21 +217,18 @@ def cmd_recover(args) -> int:
         "n_nonconverged": summary.n_nonconverged,
         "coverage_se": summary.coverage_se,
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"Replications: {summary.replications} "
-              f"(non-converged: {summary.n_nonconverged})")
-        print(f"mu: truth {config.mu:.4f}, mean estimate {summary.mean_mu:.4f}, "
-              f"95% CI coverage {summary.coverage:.3f} "
-              f"(Monte Carlo SE {summary.coverage_se:.3f})")
-        print(f"sigma2_xi: truth {config.sigma2_xi:.4f}, "
-              f"mean {summary.mean_sigma2_xi:.4f} "
-              f"(rel. bias {summary.bias_sigma2_xi:+.3f})")
-        print(f"sigma2_zeta: truth {config.sigma2_zeta:.4f}, "
-              f"mean {summary.mean_sigma2_zeta:.4f} "
-              f"(rel. bias {summary.bias_sigma2_zeta:+.3f})")
-    return EXIT_OK
+    text = (f"Replications: {summary.replications} "
+            f"(non-converged: {summary.n_nonconverged})\n"
+            f"mu: truth {config.mu:.4f}, mean estimate {summary.mean_mu:.4f}, "
+            f"95% CI coverage {summary.coverage:.3f} "
+            f"(Monte Carlo SE {summary.coverage_se:.3f})\n"
+            f"sigma2_xi: truth {config.sigma2_xi:.4f}, "
+            f"mean {summary.mean_sigma2_xi:.4f} "
+            f"(rel. bias {summary.bias_sigma2_xi:+.3f})\n"
+            f"sigma2_zeta: truth {config.sigma2_zeta:.4f}, "
+            f"mean {summary.mean_sigma2_zeta:.4f} "
+            f"(rel. bias {summary.bias_sigma2_zeta:+.3f})")
+    return Outcome(EXIT_OK, payload, text, seed=config.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,7 +299,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        outcome = args.func(args)
+        _emit(args, outcome)
+        return outcome.code
     except (ValidationError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

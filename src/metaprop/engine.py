@@ -57,6 +57,7 @@ __all__ = [
     "fit_or_raise",
     "fit_model",
     "pooled_mean",
+    "intervals",
     "pooled_estimate",
     "predict_study_effects",
     "study_weights",
@@ -613,6 +614,22 @@ def pooled_mean(fit: FitResult) -> tuple:
     return float(c @ fit.beta), math.sqrt(max(float(c @ fit.cov_beta @ c), 0.0))
 
 
+def intervals(estimate, se, z: float = Z95) -> tuple:
+    """Symmetric CIs on both scales for an array of estimates and their SEs.
+
+    Returns (ends, props), each with a last axis of three: ``ends`` holds
+    (estimate, low, high) = estimate and estimate -/+ z se on the
+    transformed scale, and ``props`` their back-transforms to proportions,
+    each end clamped to [0, pi/2] and inverted at the effective sample
+    size n = 1/se^2 (inf where se = 0).
+    """
+    estimate, se = np.asarray(estimate, np.float64), np.asarray(se, np.float64)
+    ends = np.stack([estimate, estimate - z * se, estimate + z * se], axis=-1)
+    with np.errstate(divide="ignore"):
+        n_equiv = 1.0 / (se * se)
+    return ends, ft_inverse_array(np.clip(ends, 0.0, HALF_PI), n_equiv[..., None])
+
+
 def pooled_estimate(fit: FitResult, level: float = 0.95,
                     quantile: str = "normal") -> PooledEstimate:
     """Population mean with a symmetric CI, on both scales.
@@ -633,10 +650,7 @@ def pooled_estimate(fit: FitResult, level: float = 0.95,
         z = _t_quantile(fit.m - fit.f, 0.5 + level / 2.0)
     else:
         raise ValueError(f"unknown quantile kind {quantile!r}")
-    lo, hi = mu - z * se, mu + z * se
-    n_equiv = math.inf if se == 0.0 else 1.0 / (se * se)
-    prop, prop_low, prop_high = ft_inverse_array(np.clip([mu, lo, hi], 0.0, HALF_PI),
-                                                 n_equiv).tolist()
+    (mu, lo, hi), (prop, prop_low, prop_high) = (a.tolist() for a in intervals(mu, se, z))
     return PooledEstimate(mu=mu, se=se, ci_low=lo, ci_high=hi, prop=prop,
                           prop_low=prop_low, prop_high=prop_high)
 

@@ -201,8 +201,8 @@ class Dataset:
     ``trial_id`` (object arrays, so a label keeps every character), int64
     ``k`` and ``n``, and ``features``, each schema feature's float64 or str
     column in schema order.  The columns are checked once, here: one value
-    per trial in each and at least one trial, n >= 1, 0 <= k <= n, and each
-    study's trials contiguous.
+    per trial in each and at least one trial, k and n integers, n >= 1,
+    0 <= k <= n, and each study's trials contiguous.
     """
 
     def __init__(self, study_id, trial_id, k, n, features: dict, schema: FeatureSchema):
@@ -210,14 +210,24 @@ class Dataset:
             raise ValidationError(f"feature columns {sorted(features)} do not match the schema")
         self.schema = schema
         self.study_id, self.trial_id = np.array(study_id, object), np.array(trial_id, object)
-        self.k, self.n = np.array(k, np.int64), np.array(n, np.int64)
+        counts = {"k": np.asarray(k), "n": np.asarray(n)}
         self.features = {e.name: np.array(features[e.name], float if e.kind == "numeric" else object)
                          for e in schema.entries}
-        columns = [self.study_id, self.trial_id, self.k, self.n, *self.features.values()]
-        for column in columns:
-            column.setflags(write=False)
-        if self.k.ndim != 1 or not self.m or any(c.shape != self.k.shape for c in columns):
+        columns = [self.study_id, self.trial_id, *counts.values(), *self.features.values()]
+        if columns[0].ndim != 1 or not len(columns[0]) or any(c.shape != columns[0].shape
+                                                              for c in columns):
             raise ValidationError("every column needs one value per trial, for one trial or more")
+        for name, column in counts.items():
+            if column.dtype.kind not in "biu":           # int64 would truncate 1.7 to 1
+                value = np.asarray(column, np.float64)
+                bad = ~(np.abs(value) <= 2 ** 53) | (value != np.trunc(value))
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    raise ValidationError(f"trial {self.trial_id[i]!r}: {name} must be an "
+                                          f"integer, got {float(value[i])}")
+        self.k, self.n = counts["k"].astype(np.int64), counts["n"].astype(np.int64)
+        for column in [self.study_id, self.trial_id, self.k, self.n, *self.features.values()]:
+            column.setflags(write=False)
         for bad, rule in ((self.n < 1, "n must be >= 1"),
                           ((self.k < 0) | (self.k > self.n), "need 0 <= k <= n")):
             if bad.any():

@@ -17,7 +17,7 @@ import numpy as np
 from . import engine
 from .engine import Z95
 from .ingest import ValidationError
-from .transforms import HALF_PI, ft_inverse_array
+from .transforms import HALF_PI
 
 __all__ = [
     "ForestRow",
@@ -39,18 +39,6 @@ class ForestRow:
     estimate: float
     ci: tuple
     weight: float
-
-
-def forest_rows(fit: engine.FitResult, effects) -> list:
-    """Forest rows on the proportion scale from ``engine.predict_study_effects``."""
-    rows = []
-    for eff, w in zip(effects, engine.study_weights(fit)):
-        n_equiv = math.inf if eff.se <= 0.0 else 1.0 / (eff.se * eff.se)
-        ends = [eff.kappa_hat, eff.kappa_hat - Z95 * eff.se, eff.kappa_hat + Z95 * eff.se]
-        est, lo, hi = ft_inverse_array(np.clip(ends, 0.0, HALF_PI), n_equiv).tolist()
-        rows.append(ForestRow(study_id=eff.study_id, trials=eff.trials,
-                              estimate=est, ci=(lo, hi), weight=float(w)))
-    return rows
 
 
 # fixed geometry: byte-stable SVG without font metrics
@@ -77,28 +65,31 @@ def forest_plot(fit: engine.FitResult, dataset, scale: str = "proportion",
 
     One row per study (shrunken estimate with 95% CI and GLS weight), a
     diamond for the pooled estimate, axis in proportion units on [0, 1].
-    Returns (svg_text, forest_rows).
+    Returns (svg_text, rows), the rows as ForestRows on the proportion scale.
     """
     if fit.f != 1:
         raise ValidationError("forest plot requires an intercept-only fit")
     if scale not in ("proportion", "transformed"):
         raise ValueError(f"unknown scale {scale!r}")
     effects = engine.predict_study_effects(fit, dataset, method=method)
-    rows = forest_rows(fit, effects)
+    ends, props = (a.tolist() for a in engine.intervals([e.kappa_hat for e in effects],
+                                                          [e.se for e in effects]))
+    rows = [ForestRow(study_id=e.study_id, trials=e.trials, estimate=est, ci=(lo, hi),
+                      weight=w)
+            for e, w, (est, lo, hi) in zip(effects, engine.study_weights(fit).tolist(), props)]
     pooled = engine.pooled_estimate(fit)
 
     if scale == "proportion":
         span = (0.0, 1.0)
         to_axis = lambda val: val
         p_est, p_lo, p_hi = pooled.prop, pooled.prop_low, pooled.prop_high
-        row_pts = [(r.estimate, r.ci[0], r.ci[1]) for r in rows]
+        row_pts = props
         axis_label = "overall accuracy"
     else:
         span = (0.0, HALF_PI)
         to_axis = lambda val: val / HALF_PI
         p_est, p_lo, p_hi = pooled.mu, pooled.ci_low, pooled.ci_high
-        row_pts = [(e.kappa_hat, e.kappa_hat - Z95 * e.se, e.kappa_hat + Z95 * e.se)
-                   for e in effects]
+        row_pts = ends
         axis_label = "transformed accuracy"
 
     height = _TOP + (len(rows) + 3) * _ROW_H + 40
@@ -184,41 +175,32 @@ class RegressionTable:
     dropped: list
 
     def markdown(self) -> str:
-        lines = ["|  | beta | SE | p | 95% CI |", "| --- | --- | --- | --- | --- |"]
-
-        def coef_line(row, indent=""):
-            return (f"| {indent}{row.label} | {row.beta:.4f} | {row.se:.4f} | "
-                    f"{format_p(row.p)} | [{row.ci_low:.4f}; {row.ci_high:.4f}] |")
+        def coef_cells(row, indent=""):
+            return [indent + row.label, f"{row.beta:.4f}", f"{row.se:.4f}", format_p(row.p),
+                    f"[{row.ci_low:.4f}; {row.ci_high:.4f}]"]
 
         by_feature: dict = {}
         for row in self.rows:
             by_feature.setdefault(row.feature, []).append(row)
-        for row in by_feature.get(None, []):
-            lines.append(coef_line(row))
+        cells = [coef_cells(row) for row in by_feature.get(None, [])]
         for feat in self.feature_order:
-            rows = by_feature.get(feat, [])
             ref = self.reference_levels.get(feat)
             if ref is not None:
-                lines.append(f"| **{feat}** (Ref: {ref}) |  |  |  |  |")
-                for row in rows:
-                    lines.append(coef_line(row, indent="&nbsp;&nbsp;"))
-            else:
-                for row in rows:
-                    lines.append(coef_line(row))
+                cells.append([f"**{feat}** (Ref: {ref})", "", "", "", ""])
+            cells += [coef_cells(row, "" if ref is None else "&nbsp;&nbsp;")
+                      for row in by_feature.get(feat, [])]
+        text = simple_table(["", "beta", "SE", "p", "95% CI"], cells)
         if self.dropped:
-            lines.append("")
-            lines.append(f"Dropped as redundant (collinear): {', '.join(self.dropped)}.")
-        return "\n".join(lines) + "\n"
+            text += f"\nDropped as redundant (collinear): {', '.join(self.dropped)}.\n"
+        return text
 
     def csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["label", "feature", "beta", "se", "p", "ci_low", "ci_high"])
-        for row in self.rows:
-            writer.writerow([row.label, row.feature or "",
-                             f"{row.beta:.6g}", f"{row.se:.6g}", f"{row.p:.6g}",
-                             f"{row.ci_low:.6g}", f"{row.ci_high:.6g}"])
-        return buf.getvalue()
+        return simple_table(
+            ["label", "feature", "beta", "se", "p", "ci_low", "ci_high"],
+            [[row.label, row.feature or "",
+              *map(_g6, (row.beta, row.se, row.p, row.ci_low, row.ci_high))]
+             for row in self.rows],
+            format="csv")
 
 
 def regression_table(fit: engine.FitResult, design) -> RegressionTable:
@@ -279,40 +261,24 @@ def comparison_table(rows, format: str = "markdown") -> str:
     if not rows:
         raise ValidationError("comparison table needs at least one row")
     rows = sorted(rows, key=lambda r: (math.inf if math.isnan(r.aic) else r.aic))
-    if format == "markdown":
-        lines = ["| " + " | ".join(_COMPARISON_HEADERS) + " |",
-                 "| " + " | ".join(["---"] * len(_COMPARISON_HEADERS)) + " |"]
-        for r in rows:
-            if r.note is not None:
-                lines.append(f"| {r.name} | - | - | - | - | - | - | - | - | - | - |")
-                continue
-            lines.append(
-                f"| {r.name} | {r.f} | {r.aic:.2f} | {r.bic:.2f} | {r.rmse:.2f} "
-                f"| {r.q:.2f} | {r.sigma2_xi:.4f} ({r.i2_xi:.2f}) "
-                f"| {r.sigma2_zeta:.4f} ({r.i2_zeta:.2f}) "
-                f"| {r.mu_prop:.2f} [{r.mu_prop_low:.2f}; {r.mu_prop_high:.2f}] "
-                f"| {_fmt_r2(r.r2_xi)} | {_fmt_r2(r.r2_zeta)} |")
-        notes = [r for r in rows if r.note is not None]
-        if notes:
-            lines.append("")
-            for r in notes:
-                lines.append(f"{r.name}: fit failed ({r.note}).")
-        return "\n".join(lines) + "\n"
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_FIELDS)
-        for r in rows:
-            writer.writerow([
-                r.name, r.f, _g6(r.aic), _g6(r.bic), _g6(r.rmse), _g6(r.q),
-                _g6(r.sigma2_xi), _g6(r.i2_xi), _g6(r.sigma2_zeta), _g6(r.i2_zeta),
-                _g6(r.mu_prop), _g6(r.mu_prop_low), _g6(r.mu_prop_high),
-                "" if r.r2_xi is None else _g6(r.r2_xi),
-                "" if r.r2_zeta is None else _g6(r.r2_zeta),
-                ";".join(r.features),
-            ])
-        return buf.getvalue()
-    raise ValueError(f"unknown format {format!r}")
+        return simple_table(_CSV_FIELDS, [[
+            r.name, r.f, _g6(r.aic), _g6(r.bic), _g6(r.rmse), _g6(r.q),
+            _g6(r.sigma2_xi), _g6(r.i2_xi), _g6(r.sigma2_zeta), _g6(r.i2_zeta),
+            _g6(r.mu_prop), _g6(r.mu_prop_low), _g6(r.mu_prop_high),
+            "" if r.r2_xi is None else _g6(r.r2_xi),
+            "" if r.r2_zeta is None else _g6(r.r2_zeta),
+            ";".join(r.features),
+        ] for r in rows], format="csv")
+    cells = [[r.name] + ["-"] * 10 if r.note is not None else [
+        r.name, r.f, f"{r.aic:.2f}", f"{r.bic:.2f}", f"{r.rmse:.2f}", f"{r.q:.2f}",
+        f"{r.sigma2_xi:.4f} ({r.i2_xi:.2f})", f"{r.sigma2_zeta:.4f} ({r.i2_zeta:.2f})",
+        f"{r.mu_prop:.2f} [{r.mu_prop_low:.2f}; {r.mu_prop_high:.2f}]",
+        _fmt_r2(r.r2_xi), _fmt_r2(r.r2_zeta),
+    ] for r in rows]
+    text = simple_table(_COMPARISON_HEADERS, cells, format=format)
+    notes = [f"{r.name}: fit failed ({r.note}).\n" for r in rows if r.note is not None]
+    return text + "\n" + "".join(notes) if notes else text
 
 
 def _g6(x: float) -> str:

@@ -305,11 +305,9 @@ def recovery_experiment(config: SimConfig, replications: int,
         fits = dict(engine.fit_designs(group_sizes=group_sizes, method=method,
                                        **_replicates(config, reps)))
         fitted = [engine.fit_or_raise(fits[k], group_sizes) for k in range(len(reps))]
-        # pooled_estimate's prop: the clamped pooled mean back-transformed at n = 1/se^2
+        # pooled_estimate's prop, for the whole chunk at once
         pooled, pooled_se = np.array([engine.pooled_mean(fit) for fit in fitted]).T
-        with np.errstate(divide="ignore"):               # se 0 gives n = inf, as there
-            props = ft_inverse_array(np.clip(pooled, 0.0, HALF_PI),
-                                     1.0 / (pooled_se * pooled_se)).tolist()
+        props = engine.intervals(pooled, pooled_se)[1][:, 0].tolist()
         for rep, fit, prop in zip(reps, fitted, props):
             mu_hat = float(fit.beta[0])
             se = math.sqrt(max(float(fit.cov_beta[0, 0]), 0.0))

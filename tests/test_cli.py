@@ -337,13 +337,17 @@ class TestSimulateAndRecover:
         file_dir, out_dir = tmp_path / "file", tmp_path / "out"
         file_dir.mkdir()
         argv = {"forest": ["forest", example_paths["data"], example_paths["schema"],
-                           file_dir / "forest.svg"],
-                "simulate": ["simulate", example_paths["simconfig"], file_dir / "sim.csv"],
+                           file_dir / "forest.svg", "--method", "ml", "--study-effects", "pool"],
+                "simulate": ["simulate", example_paths["simconfig"], file_dir / "sim.csv",
+                             "--replicate", "3"],
                 "recover": ["recover", example_paths["simconfig"], "--reps", "2"]}[command]
         code, _, _ = run(capsys, *argv, "--out-dir", out_dir)
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == command and manifest["out_dir"] == str(out_dir)
+        recorded = {"forest": {"method": "ml", "study_effects": "pool"},
+                    "simulate": {"replicate": 3}, "recover": {"reps": 2}}[command]
+        assert recorded.items() <= manifest["inputs"].items()
         if command != "forest":
             assert manifest["seed"] == load_simconfig(example_paths["simconfig"]).seed
         assert not (file_dir / "manifest.json").exists()

@@ -158,8 +158,9 @@ class TestDatasetColumns:
         ({"study_id": [], "trial_id": [], "k": [], "n": [],
           "features": {"size": [], "model": [], "lang": []}}, "one trial or more"),
         ({"features": {"size": [1.5, 3.0, 2.0]}}, "do not match the schema"),
+        ({"k": [45, 40.5, 80]}, "trial 't2': k must be an integer, got 40.5"),
     ], ids=["n-zero", "k-above-n", "k-negative", "short-id-column", "short-feature-column",
-            "non-contiguous", "no-trials", "schema-mismatch"])
+            "non-contiguous", "no-trials", "schema-mismatch", "k-fraction"])
     def test_invalid_columns_rejected(self, changes, message):
         with pytest.raises(ValidationError, match=message):
             Dataset(**_columns(**changes))
