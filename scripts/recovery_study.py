@@ -3,10 +3,10 @@
 
 Draws replicated datasets from the three-level generator at the
 reference layout (20 studies, 195 trials), fits each with REML, and
-reports mean estimates, relative biases, and CI coverage of the
-population effect with its Monte Carlo standard error.  A binomial-mode
-pass probes how much the transform's gaussian approximation costs when
-counts are truly binomial.
+reports, as ``metaprop recover`` prints them, mean estimates, relative
+biases, and CI coverage of the population effect with its Monte Carlo
+standard error.  A binomial-mode pass probes how much the transform's
+gaussian approximation costs when counts are truly binomial.
 
     python3 scripts/recovery_study.py [--reps N]
 """
@@ -17,19 +17,13 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from metaprop.report import recovery_text
 from metaprop.simulate import load_simconfig, recovery_experiment
 
 
 def describe(tag, summary):
-    cfg = summary.config
-    print(f"== {tag} (mode={cfg.mode}, reps={summary.replications}, "
-          f"non-converged={summary.n_nonconverged})")
-    print(f"  mu          truth {cfg.mu:.4f}  mean {summary.mean_mu:.4f}  "
-          f"coverage {summary.coverage:.3f} (MC SE {summary.coverage_se:.3f})")
-    print(f"  sigma2_xi   truth {cfg.sigma2_xi:.4f}  mean {summary.mean_sigma2_xi:.4f}  "
-          f"rel.bias {summary.bias_sigma2_xi:+.3f}")
-    print(f"  sigma2_zeta truth {cfg.sigma2_zeta:.4f}  mean {summary.mean_sigma2_zeta:.4f}  "
-          f"rel.bias {summary.bias_sigma2_zeta:+.3f}")
+    print(f"== {tag} (mode={summary.config.mode})")
+    print(recovery_text(summary))
 
 
 def main():

@@ -30,16 +30,18 @@ and the parent's keys must serialize to the parent's bytes.
 
 Last, it runs the other commands on both sides, each side in a fresh
 directory of its own so that relative paths in the arguments and in
-stdout are the same, and checks that the exit codes are equal and stdout
-and the files each command writes byte-identical: ``simulate`` on the
+stdout are the same, and checks that the exit codes are equal and stdout,
+stderr and the files each command writes byte-identical: ``simulate`` on the
 same three configs and with ``--replicate 3 --format json``; ``fit`` as
 text, with ``--diagnostics --format json`` and with ``--method ml
 --out-dir`` (fit.json); ``regress --features=all`` as text and JSON with
-regression.md and regression.csv, and ``regress --features=ml_model``;
+regression.md and regression.csv, ``regress --features=ml_model``, and
+``regress --features=nope``, which exits 2;
 ``forest`` as text, and with ``--format json`` on both scales and with
 both study-effect methods (the SVG too); ``recover --reps 20`` as text;
 and a four-trial ``select`` whose Full model fails, which exits 3 with a
-notes footer (its comparison tables and trail).  Exits 1 on any mismatch.
+notes footer, as text and with ``--format json`` (its comparison tables and
+trail).  Exits 1 on any mismatch.
 """
 
 import csv
@@ -85,8 +87,8 @@ FIVE_MODEL_TABLE = [
 
 
 def run_cli(checkout: pathlib.Path, *argv, codes=(0,), cwd=None) -> tuple:
-    """(exit code, stdout) of ``metaprop ARGV`` run from ``checkout``, in
-    ``cwd`` (default: the checkout)."""
+    """(exit code, stdout, stderr) of ``metaprop ARGV`` run from ``checkout``,
+    in ``cwd`` (default: the checkout)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(checkout / "src"),
                                                         os.environ.get("PYTHONPATH")])))
@@ -95,7 +97,7 @@ def run_cli(checkout: pathlib.Path, *argv, codes=(0,), cwd=None) -> tuple:
     if proc.returncode not in codes:
         sys.exit(f"metaprop {argv[0]} in {checkout} exited {proc.returncode}:\n"
                  f"{proc.stderr.decode(errors='replace')}")
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def run_select(checkout: pathlib.Path, out_dir: pathlib.Path, strategy: str,
@@ -103,7 +105,8 @@ def run_select(checkout: pathlib.Path, out_dir: pathlib.Path, strategy: str,
     """(exit code, stdout) of the command; exit 3 (a model did not converge)
     still writes every output."""
     return run_cli(checkout, "select", DATA, SCHEMA, "--strategy", strategy,
-                   "--criterion-likelihood", likelihood, "--out-dir", out_dir, codes=(0, 3))
+                   "--criterion-likelihood", likelihood, "--out-dir", out_dir,
+                   codes=(0, 3))[:2]
 
 
 def read_csv(path: pathlib.Path) -> list:
@@ -202,7 +205,8 @@ def recover_problems(parent: pathlib.Path, tmp: pathlib.Path, name: str, config:
     """Run one recovery experiment on both sides and compare the JSON it prints."""
     label = f"recover {name}"
     argv = ("recover", write_config(tmp, name, config), "--reps", RECOVER_REPS, "--format", "json")
-    (code, stdout), (parent_code, parent_stdout) = run_cli(ROOT, *argv), run_cli(parent, *argv)
+    code, stdout, _ = run_cli(ROOT, *argv)
+    parent_code, parent_stdout, _ = run_cli(parent, *argv)
     problems = []
     if code != parent_code:
         problems.append(f"{label}: exit code {code} here, {parent_code} in the parent")
@@ -222,21 +226,22 @@ def output_problems(parent: pathlib.Path, tmp: pathlib.Path, label: str, argv,
 
     Each side runs in a fresh directory of its own, so a relative path in
     ARGV (an output file, an --out-dir) names a file there and prints the
-    same on both sides.  The exit codes, stdout and each file in FILES,
-    relative to that directory, must be equal; exit 3 (a failed fit) still
-    writes every output.
+    same on both sides.  The exit codes, stdout, stderr and each file in
+    FILES, relative to that directory, must be equal.  Exit 2 (bad input)
+    is compared too, and exit 3 (a failed fit) still writes every output.
     """
     results = []
     for side, checkout in (("here", ROOT), ("parent", parent)):
         where = tmp / f"{side} {label}"
         where.mkdir()
-        code, stdout = run_cli(checkout, *argv, codes=(0, 3), cwd=where)
-        results.append((code, [stdout] + [(where / name).read_bytes() for name in files]))
+        code, stdout, stderr = run_cli(checkout, *argv, codes=(0, 2, 3), cwd=where)
+        results.append((code, [stdout, stderr] + [(where / name).read_bytes()
+                                                  for name in files]))
     (code, ours), (parent_code, theirs) = results
     problems = []
     if code != parent_code:
         problems.append(f"{label}: exit code {code} here, {parent_code} in the parent")
-    names = ["stdout", *files]
+    names = ["stdout", "stderr", *files]
     for name, x, y in zip(names, ours, theirs):
         if x != y:
             problems.append(f"{label}: {name} differs")
@@ -265,6 +270,7 @@ def command_runs(tmp: pathlib.Path) -> list:
         ("regress all json", ("regress", DATA, SCHEMA, "--features=all", "--format", "json",
                               "--out-dir", "out"), regression),
         ("regress ml_model", ("regress", DATA, SCHEMA, "--features=ml_model"), ()),
+        ("regress unknown feature", ("regress", DATA, SCHEMA, "--features=nope"), ()),
         ("forest", ("forest", DATA, SCHEMA, "forest.svg"), ("forest.svg",)),
     ]
     runs += [(f"forest {scale} {effects}",
@@ -274,6 +280,8 @@ def command_runs(tmp: pathlib.Path) -> list:
     runs += [
         ("recover --reps 20", ("recover", SIMCONFIG, "--reps", 20), ()),
         ("select failing", ("select", data, schema, "--out-dir", "out"),
+         ("out/comparison.md", "out/comparison.csv", "out/search_trail.jsonl")),
+        ("select failing json", ("select", data, schema, "--format", "json", "--out-dir", "out"),
          ("out/comparison.md", "out/comparison.csv", "out/search_trail.jsonl")),
     ]
     return runs

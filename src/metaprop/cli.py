@@ -125,14 +125,10 @@ def cmd_fit(args) -> Outcome:
 
 def cmd_regress(args) -> Outcome:
     dataset = _load_dataset(args.data, args.schema)
-    names = dataset.schema.names
     if args.features.strip() == "all":
-        features = names
+        features = dataset.schema.names
     else:
         features = [f.strip() for f in args.features.split(",") if f.strip()]
-        unknown = [f for f in features if f not in names]
-        if unknown:
-            raise ValidationError(f"unknown feature names: {unknown}")
     fit, design = _fit_dataset(dataset, features, args.method)
     fit_null, _ = _fit_dataset(dataset, (), args.method)
     table = report.regression_table(fit, design)
@@ -217,18 +213,7 @@ def cmd_recover(args) -> Outcome:
         "n_nonconverged": summary.n_nonconverged,
         "coverage_se": summary.coverage_se,
     }
-    text = (f"Replications: {summary.replications} "
-            f"(non-converged: {summary.n_nonconverged})\n"
-            f"mu: truth {config.mu:.4f}, mean estimate {summary.mean_mu:.4f}, "
-            f"95% CI coverage {summary.coverage:.3f} "
-            f"(Monte Carlo SE {summary.coverage_se:.3f})\n"
-            f"sigma2_xi: truth {config.sigma2_xi:.4f}, "
-            f"mean {summary.mean_sigma2_xi:.4f} "
-            f"(rel. bias {summary.bias_sigma2_xi:+.3f})\n"
-            f"sigma2_zeta: truth {config.sigma2_zeta:.4f}, "
-            f"mean {summary.mean_sigma2_zeta:.4f} "
-            f"(rel. bias {summary.bias_sigma2_zeta:+.3f})")
-    return Outcome(EXIT_OK, payload, text, seed=config.seed)
+    return Outcome(EXIT_OK, payload, report.recovery_text(summary), seed=config.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

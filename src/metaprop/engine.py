@@ -39,7 +39,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .ingest import COLLINEARITY_TOL, ValidationError
+from .ingest import ValidationError, collinear_columns
 from .transforms import HALF_PI, ft_inverse_array, ft_theta, ft_variance
 
 __all__ = [
@@ -134,8 +134,8 @@ class Problem:
     variances ``v[k]`` when these have shape (K, m), or the shared y and v
     when they have shape (m,).  ``fit_designs`` builds one per width of the
     designs it fits, so the inputs are checked once.  A
-    design from which ``independent_columns`` (the rule ``encode_design``
-    applies) would drop a column raises LinAlgError:
+    design with more columns than rows, or one that ``collinear_columns``
+    (the rule ``encode_design`` applies) flags, raises LinAlgError:
     X'V^-1 X has the rank of X, and its Cholesky factorization can succeed
     at a condition number near 1e16.  ``pin[k]`` marks the components
     (sigma2_xi, sigma2_zeta) not identified on design k.  sigma2_xi is not
@@ -178,15 +178,11 @@ class Problem:
         self.pin = np.zeros((len(self.columns), 2), dtype=bool)
         self.pin[:, 0] = self.h < 2
         self.pin[:, 1] = np.all(self.group_sizes == 1)
-        # one QR per design: independent_columns drops a column exactly when its
-        # first pass finds |R_ii| <= COLLINEARITY_TOL ||X_i||, or m < f; and
-        # study indicator Z_j lies in span(X) iff |Z_j'Q|^2 = n_j
+        # one QR per design; study indicator Z_j lies in span(X) iff |Z_j'Q|^2 = n_j
         for a in range(0, len(self.columns), self.block):
             X = self.Xt[self.columns[a:a + self.block]].transpose(0, 2, 1)
             Q, R = np.linalg.qr(X)
-            r = R.shape[1]                               # min(m, f)
-            if r < self.f or np.any(np.abs(np.diagonal(R, axis1=1, axis2=2))
-                                    <= COLLINEARITY_TOL * np.linalg.norm(X[:, :, :r], axis=1)):
+            if R.shape[1] < self.f or collinear_columns(X, R).any():
                 raise np.linalg.LinAlgError(_RANK_DEFICIENT)
             proj = np.add.reduceat(Q, self.offsets, axis=1)
             self.pin[a:a + self.block, 0] |= np.all(
@@ -480,25 +476,20 @@ def _fit_problem(problem: Problem):
     The starts of all designs ascend in lockstep (see ``_ascend``), and the
     best start of each design wins.
     """
-    design, start = [], []
-    for k, pin in enumerate(problem.pin):                # no start lifts a pinned component
-        s = float(np.clip(np.var(problem.y[k]), VAR_FLOOR, VAR_CEIL))
-        starts = np.array([(VAR_FLOOR, VAR_FLOOR), (VAR_FLOOR, s), (s, VAR_FLOOR)])
-        for point in dict.fromkeys(map(tuple, starts[~(pin & (starts > VAR_FLOOR)).any(1)])):
-            design.append(k)
-            start.append(point)
-    design = np.array(design, dtype=np.intp)
-    point, loglik, converged, evaluations, factored = _ascend(problem, design, start)
-
     count = len(problem.columns)
-    best = np.full(count, -1)
-    for i, k in enumerate(design):                       # the first best start, as max() takes it
-        if best[k] < 0 or loglik[i] > loglik[best[k]]:
-            best[k] = i
-    fitted = np.ones(count, dtype=bool)
-    fitted[design[~factored]] = False
-    total = np.zeros(count, dtype=np.int64)
-    np.add.at(total, design, evaluations)
+    s = np.clip(np.var(problem.y, axis=1), VAR_FLOOR, VAR_CEIL)
+    starts = np.full((count, 3, 2), VAR_FLOOR)          # (F, F), (F, s), (s, F) per design
+    starts[:, 1, 1] = starts[:, 2, 0] = s
+    # no start lifts a pinned component, and with s at the floor the three coincide
+    keep = ~(problem.pin[:, None] & (starts > VAR_FLOOR)).any(2)
+    keep[:, 1:] &= (s > VAR_FLOOR)[:, None]
+    design = np.nonzero(keep)[0]                         # row-major, as starts[keep]
+    point, loglik, converged, evaluations, factored = _ascend(problem, design, starts[keep])
+    counts = np.bincount(design, minlength=count)
+    # each design's first best start: the first of its run, stably sorted by -loglik
+    best = np.lexsort((-loglik, design))[np.cumsum(counts) - counts]
+    fitted = np.bincount(design[~factored], minlength=count) == 0
+    total = np.bincount(design, weights=evaluations, minlength=count).astype(np.int64)
     beta, cov, _ = problem.gls_batch(np.flatnonzero(fitted), point[best[fitted]])
     row = np.cumsum(fitted) - 1
 

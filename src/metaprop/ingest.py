@@ -30,6 +30,7 @@ __all__ = [
     "FeatureSummary",
     "parse_dataset",
     "encode_design",
+    "collinear_columns",
     "independent_columns",
     "summarize_features",
     "load_schema",
@@ -168,13 +169,14 @@ def load_mapping(text: str, what: str) -> dict:
 
 
 def read_text(path) -> str:
-    """A UTF-8 text file; bytes that are not UTF-8 are a ValidationError naming their line."""
+    """A UTF-8 text file, without the byte-order mark that spreadsheet programs
+    write; bytes that are not UTF-8 are a ValidationError naming their line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:                    # exc.object lacks the mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ValidationError(f"{path}: line {line}: not valid UTF-8") from None
 
 
@@ -401,8 +403,10 @@ def write_dataset_csv(dataset: Dataset, fh) -> None:
 
 @dataclass
 class DesignMatrix:
-    """Full-rank moderator design with dropped-column bookkeeping."""
+    """Full-rank moderator design with dropped-column bookkeeping: the kept
+    ``columns`` of ``dataset.candidate_columns``, their labels and matrix."""
 
+    columns: list
     labels: list
     matrix: np.ndarray
     dropped: list
@@ -414,21 +418,29 @@ class DesignMatrix:
         return self.matrix.shape[1]
 
 
-def independent_columns(X):
-    """The collinearity rule: the indices of the kept columns.
+def collinear_columns(X, R):
+    """The collinearity rule, on the R of a QR of X: one design (m, f) or a
+    stack (S, m, f).  True for column i < min(m, f) when |R_ii|, its residual
+    on the columns before it, is at most COLLINEARITY_TOL times its norm."""
+    r = R.shape[-2]
+    return (np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+            <= COLLINEARITY_TOL * np.linalg.norm(X[..., :r], axis=-2))
 
-    A column is dropped when its residual on the kept columns before it is at
-    most COLLINEARITY_TOL times its norm (so all-zero columns and columns past
-    rank m go too).  That residual is |R_ii| of a QR, redone after each drop.
+
+def independent_columns(X):
+    """The indices of the columns that the collinearity rule keeps.
+
+    The first column ``collinear_columns`` flags is dropped and the QR redone
+    until none is flagged (so all-zero columns go too); the columns past rank
+    m go last.
     """
     X = np.asarray(X, dtype=np.float64)
     kept = np.arange(X.shape[1])
     while True:
-        R = np.linalg.qr(X[:, kept], mode="r")
-        r = R.shape[0]                                   # min(m, columns left)
-        small = np.abs(np.diag(R)) <= COLLINEARITY_TOL * np.linalg.norm(X[:, kept[:r]], axis=0)
+        columns = X[:, kept]
+        small = collinear_columns(columns, np.linalg.qr(columns, mode="r"))
         if not small.any():
-            return kept[:r]
+            return kept[:len(small)]
         kept = np.delete(kept, np.argmax(small))
 
 
@@ -451,7 +463,7 @@ def encode_design(dataset: Dataset, selected_features) -> DesignMatrix:
     references = {e.name: e.reference_level for e in dataset.schema.entries
                   if e.name in selected and e.kind == "categorical"}
     return DesignMatrix(
-        labels=[labels[i] for i in kept],
+        columns=kept, labels=[labels[i] for i in kept],
         matrix=np.ascontiguousarray(candidates[:, kept]),  # BLAS rounding depends on layout
         dropped=[labels[i] for i in offered if i not in kept],
         feature_groups={f: [labels[i] for i in kept if owners[i] == f]

@@ -1,4 +1,5 @@
-"""Report rendering: forest plot SVG, regression tables, comparison tables.
+"""Report rendering: forest plot SVG, regression and comparison tables, and
+the recovery summary.
 
 All output here is plain text (SVG 1.1, markdown, CSV) with fixed
 geometry and fixed number formatting, so identical inputs produce
@@ -26,6 +27,7 @@ __all__ = [
     "forest_plot",
     "regression_table",
     "comparison_table",
+    "recovery_text",
     "simple_table",
 ]
 
@@ -279,6 +281,22 @@ def comparison_table(rows, format: str = "markdown") -> str:
     text = simple_table(_COMPARISON_HEADERS, cells, format=format)
     notes = [f"{r.name}: fit failed ({r.note}).\n" for r in rows if r.note is not None]
     return text + "\n" + "".join(notes) if notes else text
+
+
+def recovery_text(summary) -> str:
+    """A recovery experiment's summary as ``metaprop recover`` prints it."""
+    config = summary.config
+    return (f"Replications: {summary.replications} "
+            f"(non-converged: {summary.n_nonconverged})\n"
+            f"mu: truth {config.mu:.4f}, mean estimate {summary.mean_mu:.4f}, "
+            f"95% CI coverage {summary.coverage:.3f} "
+            f"(Monte Carlo SE {summary.coverage_se:.3f})\n"
+            f"sigma2_xi: truth {config.sigma2_xi:.4f}, "
+            f"mean {summary.mean_sigma2_xi:.4f} "
+            f"(rel. bias {summary.bias_sigma2_xi:+.3f})\n"
+            f"sigma2_zeta: truth {config.sigma2_zeta:.4f}, "
+            f"mean {summary.mean_sigma2_zeta:.4f} "
+            f"(rel. bias {summary.bias_sigma2_zeta:+.3f})")
 
 
 def _g6(x: float) -> str:

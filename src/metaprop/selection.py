@@ -93,12 +93,10 @@ def _fits(dataset: Dataset, subsets, method: str):
     """(j, fit or error) per feature subset, lazily: the one place this module
     fits anything.  Subset j's design is its ``encode_design`` slice of the
     candidate columns; ``engine.fit_designs`` batches the designs."""
-    candidates, labels, _ = dataset.candidate_columns
-    position = {label: i for i, label in enumerate(labels)}
-    columns = [[position[label] for label in encode_design(dataset, features).labels]
-               for features in subsets]
+    columns = [encode_design(dataset, features).columns for features in subsets]
     y, v = engine.effect_arrays(dataset)
-    return engine.fit_designs(y, candidates, dataset.group_sizes(), v, method, columns)
+    return engine.fit_designs(y, dataset.candidate_columns[0], dataset.group_sizes(), v,
+                              method, columns)
 
 
 def _record(index, features, fit) -> TrailRecord:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metaprop
+from metaprop import engine
 from metaprop.cli import main
 from metaprop.simulate import load_simconfig
 
@@ -140,6 +141,13 @@ class TestFit:
         assert code == 2 and out == ""
         assert "line 2: the file has one data row and needs at least 2" in err
 
+    def test_byte_order_mark_fits_as_plain(self, capsys, tmp_path, example_paths):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(example_paths["data"]).read_bytes())
+        plain = run(capsys, "fit", example_paths["data"], example_paths["schema"])
+        assert plain[0] == 0
+        assert run(capsys, "fit", marked, example_paths["schema"]) == plain
+
     def test_missing_file_exit_2(self, capsys, example_paths):
         code, _, err = run(capsys, "fit", "/nonexistent.csv", example_paths["schema"])
         assert code == 2
@@ -177,6 +185,16 @@ class TestRegress:
                            example_paths["schema"], "--features", "bogus")
         assert code == 2
         assert "unknown feature" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nonconvergence_exit_3_warns(self, capsys, monkeypatch, example_paths, fmt):
+        monkeypatch.setattr(engine, "MAX_EVALUATIONS", 1)
+        code, out, err = run(capsys, "regress", example_paths["data"], example_paths["schema"],
+                             "--features", "ml_model", "--format", fmt)
+        assert code == 3
+        assert err == "warning: fit did not converge\n"
+        if fmt == "json":
+            assert json.loads(out)["converged"] is False
 
 
 class TestSelect:

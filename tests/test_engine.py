@@ -281,6 +281,96 @@ class TestFitDesigns:
         with pytest.raises(ValueError, match="shape"):
             Problem(ys[:3], pool, sizes, vs[0], method, columns=[[0], [1]])
 
+    @pytest.mark.parametrize("method, loglik", [("reml", 2.845210549425948),
+                                                ("ml", 4.640165133394344)])
+    def test_constant_y_runs_one_start(self, monkeypatch, method, loglik):
+        # var(y) = 0 puts s at the floor, where the three starts coincide: that
+        # design runs one, its companion with its own y row all three
+        gen = np.random.default_rng(11)
+        sizes = np.array([3, 1, 4, 2])
+        m = int(sizes.sum())
+        v = gen.uniform(0.01, 0.2, m)
+        ys = np.vstack([np.full(m, 0.9), gen.normal(0.9, 0.3, m)])
+        starts = []
+        ascend = engine._ascend
+
+        def recording(problem, design, start):
+            starts.append((design.tolist(), np.asarray(start).tolist()))
+            return ascend(problem, design, start)
+
+        monkeypatch.setattr(engine, "_ascend", recording)
+        fits = dict(engine.fit_designs(ys, np.ones((m, 1)), sizes, v, method, [[0], [0]]))
+        floor = engine.VAR_FLOOR
+        [(design, points)] = starts
+        assert design == [0, 1, 1, 1] and points[0] == [floor, floor]
+        # literal values, those of the per-design start loop
+        fit = fits[0]
+        assert fit.loglik == pytest.approx(loglik, rel=1e-12)
+        assert (fit.varcomps.sigma2_xi, fit.varcomps.sigma2_zeta) == (floor, floor)
+        assert (fit.n_evaluations, fit.converged) == (1, True)
+        alone = fit_model(ys[1], np.ones((m, 1)), sizes, v, method=method)
+        assert (fits[1].varcomps, fits[1].loglik, fits[1].n_evaluations) == \
+            (alone.varcomps, alone.loglik, alone.n_evaluations)
+
+    @pytest.mark.parametrize("tie", [False, True])
+    def test_starts_and_best_match_per_design_loop(self, monkeypatch, tie):
+        # the per-design loops that the start array replaced, kept as the
+        # reference; with tie, every start of a design reports one loglik, so
+        # each design takes its first start
+        gen = np.random.default_rng(23)
+        sizes = np.array([3, 1, 4, 2])
+        m = int(sizes.sum())
+        ys = gen.normal(0.9, 0.3, (6, m))
+        ys[0] = 0.9
+        problem = Problem(ys, np.ones((m, 1)), sizes, gen.uniform(0.01, 0.2, m),
+                          columns=[[0]] * 6)
+        problem.pin[1:4] = [[True, False], [False, True], [True, True]]
+        ascended = []
+        ascend = engine._ascend
+
+        def recording(problem, design, start):
+            point, loglik, *rest = ascend(problem, design, start)
+            if tie:
+                loglik = np.zeros_like(loglik)
+            ascended.append((design, np.asarray(start), point, loglik, rest[1]))
+            return (point, loglik, *rest)
+
+        monkeypatch.setattr(engine, "_ascend", recording)
+        fits = list(engine._fit_problem(problem))
+        [(design, start, point, loglik, evaluations)] = ascended
+        floor, want_design, want_start = engine.VAR_FLOOR, [], []
+        for k, pin in enumerate(problem.pin):
+            s = float(np.clip(np.var(problem.y[k]), floor, engine.VAR_CEIL))
+            starts = np.array([(floor, floor), (floor, s), (s, floor)])
+            for p in dict.fromkeys(map(tuple, starts[~(pin & (starts > floor)).any(1)])):
+                want_design.append(k)
+                want_start.append(list(p))
+        assert design.tolist() == want_design and start.tolist() == want_start
+        for k, fit in enumerate(fits):
+            runs = [i for i, d in enumerate(design) if d == k]
+            best = max(runs, key=lambda i: loglik[i])
+            assert (fit.varcomps.sigma2_xi, fit.varcomps.sigma2_zeta) == tuple(point[best])
+            assert fit.loglik == loglik[best]
+            assert fit.n_evaluations == sum(evaluations[i] for i in runs)
+
+    @pytest.mark.parametrize("method", ["reml", "ml"])
+    def test_unfactorable_design_leaves_its_companion(self, method):
+        # the third column of design 0 is 1e-200 times a normal one: the rank
+        # rule, free of scale, keeps it, but X'V^-1 X underflows at every start,
+        # so fit_designs yields LinAlgError for it alone
+        gen = np.random.default_rng(0)
+        sizes = np.array([3, 2, 4, 3, 2, 4])
+        m = int(sizes.sum())
+        n = np.exp(gen.uniform(0.0, math.log(1e6), m))
+        y, v = gen.normal(1.0, 0.3, m), 1.0 / (4.0 * n + 2.0)
+        pool = np.column_stack([np.ones(m), gen.normal(size=m), 1e-200 * gen.normal(size=m),
+                                gen.normal(size=m)])
+        fits = dict(engine.fit_designs(y, pool, sizes, v, method, [[0, 1, 2], [0, 1, 3]]))
+        assert isinstance(fits[0], np.linalg.LinAlgError)
+        assert "rank deficient" in str(fits[0])
+        alone = fit_model(y, pool[:, [0, 1, 3]], sizes, v, method=method)
+        assert (fits[1].loglik, fits[1].n_evaluations) == (alone.loglik, alone.n_evaluations)
+
 
 class TestGls:
     def test_degenerate_weighted_mean(self):

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from metaprop.engine import Problem, fit_model
 from metaprop.ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError,
-                             encode_design, parse_dataset, summarize_features,
-                             write_dataset_csv)
+                             encode_design, load_schema, parse_dataset, read_text,
+                             summarize_features, write_dataset_csv)
+
+from conftest import DATA, TESTDATA
 
 SCHEMA = FeatureSchema(entries=(
     FeatureSpec(name="size", kind="numeric", scale=1000.0),
@@ -123,6 +126,26 @@ class TestParse:
         again = parse_dataset(buf.getvalue(), _identity_schema())
         assert [(t.study_id, t.k, t.n) for t in again.trials] == \
                [(t.study_id, t.k, t.n) for t in ds.trials]
+
+
+class TestReadText:
+    def test_byte_order_mark_is_skipped(self, tmp_path, example_dataset):
+        # spreadsheet programs start a UTF-8 CSV with the mark
+        plain = (DATA / "example_trials.csv").read_bytes()
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain)
+        assert read_text(marked) == plain.decode("utf-8")
+        ds = parse_dataset(read_text(marked), example_dataset.schema)
+        for name in ("study_id", "trial_id", "k", "n"):
+            assert np.array_equal(getattr(ds, name), getattr(example_dataset, name))
+        for name, column in example_dataset.features.items():
+            assert np.array_equal(ds.features[name], column)
+
+    def test_bad_byte_after_the_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xef\xbb\xbfstudy_id\nS1\nS\xe92\n")
+        with pytest.raises(ValidationError, match="line 3: not valid UTF-8"):
+            read_text(path)
 
 
 def _columns(**changes):
@@ -311,6 +334,22 @@ class TestEncodeDesign:
         assert_problem_applies_the_same_rule(ds, design)
         with pytest.raises(ValidationError, match="more trials than coefficients"):
             fit_model(np.linspace(0.5, 1.5, 4), design, ds.group_sizes(), np.full(4, 0.1))
+
+    def test_columns_index_the_candidates(self, example_dataset):
+        # every subset of the small schema, and the example's full model, which
+        # drops topic=Not specified
+        small = parse_dataset((DATA / "example_trials.csv").read_text(encoding="utf-8"),
+                              load_schema(TESTDATA / "small_schema.yaml"))
+        names = small.schema.names
+        cases = [(small, subset) for r in range(len(names) + 1)
+                 for subset in itertools.combinations(names, r)]
+        cases.append((example_dataset, example_dataset.schema.names))
+        for ds, features in cases:
+            design = encode_design(ds, features)
+            candidates, labels, _ = ds.candidate_columns
+            assert np.array_equal(candidates[:, design.columns], design.matrix)
+            assert design.labels == [labels[i] for i in design.columns]
+        assert design.dropped == ["topic=Not specified"]
 
 
 class TestSummarize:

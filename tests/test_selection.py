@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from metaprop import engine, selection
-from metaprop.ingest import ValidationError, encode_design, load_schema, parse_dataset
+from metaprop.ingest import (Dataset, FeatureSchema, ValidationError, encode_design,
+                             load_schema, parse_dataset)
 from metaprop.selection import criterion, five_model_protocol, search
 from metaprop.simulate import Moderator, SimConfig, generate
 
@@ -187,6 +188,13 @@ class TestFiveModelProtocol:
         rows2, trail2 = five_model_protocol(data)
         assert comparison_table(rows1, "csv") == comparison_table(rows2, "csv")
         assert [(r.index, r.aic) for r in trail1] == [(r.index, r.aic) for r in trail2]
+
+    def test_stepwise_null_failure_raises(self):
+        # one trial: the intercept-only model has m == f, so stepwise has no start
+        data = Dataset(study_id=["S1"], trial_id=["t1"], k=[8], n=[10], features={},
+                       schema=FeatureSchema(entries=()))
+        with pytest.raises(ValidationError, match="^null model failed: need more trials"):
+            five_model_protocol(data, strategy="stepwise")
 
     def test_stepwise_protocol_runs(self):
         data = generate(_noise_config(123, effect=0.25))
