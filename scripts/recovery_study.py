@@ -12,6 +12,7 @@ gaussian approximation costs when counts are truly binomial.
 """
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 
@@ -38,9 +39,8 @@ def main():
 
     describe("gaussian generator", recovery_experiment(config, args.reps))
 
-    binom = load_simconfig(args.config or root / "data" / "example_simconfig.yaml")
-    binom.mode = "binomial"
-    describe("binomial generator", recovery_experiment(binom, args.reps))
+    binomial = dataclasses.replace(config, mode="binomial")
+    describe("binomial generator", recovery_experiment(binomial, args.reps))
 
 
 if __name__ == "__main__":

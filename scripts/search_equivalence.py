@@ -11,8 +11,9 @@ with one BLAS thread, once per search: exhaustive and stepwise, each with
 REML and with ML criterion likelihoods.  For every search it checks that:
 
 - the exit codes are equal, and stdout and comparison.md byte-identical;
-- every search_trail.jsonl record has the same features, f, converged
-  and skipped, and a loglik within 1e-8;
+- every search_trail.jsonl record has the same index, features, f,
+  converged and skipped, and a loglik within 1e-8; a mismatch names the
+  record by its position, with the parent's index in brackets;
 
 and that both reproduce the five-model table below (REML, exhaustive).
 
@@ -142,20 +143,18 @@ def trail_problems(ours: pathlib.Path, theirs: pathlib.Path, label: str) -> list
         return [f"{label}: search_trail.jsonl has {len(a)} records here and {len(b)} "
                 "in the parent"]
     problems, worst = [], 0.0
-    for x, y in zip(a, b):
+    for i, (x, y) in enumerate(zip(a, b)):
+        record = f"{label}: trail record {i} [index {y['index']}]"   # the parent's may repeat
         for key in ("index", "features", "f", "converged", "skipped"):
             if x[key] != y[key]:
-                problems.append(f"{label}: trail record {y['index']}: "
-                                f"{key} {x[key]!r} != {y[key]!r}")
+                problems.append(f"{record}: {key} {x[key]!r} != {y[key]!r}")
         if (x["loglik"] is None) != (y["loglik"] is None):
-            problems.append(f"{label}: trail record {y['index']}: "
-                            f"loglik {x['loglik']} != {y['loglik']}")
+            problems.append(f"{record}: loglik {x['loglik']} != {y['loglik']}")
         elif x["loglik"] is not None:
             gap = abs(x["loglik"] - y["loglik"])
             worst = max(worst, gap)
             if not gap <= LOGLIK_TOL:
-                problems.append(f"{label}: trail record {y['index']}: "
-                                f"loglik differs by {gap:.3g}")
+                problems.append(f"{record}: loglik differs by {gap:.3g}")
     print(f"{label}: search_trail.jsonl: {len(a)} records, "
           f"largest loglik difference {worst:.3g}")
     return problems

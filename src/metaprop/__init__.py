@@ -12,7 +12,7 @@ from .ingest import (Dataset, DesignMatrix, FeatureSchema, FeatureSpec,
                      parse_dataset, summarize_features)
 from .transforms import (EffectSample, alt_transform, ft_inverse, ft_transform,
                          shapiro_wilk, transform_diagnostic)
-from .engine import (FitResult, PooledEstimate, StudyEffect, VarianceComponents,
+from .engine import (FitResult, PooledEstimate, VarianceComponents,
                      fit_model, gls_fixed_effects, log_likelihood,
                      marginal_covariance, pooled_estimate, predict_study_effects)
 from .heterogeneity import (HeterogeneityReport, cochran_q, heterogeneity_report,

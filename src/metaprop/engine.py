@@ -48,7 +48,6 @@ __all__ = [
     "VarianceComponents",
     "FitResult",
     "Problem",
-    "StudyEffect",
     "PooledEstimate",
     "marginal_covariance",
     "log_likelihood",
@@ -97,7 +96,6 @@ class FitResult:
     """Fitted fixed effects, variance components, and bookkeeping."""
 
     beta: np.ndarray
-    labels: list
     cov_beta: np.ndarray
     varcomps: VarianceComponents
     loglik: float
@@ -498,8 +496,8 @@ def _fit_problem(problem: Problem):
             return np.linalg.LinAlgError(_RANK_DEFICIENT)
         i = best[k]
         return FitResult(
-            beta=beta[row[k]], labels=[f"b{j}" for j in range(problem.f)],
-            cov_beta=cov[row[k]], varcomps=VarianceComponents(*map(float, point[i])),
+            beta=beta[row[k]], cov_beta=cov[row[k]],
+            varcomps=VarianceComponents(*map(float, point[i])),
             loglik=float(loglik[i]), method=problem.method, converged=bool(converged[i]),
             n_evaluations=int(total[k]), m=problem.m, h=problem.h, f=problem.f,
             y=problem.y[k], X=problem.X[:, problem.columns[k]],
@@ -578,11 +576,7 @@ def fit_model(y, X, group_sizes, v, method: str = "reml") -> FitResult:
     columns raises ValidationError, a collinear one LinAlgError (see
     Problem).
     """
-    fit = fit_or_raise(next(fit_designs(y, X, group_sizes, v, method))[1], group_sizes)
-    labels = getattr(X, "labels", None)
-    if labels is not None:
-        fit.labels = list(labels)
-    return fit
+    return fit_or_raise(next(fit_designs(y, X, group_sizes, v, method))[1], group_sizes)
 
 
 @dataclass(frozen=True)
@@ -675,47 +669,31 @@ def _t_quantile(df: int, p: float) -> float:
     return math.sqrt(df) * math.tan(theta)
 
 
-@dataclass(frozen=True)
-class StudyEffect:
-    """Predicted study-level effect on the transformed scale."""
-
-    study_id: str
-    kappa_hat: float
-    se: float
-    trials: int
-
-
-def predict_study_effects(fit: FitResult, dataset, method: str = "blup") -> list:
-    """Per-study effect predictions for the forest display.
+def predict_study_effects(fit: FitResult, method: str = "blup") -> tuple:
+    """Per-study effect predictions for the forest display: (kappa, se),
+    arrays in the study order of ``fit.group_sizes``.
 
     blup: conditional mean of the study effect given the data at the
     plugged-in variance components, shrunk toward the population mean;
     the se is the conditional standard deviation.  pool: classic
     within-study inverse-variance average, no shrinkage.
     """
-    ids = dataset.study_ids()
-    sizes = dataset.group_sizes()
-    if len(ids) != fit.h or int(sizes.sum()) != fit.m:
-        raise ValidationError("dataset does not match the fitted model layout")
     if method not in ("blup", "pool"):
         raise ValueError(f"unknown prediction method {method!r}")
 
     xi, zeta = fit.varcomps.sigma2_xi, fit.varcomps.sigma2_zeta
+    sizes = fit.group_sizes
     offsets = np.cumsum(sizes) - sizes
     if method == "pool":                             # within-study inverse-variance mean
         w = 1.0 / fit.v
         s = np.add.reduceat(w, offsets)
-        kappa = np.add.reduceat(w * fit.y, offsets) / s
-        se = np.sqrt(1.0 / s)
-    else:                                            # mean fit plus the shrunken residual
-        d = 1.0 / (fit.v + zeta)
-        s = np.add.reduceat(d, offsets)
-        fitted = fit.X @ fit.beta
-        kappa = (np.add.reduceat(fitted, offsets) / sizes
-                 + xi * np.add.reduceat(d * (fit.y - fitted), offsets) / (1.0 + xi * s))
-        se = np.sqrt(xi / (1.0 + xi * s))
-    return [StudyEffect(study_id=sid, kappa_hat=float(k), se=float(e), trials=int(n))
-            for sid, k, e, n in zip(ids, kappa, se, sizes)]
+        return np.add.reduceat(w * fit.y, offsets) / s, np.sqrt(1.0 / s)
+    d = 1.0 / (fit.v + zeta)                         # mean fit plus the shrunken residual
+    s = np.add.reduceat(d, offsets)
+    fitted = fit.X @ fit.beta
+    kappa = (np.add.reduceat(fitted, offsets) / sizes
+             + xi * np.add.reduceat(d * (fit.y - fitted), offsets) / (1.0 + xi * s))
+    return kappa, np.sqrt(xi / (1.0 + xi * s))
 
 
 def study_weights(fit: FitResult) -> np.ndarray:

@@ -67,18 +67,21 @@ def forest_plot(fit: engine.FitResult, dataset, scale: str = "proportion",
 
     One row per study (shrunken estimate with 95% CI and GLS weight), a
     diamond for the pooled estimate, axis in proportion units on [0, 1].
-    Returns (svg_text, rows), the rows as ForestRows on the proportion scale.
+    The rows take their study ids from ``dataset``, whose study layout
+    must be the fit's.  Returns (svg_text, rows), the rows as ForestRows
+    on the proportion scale.
     """
     if fit.f != 1:
         raise ValidationError("forest plot requires an intercept-only fit")
     if scale not in ("proportion", "transformed"):
         raise ValueError(f"unknown scale {scale!r}")
-    effects = engine.predict_study_effects(fit, dataset, method=method)
-    ends, props = (a.tolist() for a in engine.intervals([e.kappa_hat for e in effects],
-                                                          [e.se for e in effects]))
-    rows = [ForestRow(study_id=e.study_id, trials=e.trials, estimate=est, ci=(lo, hi),
-                      weight=w)
-            for e, w, (est, lo, hi) in zip(effects, engine.study_weights(fit).tolist(), props)]
+    if not np.array_equal(dataset.group_sizes(), fit.group_sizes):
+        raise ValidationError("dataset does not match the fitted model layout")
+    ends, props = (a.tolist() for a in engine.intervals(
+        *engine.predict_study_effects(fit, method=method)))
+    rows = [ForestRow(study_id=sid, trials=n, estimate=est, ci=(lo, hi), weight=w)
+            for sid, n, w, (est, lo, hi) in zip(dataset.study_ids(), fit.group_sizes.tolist(),
+                                                 engine.study_weights(fit).tolist(), props)]
     pooled = engine.pooled_estimate(fit)
 
     if scale == "proportion":
@@ -208,35 +211,29 @@ class RegressionTable:
 def regression_table(fit: engine.FitResult, design) -> RegressionTable:
     """Coefficient estimates with normal-theory tests and 95% CIs.
 
-    Labels follow the design matrix; dummy labels are shortened to the
-    category name and grouped under a feature heading annotated with the
+    Row i is column i of the design: the intercept, then each selected
+    feature's kept columns in ``design.feature_groups`` order.  A dummy
+    is named by its category (its label without the feature's ``name=``
+    prefix) and grouped under a feature heading annotated with the
     reference level.  Columns dropped for collinearity are listed in a
     footnote.
     """
+    names = [("Intercept", None)] + [
+        (label[len(feat) + 1:] if feat in design.reference_levels else label, feat)
+        for feat, labels in design.feature_groups.items() for label in labels]
+    if len(names) != len(fit.beta):
+        raise ValueError(f"design has {len(names)} columns, the fit {len(fit.beta)}")
     rows = []
     se_all = np.sqrt(np.maximum(np.diag(fit.cov_beta), 0.0))
-    for i, label in enumerate(fit.labels):
-        beta = float(fit.beta[i])
-        se = float(se_all[i])
+    for (label, feature), beta, se in zip(names, fit.beta.tolist(), se_all.tolist()):
         if se > 0:
             p = math.erfc(abs(beta) / se / math.sqrt(2.0))
         else:
             p = 1.0 if beta == 0 else 0.0
-        feature = None
-        display = label
-        if label != "intercept":
-            for feat, labels in design.feature_groups.items():
-                if label in labels:
-                    feature = feat
-                    display = label.split("=", 1)[1] if "=" in label else label
-                    break
-        if label == "intercept":
-            display = "Intercept"
-        rows.append(RegressionRow(label=display, beta=beta, se=se, p=p,
+        rows.append(RegressionRow(label=label, beta=beta, se=se, p=p,
                                   ci_low=beta - Z95 * se, ci_high=beta + Z95 * se,
                                   feature=feature))
-    order = [f for f in design.feature_groups.keys()]
-    return RegressionTable(rows=rows, feature_order=order,
+    return RegressionTable(rows=rows, feature_order=list(design.feature_groups),
                            reference_levels=dict(design.reference_levels),
                            dropped=list(design.dropped))
 
@@ -304,12 +301,14 @@ def _g6(x: float) -> str:
 
 
 def simple_table(headers, rows, format: str = "markdown") -> str:
-    """Small generic table writer for diagnostics and feature summaries."""
+    """Small generic table writer for diagnostics and feature summaries.
+
+    A ``|`` in a markdown cell is written as ``\\|``, so it cannot split
+    the cell; CSV quotes what it needs to by itself.
+    """
     if format == "markdown":
-        lines = ["| " + " | ".join(str(hdr) for hdr in headers) + " |",
-                 "| " + " | ".join(["---"] * len(headers)) + " |"]
-        for row in rows:
-            lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
+        line = lambda cells: "| " + " | ".join(str(c).replace("|", "\\|") for c in cells) + " |"
+        lines = [line(headers), line(["---"] * len(headers)), *map(line, rows)]
         return "\n".join(lines) + "\n"
     if format == "csv":
         buf = io.StringIO()

@@ -140,12 +140,12 @@ def _best_record(trail, kind: str) -> TrailRecord:
     return min(viable, key=lambda r: (getattr(r, kind), r.f, r.features))
 
 
-def _stepwise_trail(dataset: Dataset, method: str, kind: str) -> tuple:
-    """Greedy forward-backward passes; returns (best_features, trail).
+def _stepwise_trail(dataset: Dataset, method: str, kind: str, trail: list) -> tuple:
+    """Greedy forward-backward passes; returns the best features.
 
-    The moves of one pass are fitted together."""
+    Each candidate's record is appended to ``trail``, indexed on from its
+    length.  The moves of one pass are fitted together."""
     names = dataset.schema.names
-    trail: list = []
 
     def score(subsets):
         records = _subset_trail(dataset, subsets, method, len(trail))
@@ -172,24 +172,22 @@ def _stepwise_trail(dataset: Dataset, method: str, kind: str) -> tuple:
             current = list(challenger.features)
         else:
             break
-    return best.features, trail
+    return best.features
 
 
 def _winners(dataset: Dataset, kinds, strategy: str, method: str) -> tuple:
     """({kind: criterion-minimal features}, trail) for each criterion kind.
 
     Exhaustive evaluates every subset of the feature groups once for all
-    kinds; stepwise runs its own passes per kind, and the trail joins them.
+    kinds; stepwise runs its own passes per kind, each appending to one
+    trail, so every record has its own index.
     """
     if strategy == "exhaustive":
         trail = _exhaustive_trail(dataset, method)
         return {kind: _best_record(trail, kind).features for kind in kinds}, trail
     if strategy == "stepwise":
-        winners, trail = {}, []
-        for kind in kinds:
-            winners[kind], sub_trail = _stepwise_trail(dataset, method, kind)
-            trail.extend(sub_trail)
-        return winners, trail
+        trail: list = []
+        return {kind: _stepwise_trail(dataset, method, kind, trail) for kind in kinds}, trail
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -207,7 +205,6 @@ def search(dataset: Dataset, criterion_kind: str, strategy: str = "exhaustive",
     winners, trail = _winners(dataset, [criterion_kind], strategy, method)
     features = winners[criterion_kind]
     [(_, fit)] = _fits(dataset, [features], method)
-    fit.labels = list(encode_design(dataset, features).labels)
     return SearchResult(features=tuple(features), fit=fit,
                         criterion_kind=criterion_kind,
                         criterion_value=criterion(fit, fit.y - fit.X @ fit.beta, criterion_kind),

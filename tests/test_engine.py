@@ -658,21 +658,21 @@ class TestPredictStudyEffects:
         y, v = effect_arrays(data)
         y = np.full_like(y, 1.2)  # no dispersion at all
         fit = fit_model(y, np.ones((data.m, 1)), data.group_sizes(), v)
-        effects = predict_study_effects(fit, data)
-        assert len(effects) == data.h
-        for eff in effects:
-            assert eff.kappa_hat == pytest.approx(float(fit.beta[0]), abs=1e-6)
+        kappa, se = predict_study_effects(fit)
+        assert len(kappa) == len(se) == data.h
+        for kappa_hat in kappa:
+            assert kappa_hat == pytest.approx(float(fit.beta[0]), abs=1e-6)
 
     def test_conditional_normal_oracle(self):
         data = self._dataset(seed=23, h=2, trials=3)
         y, v = effect_arrays(data)
         sizes = data.group_sizes()
         fit = fit_model(y, np.ones((data.m, 1)), sizes, v)
-        effects = predict_study_effects(fit, data)
+        kappa, se = predict_study_effects(fit)
         mu = float(fit.beta[0])
         xi, zeta = fit.varcomps.sigma2_xi, fit.varcomps.sigma2_zeta
         start = 0
-        for eff, size in zip(effects, sizes):
+        for kappa_hat, se_hat, size in zip(kappa, se, sizes):
             stop = start + int(size)
             yj, vj = y[start:stop], v[start:stop]
             Vj = np.full((size, size), xi) + np.diag(vj + zeta)
@@ -680,25 +680,27 @@ class TestPredictStudyEffects:
             w = np.linalg.solve(Vj, cov_xy)
             cond_mean = mu + float(w @ (yj - mu))
             cond_var = xi - float(w @ cov_xy)
-            assert eff.kappa_hat == pytest.approx(cond_mean, abs=1e-10)
-            assert eff.se == pytest.approx(math.sqrt(max(cond_var, 0.0)), abs=1e-10)
+            assert kappa_hat == pytest.approx(cond_mean, abs=1e-10)
+            assert se_hat == pytest.approx(math.sqrt(max(cond_var, 0.0)), abs=1e-10)
             start = stop
 
     def test_trials_sum_to_m(self):
+        from metaprop.report import forest_plot
+
         data = self._dataset(seed=29)
         y, v = effect_arrays(data)
         fit = fit_model(y, np.ones((data.m, 1)), data.group_sizes(), v)
-        effects = predict_study_effects(fit, data)
-        assert sum(e.trials for e in effects) == data.m
+        _, rows = forest_plot(fit, data)
+        assert sum(r.trials for r in rows) == data.m
 
     def test_pool_method_matches_inverse_variance(self):
         data = self._dataset(seed=31)
         y, v = effect_arrays(data)
         sizes = data.group_sizes()
         fit = fit_model(y, np.ones((data.m, 1)), sizes, v)
-        effects = predict_study_effects(fit, data, method="pool")
+        kappa, _ = predict_study_effects(fit, method="pool")
         w = 1.0 / v[:sizes[0]]
-        assert effects[0].kappa_hat == pytest.approx(
+        assert kappa[0] == pytest.approx(
             float(np.sum(w * y[:sizes[0]]) / np.sum(w)), abs=1e-12)
 
     def test_matches_per_study_loop(self):
@@ -721,8 +723,7 @@ class TestPredictStudyEffects:
                          / (1.0 + xi * s), math.sqrt(xi / (1.0 + xi * s))))
             weights.append(s / (1.0 + xi * s))
         for method, expected in (("pool", pool), ("blup", blup)):
-            effects = predict_study_effects(fit, data, method=method)
-            got = np.array([(e.kappa_hat, e.se) for e in effects])
+            got = np.column_stack(predict_study_effects(fit, method=method))
             assert got == pytest.approx(np.array(expected, dtype=float), rel=1e-14)
         assert study_weights(fit) == pytest.approx(np.array(weights) / sum(weights), rel=1e-14)
 
@@ -741,20 +742,12 @@ class TestRecoveryShape:
     def test_shrinkage_monotone_in_xi(self, seed):
         # kappa_hat moves from the raw study mean toward mu as sigma2_xi -> 0
         y, X, sizes, v = toy_instance(seed, n_studies=2, trials=3, v_range=(0.02, 0.1))
-
-        class FakeDataset:
-            def study_ids(self):
-                return ["A", "B"]
-
-            def group_sizes(self):
-                return np.asarray(sizes)
-
         fit = fit_model(y, X, sizes, v)
         mu = float(fit.beta[0])
         devs = []
         for xi in (1e-8, 0.01, 0.1, 1.0):
             fit.varcomps = VarianceComponents(xi, fit.varcomps.sigma2_zeta)
-            eff = predict_study_effects(fit, FakeDataset())[0]
-            devs.append(abs(eff.kappa_hat - mu))
+            kappa, _ = predict_study_effects(fit)
+            devs.append(abs(kappa[0] - mu))
         assert devs[0] == pytest.approx(0.0, abs=1e-6)
         assert devs == sorted(devs)

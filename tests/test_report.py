@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -68,10 +69,11 @@ class TestForestPlot:
 
         fit, dataset = fitted_example
         _, rows = forest_plot(fit, dataset)
-        effects = engine.predict_study_effects(fit, dataset)
-        for row, eff in zip(rows, effects):
-            n_eq = math.inf if eff.se == 0 else 1.0 / eff.se ** 2
-            assert row.estimate == pytest.approx(ft_inverse(eff.kappa_hat, n_eq), abs=1e-12)
+        kappa, se = engine.predict_study_effects(fit)
+        assert len(rows) == len(kappa)
+        for row, kappa_hat, se_hat in zip(rows, kappa, se):
+            n_eq = math.inf if se_hat == 0 else 1.0 / se_hat ** 2
+            assert row.estimate == pytest.approx(ft_inverse(kappa_hat, n_eq), abs=1e-12)
 
     def test_zero_xi_puts_all_rows_at_mu(self):
         cfg = SimConfig(h=5, trials_per_study=4, mu=1.1, sigma2_xi=0.0,
@@ -82,9 +84,9 @@ class TestForestPlot:
         fit.varcomps = engine.VarianceComponents(0.0, fit.varcomps.sigma2_zeta)
         _, rows = forest_plot(fit, data)
         # every study shrinks fully onto mu on the transformed scale
-        effects = engine.predict_study_effects(fit, data)
-        for eff in effects:
-            assert eff.kappa_hat == pytest.approx(float(fit.beta[0]), abs=1e-12)
+        kappa, _ = engine.predict_study_effects(fit)
+        for kappa_hat in kappa:
+            assert kappa_hat == pytest.approx(float(fit.beta[0]), abs=1e-12)
         from metaprop.transforms import ft_inverse
 
         target = ft_inverse(float(fit.beta[0]), math.inf)
@@ -106,6 +108,21 @@ class TestForestPlot:
                             lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
         forest_plot(fit, dataset, scale=scale)
         assert len(calls) == 1
+
+    def test_other_layout_raises(self, fitted_example):
+        fit, dataset = fitted_example
+        other = generate(SimConfig(h=5, trials_per_study=4, mu=1.1, sigma2_xi=0.01,
+                                   sigma2_zeta=0.004, n_range=(500, 900), seed=5))
+        # the same number of studies and trials, split differently
+        sizes = dataset.group_sizes()
+        moved = generate(SimConfig(h=dataset.h, trials_per_study=[*sizes[1:], sizes[0]],
+                                   mu=1.1, sigma2_xi=0.01, sigma2_zeta=0.004,
+                                   n_range=(500, 900), seed=5))
+        assert moved.m == dataset.m and moved.h == dataset.h
+        for data in (other, moved):
+            with pytest.raises(ValidationError, match="^dataset does not match the fitted "
+                                                      "model layout$"):
+                forest_plot(fit, data)
 
     def test_requires_intercept_only(self, fitted_example):
         _, dataset = fitted_example
@@ -145,9 +162,9 @@ class TestRegressionTable:
         import mpmath
 
         z = np.r_[np.linspace(-37.0, 37.0, 149), 1e-8, -1e-3, 8.3, -8.5]
-        fit = SimpleNamespace(labels=["intercept"] + [f"b{i}" for i in range(1, z.size)],
-                              beta=z, cov_beta=np.eye(z.size))
-        design = SimpleNamespace(feature_groups={}, reference_levels={}, dropped=[])
+        fit = SimpleNamespace(beta=z, cov_beta=np.eye(z.size))
+        design = SimpleNamespace(feature_groups={"b": [f"b{i}" for i in range(1, z.size)]},
+                                 reference_levels={}, dropped=[])
         rows = regression_table(fit, design).rows
         with mpmath.workdps(40):
             for zi, row in zip(z, rows):
@@ -158,12 +175,67 @@ class TestRegressionTable:
         fit, dataset = fitted_example
         design = encode_design(dataset, ())
         fit2 = engine.FitResult(
-            beta=np.array([0.0]), labels=["intercept"], cov_beta=np.zeros((1, 1)),
+            beta=np.array([0.0]), cov_beta=np.zeros((1, 1)),
             varcomps=fit.varcomps, loglik=0.0, method="reml", converged=True,
             n_evaluations=0, m=fit.m, h=fit.h, f=1, y=fit.y, X=fit.X,
             group_sizes=fit.group_sizes, v=fit.v)
         table = regression_table(fit2, design)
         assert table.rows[0].p == 1.0
+
+    @pytest.mark.parametrize("schema, columns, expected", [
+        # a numeric name with "=", a categorical one with "=", a numeric "intercept"
+        ("dose=mg: {kind: numeric}\n"
+         "arm=x: {kind: categorical, reference_level: a}\n"
+         "intercept: {kind: numeric}\n",
+         lambda i: [f"{1.0 + 0.7 * i:.1f}", "abc"[i % 3], f"{i * 7 % 5}"],
+         [("Intercept", ""), ("dose=mg", "dose=mg"), ("**arm=x** (Ref: a)", None),
+          ("&nbsp;&nbsp;b", "arm=x"), ("&nbsp;&nbsp;c", "arm=x"),
+          ("intercept", "intercept")]),
+        # a numeric "a=b" whose label equals the dummy of level b of categorical a
+        ("a: {kind: categorical, reference_level: x}\n"
+         "a=b: {kind: numeric}\n",
+         lambda i: ["xb"[i % 2], f"{i * 7 % 5}"],
+         [("Intercept", ""), ("**a** (Ref: x)", None), ("&nbsp;&nbsp;b", "a"),
+          ("a=b", "a=b")]),
+    ], ids=["equals_in_names", "numeric_label_is_a_dummy_label"])
+    def test_rows_named_by_design_position(self, schema, columns, expected):
+        table = _feature_table(schema, columns)
+        md = table.markdown().splitlines()
+        assert [line[2:].split(" | ")[0] for line in md[2:]] == [e[0] for e in expected]
+        parsed = list(csv.DictReader(io.StringIO(table.csv())))
+        rows = [(e[0].replace("&nbsp;", ""), e[1]) for e in expected if e[1] is not None]
+        assert [(r["label"], r["feature"]) for r in parsed] == rows
+
+    def test_design_of_another_width_raises(self, fitted_example):
+        fit, dataset = fitted_example
+        with pytest.raises(ValueError, match="^design has 5 columns, the fit 1$"):
+            regression_table(fit, encode_design(dataset, ["ml_model"]))
+
+    def test_pipe_in_level_is_escaped(self):
+        table = _feature_table("c: {kind: categorical, reference_level: a}\n",
+                               lambda i: [["a", "b|c", "d"][i % 3]])
+        md = table.markdown().splitlines()
+        assert all(len(re.findall(r"(?<!\\)\|", line)) == 6 for line in md)
+        assert md[4].startswith("| &nbsp;&nbsp;b\\|c | ")
+        parsed = list(csv.DictReader(io.StringIO(table.csv())))
+        assert [r["label"] for r in parsed] == ["Intercept", "b|c", "d"]
+
+
+def _feature_table(schema, columns):
+    """The regression table of every feature of SCHEMA, fitted to twelve
+    trials in four studies whose feature values COLUMNS(i) gives per trial."""
+    from metaprop.ingest import FeatureSchema, parse_dataset
+
+    schema = FeatureSchema.from_yaml("features:\n" + "".join(
+        "  " + line + "\n" for line in schema.splitlines()))
+    header = ",".join(["study_id", "trial_id", "k", "n", *schema.names])
+    rows = [",".join([f"S{i // 3}", f"t{i % 3}", str(60 + 3 * i + (i * 5) % 7), "100",
+                      *columns(i)]) for i in range(12)]
+    dataset = parse_dataset("\n".join([header, *rows]) + "\n", schema)
+    y, v = engine.effect_arrays(dataset)
+    design = encode_design(dataset, schema.names)
+    assert not design.dropped
+    return regression_table(engine.fit_model(y, design, dataset.group_sizes(), v), design)
 
 
 def _protocol_rows():

@@ -201,3 +201,9 @@ class TestFiveModelProtocol:
         rows, trail = five_model_protocol(data, strategy="stepwise")
         assert {r.name for r in rows} == {"Null", "Full", "AIC", "BIC", "RMSE"}
         assert len(trail) > 0
+
+    def test_stepwise_trail_indices_are_positions(self):
+        # the three criteria's passes append to one trail, indexed on
+        data = generate(_noise_config(123, effect=0.25))
+        _, trail = five_model_protocol(data, strategy="stepwise")
+        assert [r.index for r in trail] == list(range(len(trail)))
