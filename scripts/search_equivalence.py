@@ -42,7 +42,9 @@ regression.md and regression.csv, ``regress --features=ml_model``, and
 both study-effect methods (the SVG too); ``recover --reps 20`` as text;
 and a four-trial ``select`` whose Full model fails, which exits 3 with a
 notes footer, as text and with ``--format json`` (its comparison tables and
-trail).  Exits 1 on any mismatch.
+trail).  Every ``--format json`` stdout of this checkout must also parse
+as strict JSON, without NaN or Infinity (RFC 8259); the parent's is only
+byte-compared.  Exits 1 on any mismatch.
 """
 
 import csv
@@ -85,6 +87,17 @@ FIVE_MODEL_TABLE = [
     ("RMSE", 28, -243.3082, -149.7684, 0.083803, ALL[1:]),
     ("Full", 29, -231.1218, -134.6502, 0.083939, ALL),
 ]
+
+
+def json_problems(label: str, stdout: bytes) -> list:
+    """A problem if STDOUT is not strict JSON: RFC 8259 has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    try:
+        json.loads(stdout, parse_constant=reject)
+    except ValueError as exc:
+        return [f"{label}: stdout is not strict JSON: {exc}"]
+    return []
 
 
 def run_cli(checkout: pathlib.Path, *argv, codes=(0,), cwd=None) -> tuple:
@@ -209,6 +222,7 @@ def recover_problems(parent: pathlib.Path, tmp: pathlib.Path, name: str, config:
     problems = []
     if code != parent_code:
         problems.append(f"{label}: exit code {code} here, {parent_code} in the parent")
+    problems += json_problems(label, stdout)
     ours, theirs = json.loads(stdout), json.loads(parent_stdout)
     added = [key for key in ours if key not in theirs]
     shared = json.dumps({key: ours[key] for key in ours if key in theirs}, indent=2) + "\n"
@@ -244,6 +258,8 @@ def output_problems(parent: pathlib.Path, tmp: pathlib.Path, label: str, argv,
     for name, x, y in zip(names, ours, theirs):
         if x != y:
             problems.append(f"{label}: {name} differs")
+    if "json" in argv:
+        problems += json_problems(label, ours[0])
     print(f"{label}: exit {code}, compared {', '.join(names)}")
     return problems
 

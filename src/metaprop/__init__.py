@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .ingest import (Dataset, DesignMatrix, FeatureSchema, FeatureSpec,
                      TrialRecord, ValidationError, encode_design, load_schema,
-                     parse_dataset, summarize_features)
+                     parse_dataset)
 from .transforms import (EffectSample, alt_transform, ft_inverse, ft_transform,
                          shapiro_wilk, transform_diagnostic)
 from .engine import (FitResult, PooledEstimate, VarianceComponents,
@@ -17,6 +17,6 @@ from .engine import (FitResult, PooledEstimate, VarianceComponents,
                      marginal_covariance, pooled_estimate, predict_study_effects)
 from .heterogeneity import (HeterogeneityReport, cochran_q, heterogeneity_report,
                             i_squared_levels, pooled_sampling_variance, r_squared)
-from .selection import ModelComparisonRow, criterion, five_model_protocol, search
+from .selection import ModelComparisonRow, criterion, five_model_protocol
 from .report import comparison_table, forest_plot, regression_table
 from .simulate import Moderator, RecoverySummary, SimConfig, generate, recovery_experiment

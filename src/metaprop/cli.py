@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -44,6 +45,21 @@ class Outcome:
     seed: int | None = None
 
 
+def _finite(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(_finite, value))
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _json(value, indent=None) -> str:
+    """The one JSON encoder of the command's output: RFC 8259 has no NaN or
+    Infinity, so a non-finite float is written as null."""
+    return json.dumps(_finite(value), allow_nan=False, default=str, indent=indent)
+
+
 def _emit(args, outcome: Outcome) -> None:
     """Write the manifest and the artifacts to the out-dir, if there is one,
     then print the outcome: a command whose out-dir cannot be written
@@ -57,12 +73,12 @@ def _emit(args, outcome: Outcome) -> None:
                     "seed": outcome.seed, "out_dir": out_dir, "version": __version__,
                     "timestamp": datetime.now(timezone.utc).isoformat()}
         os.makedirs(out_dir, exist_ok=True)
-        for name, text in {"manifest.json": json.dumps(manifest, indent=2) + "\n",
+        for name, text in {"manifest.json": _json(manifest, indent=2) + "\n",
                            **outcome.artifacts}.items():
             with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
     if args.format == "json":
-        print(json.dumps(outcome.payload, indent=2, default=str))
+        print(_json(outcome.payload, indent=2))
     else:
         print(outcome.text)
 
@@ -120,7 +136,7 @@ def cmd_fit(args) -> Outcome:
               "" if d.p_value is None else f"{d.p_value:.4g}", d.skipped or "")
              for d in diagnostics])
     return Outcome(EXIT_OK if fit.converged else EXIT_NUMERIC, payload, text,
-                   {"fit.json": json.dumps(payload, indent=2) + "\n"})
+                   {"fit.json": _json(payload, indent=2) + "\n"})
 
 
 def cmd_regress(args) -> Outcome:
@@ -164,7 +180,7 @@ def cmd_select(args) -> Outcome:
     return Outcome(EXIT_NUMERIC if failed else EXIT_OK, payload, markdown,
                    {"comparison.md": markdown,
                     "comparison.csv": report.comparison_table(rows, format="csv"),
-                    "search_trail.jsonl": "".join(json.dumps(asdict(rec)) + "\n"
+                    "search_trail.jsonl": "".join(_json(asdict(rec)) + "\n"
                                                   for rec in trail)},
                    out_dir="metaprop_out")
 

@@ -145,8 +145,8 @@ class Problem:
     ``evaluate_batch`` is the kernel.  It evaluates a stack of problems,
     each a design at its own point, with batched products and
     factorizations, in blocks whose size _BLOCK bounds, and costs
-    O(m f^2 + f^3) per problem.  ``evaluate`` and ``gls`` are the
-    single-problem forms.
+    O(m f^2 + f^3) per problem; ``gls_batch`` gives the GLS fixed effects
+    the same way.
     """
 
     def __init__(self, y, X, group_sizes, v, method: str = "reml", columns=None):
@@ -320,17 +320,6 @@ class Problem:
         score = -0.5 * (trace - np.stack([(gr * gr).sum(1), (u * u).sum(1)], axis=1))
         return loglik, score, 0.5 * info, ok
 
-    def evaluate(self, sigma2_xi: float, sigma2_zeta: float):
-        """(loglik, score, information) of the first design at one point.
-
-        The single-problem form of ``evaluate_batch``; raises LinAlgError
-        where that reports ok False.
-        """
-        loglik, score, info, ok = self.evaluate_batch([0], [sigma2_xi, sigma2_zeta])
-        if not ok[0]:
-            raise np.linalg.LinAlgError(_RANK_DEFICIENT)
-        return float(loglik[0]), score[0], info[0]
-
     def gls_batch(self, design, point):
         """GLS fixed effects (S, f), their covariances (S, f, f) and ok (S,),
         per problem as in ``evaluate_batch``."""
@@ -342,26 +331,26 @@ class Problem:
         cov = Li.transpose(0, 2, 1) @ Li                 # numpy forms A'A by syrk: symmetric
         return (cov @ XVy[:, :, None])[:, :, 0], cov, ok
 
-    def gls(self, sigma2_xi: float, sigma2_zeta: float):
-        """GLS fixed effects and their covariance of the first design at one point."""
-        beta, cov, ok = self.gls_batch([0], [sigma2_xi, sigma2_zeta])
-        if not ok[0]:
-            raise np.linalg.LinAlgError(_RANK_DEFICIENT)
-        return beta[0], cov[0]
-
 
 def log_likelihood(y, X, group_sizes, varcomps: VarianceComponents, v, method: str = "reml") -> float:
     """Marginal (ML) or restricted (REML) Gaussian log-likelihood.
 
     See :meth:`Problem.evaluate_batch`, which also returns the score and information.
     """
-    problem = Problem(y, X, group_sizes, v, method)
-    return problem.evaluate(varcomps.sigma2_xi, varcomps.sigma2_zeta)[0]
+    loglik, _, _, ok = Problem(y, X, group_sizes, v, method).evaluate_batch(
+        [0], [varcomps.sigma2_xi, varcomps.sigma2_zeta])
+    if not ok[0]:
+        raise np.linalg.LinAlgError(_RANK_DEFICIENT)
+    return float(loglik[0])
 
 
 def gls_fixed_effects(y, X, group_sizes, varcomps: VarianceComponents, v):
     """GLS fixed effects and their covariance at fixed variance components."""
-    return Problem(y, X, group_sizes, v).gls(varcomps.sigma2_xi, varcomps.sigma2_zeta)
+    beta, cov, ok = Problem(y, X, group_sizes, v).gls_batch(
+        [0], [varcomps.sigma2_xi, varcomps.sigma2_zeta])
+    if not ok[0]:
+        raise np.linalg.LinAlgError(_RANK_DEFICIENT)
+    return beta[0], cov[0]
 
 
 def _lstsq2(info, score, free):

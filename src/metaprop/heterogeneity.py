@@ -39,7 +39,7 @@ def cochran_q(y, X, v):
     p-value is the chi-square upper tail.
     """
     y = np.asarray(y, dtype=np.float64)
-    mat = np.asarray(getattr(X, "matrix", X), dtype=np.float64)
+    mat = np.asarray(X, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     m, f = mat.shape
     if f >= m:

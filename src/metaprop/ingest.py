@@ -27,12 +27,10 @@ __all__ = [
     "TrialRecord",
     "Dataset",
     "DesignMatrix",
-    "FeatureSummary",
     "parse_dataset",
     "encode_design",
     "collinear_columns",
     "independent_columns",
-    "summarize_features",
     "load_schema",
     "write_dataset_csv",
 ]
@@ -192,10 +190,6 @@ class TrialRecord(NamedTuple):
     k: int
     n: int
     features: dict
-
-    @property
-    def p(self) -> float:
-        return self.k / self.n
 
 
 class Dataset:
@@ -469,31 +463,3 @@ def encode_design(dataset: Dataset, selected_features) -> DesignMatrix:
         feature_groups={f: [labels[i] for i in kept if owners[i] == f]
                         for f in dataset.schema.names if f in selected},
         reference_levels=references)
-
-
-@dataclass(frozen=True)
-class FeatureSummary:
-    """Distribution summary of one feature over the dataset."""
-
-    name: str
-    kind: str
-    counts: dict | None = None
-    minimum: float | None = None
-    median: float | None = None
-    maximum: float | None = None
-
-
-def summarize_features(dataset: Dataset) -> list:
-    """Per-feature category counts, or min/median/max for numerics."""
-    out = []
-    for spec in dataset.schema.entries:
-        column = dataset.features[spec.name]
-        if spec.kind == "numeric":
-            out.append(FeatureSummary(name=spec.name, kind="numeric",
-                                      minimum=float(column.min()),
-                                      median=float(np.median(column)),
-                                      maximum=float(column.max())))
-        else:
-            out.append(FeatureSummary(name=spec.name, kind="categorical",
-                                      counts=dict(sorted(Counter(column.tolist()).items()))))
-    return out

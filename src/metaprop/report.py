@@ -86,16 +86,18 @@ def forest_plot(fit: engine.FitResult, dataset, scale: str = "proportion",
 
     if scale == "proportion":
         span = (0.0, 1.0)
-        to_axis = lambda val: val
         p_est, p_lo, p_hi = pooled.prop, pooled.prop_low, pooled.prop_high
         row_pts = props
         axis_label = "overall accuracy"
     else:
         span = (0.0, HALF_PI)
-        to_axis = lambda val: val / HALF_PI
         p_est, p_lo, p_hi = pooled.mu, pooled.ci_low, pooled.ci_high
         row_pts = ends
         axis_label = "transformed accuracy"
+
+    def x_at(val):
+        """The x of a value on the axis, clamped to the plot."""
+        return _x_of(min(max(val / span[1], 0.0), 1.0))
 
     height = _TOP + (len(rows) + 3) * _ROW_H + 40
     out = [
@@ -109,13 +111,11 @@ def forest_plot(fit: engine.FitResult, dataset, scale: str = "proportion",
         f'<text x="640" y="{_TOP - 22}" font-weight="bold">Estimate [95% CI]</text>',
     ]
     y = _TOP
-    for row, pts in zip(rows, row_pts):
+    top_weight = max(r.weight for r in rows)
+    for row, (est, lo, hi) in zip(rows, row_pts):
         cy = y + _ROW_H // 2
-        est, lo, hi = pts
-        x_lo = _x_of(min(max(to_axis(lo), 0.0), 1.0))
-        x_hi = _x_of(min(max(to_axis(hi), 0.0), 1.0))
-        x_est = _x_of(min(max(to_axis(est), 0.0), 1.0))
-        half = 2.5 + 5.0 * row.weight / max(r.weight for r in rows)
+        x_lo, x_hi, x_est = x_at(lo), x_at(hi), x_at(est)
+        half = 2.5 + 5.0 * row.weight / top_weight
         out.append(f'<text x="10" y="{cy + 4}">{_escape(row.study_id)}</text>')
         out.append(f'<text x="200" y="{cy + 4}">{row.trials}</text>')
         out.append(f'<line x1="{x_lo:.2f}" y1="{cy}" x2="{x_hi:.2f}" y2="{cy}" '
@@ -128,9 +128,7 @@ def forest_plot(fit: engine.FitResult, dataset, scale: str = "proportion",
     # pooled diamond
     y += _ROW_H // 2
     cy = y + _ROW_H // 2
-    x_lo = _x_of(min(max(to_axis(p_lo), 0.0), 1.0))
-    x_hi = _x_of(min(max(to_axis(p_hi), 0.0), 1.0))
-    x_est = _x_of(min(max(to_axis(p_est), 0.0), 1.0))
+    x_lo, x_hi, x_est = x_at(p_lo), x_at(p_hi), x_at(p_est)
     out.append(f'<text x="10" y="{cy + 4}" font-weight="bold">Pooled</text>')
     out.append(f'<polygon points="{x_lo:.2f},{cy} {x_est:.2f},{cy - 7} '
                f'{x_hi:.2f},{cy} {x_est:.2f},{cy + 7}" fill="#222222"/>')
@@ -256,10 +254,9 @@ def _fmt_r2(val) -> str:
 
 
 def comparison_table(rows, format: str = "markdown") -> str:
-    """Serialize comparison rows, AIC-ascending, as markdown or CSV."""
+    """Serialize comparison rows, in the order given, as markdown or CSV."""
     if not rows:
         raise ValidationError("comparison table needs at least one row")
-    rows = sorted(rows, key=lambda r: (math.inf if math.isnan(r.aic) else r.aic))
     if format == "csv":
         return simple_table(_CSV_FIELDS, [[
             r.name, r.f, _g6(r.aic), _g6(r.bic), _g6(r.rmse), _g6(r.q),

@@ -7,12 +7,12 @@ dummy blocks.  The default search is exhaustive over the feature
 groups, which is deliberate: with a dozen groups that is a few thousand
 fits and removes any search-strategy ambiguity from the results.
 
-Every fit here, the search trail's, the five rows' and ``search``'s,
-goes through ``_fits``: each subset's design is a column slice of the
-dataset's candidate columns, and ``engine.fit_designs`` fits the slices
-of one call together, batched by width inside the engine.  Each fit is
-still the one ``engine.fit_model`` gives that subset alone, so a row's
-AIC, BIC and RMSE equal its subset's trail record.
+Every fit here, the search trail's and the five rows', goes through
+``_fits``: each subset's design is a column slice of the dataset's
+candidate columns, and ``engine.fit_designs`` fits the slices of one
+call together, batched by width inside the engine.  Each fit is still
+the one ``engine.fit_model`` gives that subset alone, so a row's AIC,
+BIC and RMSE equal its subset's trail record.
 
 A caveat worth stating once: comparing REML likelihoods across models
 with different fixed effects is not strictly clean, but it mirrors the
@@ -32,9 +32,7 @@ from .ingest import Dataset, ValidationError, encode_design
 __all__ = [
     "ModelComparisonRow",
     "TrailRecord",
-    "SearchResult",
     "criterion",
-    "search",
     "five_model_protocol",
 ]
 
@@ -76,17 +74,6 @@ class TrailRecord:
     rmse: float | None
     converged: bool
     skipped: str | None = None
-
-
-@dataclass
-class SearchResult:
-    """Winning subset of a criterion search plus the full trail."""
-
-    features: tuple
-    fit: engine.FitResult
-    criterion_kind: str
-    criterion_value: float
-    trail: list
 
 
 def _fits(dataset: Dataset, subsets, method: str):
@@ -175,40 +162,21 @@ def _stepwise_trail(dataset: Dataset, method: str, kind: str, trail: list) -> tu
     return best.features
 
 
-def _winners(dataset: Dataset, kinds, strategy: str, method: str) -> tuple:
-    """({kind: criterion-minimal features}, trail) for each criterion kind.
+def _winners(dataset: Dataset, strategy: str, method: str) -> tuple:
+    """({kind: criterion-minimal features}, trail) for each of ``_CRITERIA``.
 
     Exhaustive evaluates every subset of the feature groups once for all
     kinds; stepwise runs its own passes per kind, each appending to one
-    trail, so every record has its own index.
+    trail, so every record has its own index.  Ties break toward fewer
+    coefficients, then lexicographic feature order.
     """
     if strategy == "exhaustive":
         trail = _exhaustive_trail(dataset, method)
-        return {kind: _best_record(trail, kind).features for kind in kinds}, trail
+        return {kind: _best_record(trail, kind).features for kind in _CRITERIA}, trail
     if strategy == "stepwise":
         trail: list = []
-        return {kind: _stepwise_trail(dataset, method, kind, trail) for kind in kinds}, trail
+        return {kind: _stepwise_trail(dataset, method, kind, trail) for kind in _CRITERIA}, trail
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def search(dataset: Dataset, criterion_kind: str, strategy: str = "exhaustive",
-           method: str = "reml") -> SearchResult:
-    """Find the criterion-minimal feature subset.
-
-    Exhaustive evaluates every subset of the feature groups; stepwise
-    runs greedy forward-backward moves until no single-group change
-    improves the criterion.  Ties break toward fewer coefficients, then
-    lexicographic feature order, so results are deterministic.
-    """
-    if criterion_kind not in _CRITERIA:
-        raise ValueError(f"criterion must be one of {_CRITERIA}, got {criterion_kind!r}")
-    winners, trail = _winners(dataset, [criterion_kind], strategy, method)
-    features = winners[criterion_kind]
-    [(_, fit)] = _fits(dataset, [features], method)
-    return SearchResult(features=tuple(features), fit=fit,
-                        criterion_kind=criterion_kind,
-                        criterion_value=criterion(fit, fit.y - fit.X @ fit.beta, criterion_kind),
-                        trail=trail)
 
 
 @dataclass
@@ -271,7 +239,7 @@ def five_model_protocol(dataset: Dataset, strategy: str = "exhaustive",
     failures annotate the affected row instead of aborting the protocol;
     only a failed Null fit, which every R^2 needs, raises.
     """
-    winners, trail = _winners(dataset, _CRITERIA, strategy, method)
+    winners, trail = _winners(dataset, strategy, method)
     plan = [("Null", ()), ("Full", tuple(dataset.schema.names)),
             ("AIC", winners["aic"]), ("BIC", winners["bic"]), ("RMSE", winners["rmse"])]
     fits = dict(_fits(dataset, [features for _, features in plan], method))

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from . import rng
 from .ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError, encode_design,
@@ -133,23 +132,6 @@ class SimConfig:
     @classmethod
     def from_yaml(cls, text: str) -> "SimConfig":
         return cls.from_dict(load_mapping(text, "simulation config file"))
-
-    def to_yaml(self) -> str:
-        sim = {
-            "h": self.h,
-            "trials_per_study": self.trials_per_study,
-            "mu": self.mu,
-            "sigma2_xi": self.sigma2_xi,
-            "sigma2_zeta": self.sigma2_zeta,
-            "n_range": list(self.n_range),
-            "mode": self.mode,
-            "seed": self.seed,
-        }
-        if self.moderators:
-            sim["moderators"] = [
-                {"name": m.name, "effect": m.effect, "kind": m.kind}
-                for m in self.moderators]
-        return yaml.safe_dump({"simulation": sim}, sort_keys=False)
 
     def schema(self) -> FeatureSchema:
         return FeatureSchema(entries=tuple(

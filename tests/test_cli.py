@@ -26,6 +26,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which RFC 8259 does not allow."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestFit:
     def test_text_output(self, capsys, example_paths):
         code, out, _ = run(capsys, "fit", example_paths["data"], example_paths["schema"])
@@ -249,6 +256,14 @@ class TestSelect:
         assert "Full: fit failed" in out
         for name in ("comparison.md", "comparison.csv", "search_trail.jsonl", "manifest.json"):
             assert (out_dir / name).exists()
+        code, out, _ = run(capsys, "select", data, schema, "--format", "json",
+                           "--out-dir", out_dir)
+        assert code == 3
+        full = next(row for row in strict_json(out)["rows"] if row["name"] == "Full")
+        assert full["aic"] is None and full["mu_prop"] is None
+        strict_json((out_dir / "manifest.json").read_text())
+        for line in (out_dir / "search_trail.jsonl").read_text().splitlines():
+            strict_json(line)
 
     def test_ml_likelihood_flag_in_manifest(self, capsys, tmp_path, example_paths):
         out_dir = tmp_path / "ml"
@@ -347,6 +362,26 @@ class TestSimulateAndRecover:
         payload = json.loads(out)
         assert payload["replications"] == 3
         assert 0.0 <= payload["coverage"] <= 1.0
+
+    def test_recover_zero_xi_json_is_strict(self, capsys, tmp_path):
+        # the relative bias of a true sigma2_xi of 0 is not a number: JSON null
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("simulation:\n  h: 5\n  trials_per_study: 3\n  mu: 1.1\n"
+                       "  sigma2_xi: 0\n  sigma2_zeta: 0.005\n"
+                       "  n_range: [300, 900]\n  seed: 4\n")
+        code, out, _ = run(capsys, "recover", cfg, "--reps", "3", "--format", "json")
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["bias_sigma2_xi"] is None
+        assert payload["bias_sigma2_zeta"] is not None
+        code, out, _ = run(capsys, "recover", cfg, "--reps", "3")
+        assert code == 0
+        assert "(rel. bias +nan)" in out                 # text output is unchanged
+
+    def test_recover_zero_reps_exit_2(self, capsys, example_paths):
+        code, _, err = run(capsys, "recover", example_paths["simconfig"], "--reps", "0")
+        assert code == 2
+        assert "replications must be >= 1" in err
 
     @pytest.mark.parametrize("command", ["forest", "simulate", "recover"])
     def test_manifest_goes_to_out_dir(self, capsys, tmp_path, monkeypatch, example_paths,

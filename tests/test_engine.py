@@ -121,7 +121,9 @@ class TestScore:
             v = gen.uniform(0.01, 0.4, m)
             X = np.column_stack([np.ones(m), gen.normal(size=m)])
             point = gen.uniform(0.005, 0.3, 2)
-            yield y, X, sizes, v, point, Problem(y, X, sizes, v, method).evaluate(*point)
+            loglik, score, info, ok = Problem(y, X, sizes, v, method).evaluate_batch([0], [point])
+            assert ok[0]
+            yield y, X, sizes, v, point, (loglik[0], score[0], info[0])
 
     @pytest.mark.parametrize("method", ["reml", "ml"])
     def test_matches_central_differences(self, method):
@@ -192,7 +194,9 @@ class TestBatchedKernel:
         assert ok.all()
         for i, k in enumerate(design):
             X = pool[:, columns[k]]
-            single = Problem(y, X, sizes, v, method).evaluate(*points[i])
+            single = [a[0] for a in Problem(y, X, sizes, v, method).evaluate_batch(
+                [0], [points[i]])]
+            assert single[3]
             assert loglik[i] == pytest.approx(single[0], rel=1e-12)
             np.testing.assert_allclose(score[i], single[1], rtol=1e-12)
             np.testing.assert_allclose(info[i], single[2], rtol=1e-12)
@@ -214,8 +218,10 @@ class TestBatchedKernel:
         assert alone_ok.all()
         for batched, single in zip(results, alone):
             assert np.array_equal(batched[ok], single)
+        X = pool[:, columns[1]]
+        assert not Problem(y, X, sizes, v, method).evaluate_batch([0], [points[1]])[3][0]
         with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-            Problem(y, pool[:, columns[1]], sizes, v, method).evaluate(*points[1])
+            log_likelihood(y, X, sizes, VarianceComponents(*points[1]), v, method)
 
     def test_closed_form_step_matches_lstsq(self):
         gen = np.random.default_rng(2)
@@ -494,7 +500,7 @@ class TestFitModel:
                 point = best.copy()
                 point[k] += sign * 0.01 * np.var(y)
                 if engine.VAR_FLOOR <= point[k] <= engine.VAR_CEIL:
-                    assert problem.evaluate(*point)[0] <= fit.loglik + 1e-8
+                    assert problem.evaluate_batch([0], [point])[0][0] <= fit.loglik + 1e-8
 
     @pytest.mark.parametrize("method", ["reml", "ml"])
     def test_rank_deficient_design_rejected(self, method):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from metaprop.engine import Problem, fit_model
 from metaprop.ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError,
                              encode_design, load_schema, parse_dataset, read_text,
-                             summarize_features, write_dataset_csv)
+                             write_dataset_csv)
 
 from conftest import DATA, TESTDATA
 
@@ -47,7 +47,7 @@ class TestParse:
         # stable sort: S1 block first, original order inside each study
         assert [t.study_id for t in ds.trials] == ["S1", "S1", "S2", "S2"]
         assert [t.trial_id for t in ds.trials] == ["t1", "t2", "t1", "t2"]
-        assert ds.trials[0].p == pytest.approx(0.9)
+        assert ds.trials[0].k / ds.trials[0].n == pytest.approx(0.9)
 
     def test_scaling_and_grouping_applied(self):
         ds = parse_dataset(CSV, SCHEMA)
@@ -196,7 +196,6 @@ class TestDatasetColumns:
             assert type(row.k) is int and type(row.n) is int
             assert type(row.features["size"]) is float
             assert type(row.features["model"]) is str and type(row.features["lang"]) is str
-            assert row.p == row.k / row.n
         assert ds.trials[0] == ("S1", "t1", 45, 50, {"size": 1.5, "model": "svm", "lang": "en"})
 
 
@@ -350,24 +349,3 @@ class TestEncodeDesign:
             assert np.array_equal(candidates[:, design.columns], design.matrix)
             assert design.labels == [labels[i] for i in design.columns]
         assert design.dropped == ["topic=Not specified"]
-
-
-class TestSummarize:
-    def test_counts_and_numeric_stats(self):
-        ds = parse_dataset(CSV, SCHEMA)
-        summaries = {s.name: s for s in summarize_features(ds)}
-        assert summaries["model"].counts == {"base": 2, "nn": 1, "svm": 1}
-        assert sum(summaries["model"].counts.values()) == ds.m
-        assert summaries["size"].minimum == pytest.approx(1.5)
-        assert summaries["size"].maximum == pytest.approx(3.0)
-
-    def test_constant_numeric(self):
-        schema = FeatureSchema(entries=(FeatureSpec(name="c", kind="numeric"),))
-        text = "study_id,trial_id,k,n,c\nS1,t1,1,2,5\nS1,t2,1,2,5\n"
-        s = summarize_features(parse_dataset(text, schema))[0]
-        assert s.minimum == s.median == s.maximum == 5.0
-
-    def test_empty_categories_omitted(self):
-        ds = parse_dataset(CSV, SCHEMA)
-        summaries = {s.name: s for s in summarize_features(ds)}
-        assert "fr" not in summaries["lang"].counts

@@ -6,7 +6,7 @@ import pytest
 from metaprop import engine, selection
 from metaprop.ingest import (Dataset, FeatureSchema, ValidationError, encode_design,
                              load_schema, parse_dataset)
-from metaprop.selection import criterion, five_model_protocol, search
+from metaprop.selection import criterion, five_model_protocol
 from metaprop.simulate import Moderator, SimConfig, generate
 
 # boundary clamping is exercised explicitly in test_simulate; here it is noise
@@ -99,11 +99,12 @@ class TestSearchBehavior:
 
     def test_exhaustive_beats_stepwise_beats_null(self):
         data = generate(_noise_config(4242, effect=0.25))
-        exh = search(data, "aic", strategy="exhaustive")
-        step = search(data, "aic", strategy="stepwise")
-        null_rec = [r for r in exh.trail if r.features == ()][0]
-        assert exh.criterion_value <= step.criterion_value + 1e-12
-        assert step.criterion_value <= null_rec.aic + 1e-12
+        exh, exh_trail = five_model_protocol(data, strategy="exhaustive")
+        step, _ = five_model_protocol(data, strategy="stepwise")
+        aic = lambda rows: next(r.aic for r in rows if r.name == "AIC")
+        null_rec = [r for r in exh_trail if r.features == ()][0]
+        assert aic(exh) <= aic(step) + 1e-12
+        assert aic(step) <= null_rec.aic + 1e-12
 
     def test_too_many_features_for_exhaustive(self):
         mods = [Moderator(f"f{i:02d}", 0.0) for i in range(21)]
@@ -111,14 +112,14 @@ class TestSearchBehavior:
                         sigma2_zeta=0.005, n_range=(100, 200), seed=1, moderators=mods)
         data = generate(cfg)
         with pytest.raises(ValidationError, match="infeasible"):
-            search(data, "aic", strategy="exhaustive")
+            five_model_protocol(data, strategy="exhaustive")
 
     def test_unknown_criterion_and_strategy(self):
         data = generate(_noise_config(5))
         with pytest.raises(ValueError):
-            search(data, "mdl")
+            criterion(FakeFit(0.0, 1, data.m), None, "mdl")
         with pytest.raises(ValueError):
-            search(data, "aic", strategy="annealing")
+            five_model_protocol(data, strategy="annealing")
 
 
 class TestLockstepSearch:

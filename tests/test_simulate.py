@@ -295,11 +295,6 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             base_config(mode="poisson")
 
-    def test_yaml_round_trip(self):
-        cfg = base_config(moderators=[Moderator("x", 0.1)])
-        again = SimConfig.from_yaml(cfg.to_yaml())
-        assert again == cfg
-
     def test_load_example_config(self, example_paths):
         cfg = load_simconfig(example_paths["simconfig"])
         assert cfg.h == 20
