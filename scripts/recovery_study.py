@@ -3,9 +3,9 @@
 
 Draws replicated datasets from the three-level generator at the
 reference layout (20 studies, 195 trials), fits each with REML, and
-reports, as ``metaprop recover`` prints them, mean estimates, relative
-biases, and CI coverage of the population effect with its Monte Carlo
-standard error.  A binomial-mode pass probes how much the transform's
+reports, as ``metaprop recover`` prints them, mean estimates, absolute
+and relative biases, and CI coverage of the population effect with its
+Monte Carlo standard error.  A binomial-mode pass probes how much the transform's
 gaussian approximation costs when counts are truly binomial.
 
     python3 scripts/recovery_study.py [--reps N]

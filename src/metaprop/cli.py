@@ -2,13 +2,13 @@
 
 Each command returns an ``Outcome``; ``main`` alone prints it and writes
 it.  Human-readable text, or with --format=json a single
-machine-readable document, goes to stdout.  Artifacts (tables, search
-trails, fit payloads) go to files in the out-dir, together with a run
-manifest of every parsed argument; the out-dir is --out-dir, else
-$METAPROP_OUT_DIR, else the command's own fallback (select writes to
-metaprop_out; forest and simulate, which name their output file, write
-beside it).  Exit codes: 0 success, 2 input or validation error,
-3 numerical failure (including non-convergence).
+machine-readable document, goes to stdout, and a warning to stderr.
+Artifacts (tables, search trails, fit payloads) go to files in the
+out-dir, together with a run manifest of every parsed argument; the
+out-dir is --out-dir, else $METAPROP_OUT_DIR, else the command's own
+fallback (select writes to metaprop_out; forest and simulate, which name
+their output file, write beside it).  Exit codes: 0 success, 2 input or
+validation error, 3 numerical failure (including non-convergence).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ class Outcome:
     artifacts: dict = field(default_factory=dict)   # out-dir file name -> contents
     out_dir: str | None = None     # when neither --out-dir nor $METAPROP_OUT_DIR is set
     seed: int | None = None
+    warning: str | None = None     # printed to stderr
 
 
 def _finite(value):
@@ -62,8 +63,8 @@ def _json(value, indent=None) -> str:
 
 def _emit(args, outcome: Outcome) -> None:
     """Write the manifest and the artifacts to the out-dir, if there is one,
-    then print the outcome: a command whose out-dir cannot be written
-    prints only the error."""
+    then print the outcome, its warning first: a command whose out-dir
+    cannot be written prints only the error."""
     out_dir = args.out_dir if args.out_dir is not None else os.environ.get("METAPROP_OUT_DIR")
     out_dir = out_dir or outcome.out_dir
     if out_dir:
@@ -77,10 +78,20 @@ def _emit(args, outcome: Outcome) -> None:
                            **outcome.artifacts}.items():
             with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
+    if outcome.warning:
+        print(outcome.warning, file=sys.stderr)
     if args.format == "json":
         print(_json(outcome.payload, indent=2))
     else:
         print(outcome.text)
+
+
+def _fit_outcome(fit: engine.FitResult, *args, **kwargs) -> Outcome:
+    """The Outcome of a command whose status is ``fit``'s: exit 3 with a
+    warning when it did not converge."""
+    if fit.converged:
+        return Outcome(EXIT_OK, *args, **kwargs)
+    return Outcome(EXIT_NUMERIC, *args, **kwargs, warning="warning: fit did not converge")
 
 
 def _load_dataset(data_path: str, schema_path: str) -> Dataset:
@@ -135,8 +146,7 @@ def cmd_fit(args) -> Outcome:
             [(d.kind, "" if d.w is None else f"{d.w:.4f}",
               "" if d.p_value is None else f"{d.p_value:.4g}", d.skipped or "")
              for d in diagnostics])
-    return Outcome(EXIT_OK if fit.converged else EXIT_NUMERIC, payload, text,
-                   {"fit.json": _json(payload, indent=2) + "\n"})
+    return _fit_outcome(fit, payload, text, {"fit.json": _json(payload, indent=2) + "\n"})
 
 
 def cmd_regress(args) -> Outcome:
@@ -149,8 +159,6 @@ def cmd_regress(args) -> Outcome:
     fit_null, _ = _fit_dataset(dataset, (), args.method)
     table = report.regression_table(fit, design)
     r2_xi, r2_zeta = heterogeneity.r_squared(fit, fit_null)
-    if not fit.converged:
-        print("warning: fit did not converge", file=sys.stderr)
 
     payload = {
         "features": list(features), "f": fit.f, "m": fit.m, "h": fit.h,
@@ -163,8 +171,8 @@ def cmd_regress(args) -> Outcome:
     fmt = lambda x: "undefined" if x is None else f"{x:.4f}"
     markdown = table.markdown()
     text = markdown + f"\nR2 vs null: between-study {fmt(r2_xi)}, within-study {fmt(r2_zeta)}"
-    return Outcome(EXIT_OK if fit.converged else EXIT_NUMERIC, payload, text,
-                   {"regression.md": markdown, "regression.csv": table.csv()})
+    return _fit_outcome(fit, payload, text,
+                        {"regression.md": markdown, "regression.csv": table.csv()})
 
 
 def cmd_select(args) -> Outcome:
@@ -180,8 +188,8 @@ def cmd_select(args) -> Outcome:
     return Outcome(EXIT_NUMERIC if failed else EXIT_OK, payload, markdown,
                    {"comparison.md": markdown,
                     "comparison.csv": report.comparison_table(rows, format="csv"),
-                    "search_trail.jsonl": "".join(_json(asdict(rec)) + "\n"
-                                                  for rec in trail)},
+                    "search_trail.jsonl": "".join(_json({"index": i, **asdict(rec)}) + "\n"
+                                                  for i, rec in enumerate(trail))},
                    out_dir="metaprop_out")
 
 
@@ -191,10 +199,9 @@ def cmd_forest(args) -> Outcome:
     svg, rows = report.forest_plot(fit, dataset, scale=args.scale, method=args.study_effects)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    return Outcome(EXIT_OK if fit.converged else EXIT_NUMERIC,
-                   {"out": args.out, "rows": [asdict(r) for r in rows]},
-                   f"wrote {args.out} ({len(rows)} studies)",
-                   out_dir=os.path.dirname(args.out) or ".")
+    return _fit_outcome(fit, {"out": args.out, "rows": [asdict(r) for r in rows]},
+                        f"wrote {args.out} ({len(rows)} studies)",
+                        out_dir=os.path.dirname(args.out) or ".")
 
 
 def cmd_simulate(args) -> Outcome:
@@ -228,6 +235,8 @@ def cmd_recover(args) -> Outcome:
         "bias_sigma2_zeta": summary.bias_sigma2_zeta,
         "n_nonconverged": summary.n_nonconverged,
         "coverage_se": summary.coverage_se,
+        "abs_bias_sigma2_xi": summary.abs_bias_sigma2_xi,
+        "abs_bias_sigma2_zeta": summary.abs_bias_sigma2_zeta,
     }
     return Outcome(EXIT_OK, payload, report.recovery_text(summary), seed=config.seed)
 

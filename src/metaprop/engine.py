@@ -131,11 +131,13 @@ class Problem:
     X itself when ``columns`` is None, with effects ``y[k]`` and sampling
     variances ``v[k]`` when these have shape (K, m), or the shared y and v
     when they have shape (m,).  ``fit_designs`` builds one per width of the
-    designs it fits, so the inputs are checked once.  A
-    design with more columns than rows, or one that ``collinear_columns``
-    (the rule ``encode_design`` applies) flags, raises LinAlgError:
-    X'V^-1 X has the rank of X, and its Cholesky factorization can succeed
-    at a condition number near 1e16.  ``pin[k]`` marks the components
+    designs it fits, so the inputs are checked once.  ``full_rank[k]`` is
+    False for a design with more columns than rows or one that
+    ``collinear_columns`` (the rule ``encode_design`` applies) flags, and the
+    kernels report it as not factored: X'V^-1 X has the rank of X, and its
+    Cholesky factorization can succeed at a condition number near 1e16.
+    The rule reads X alone, so a design whose X'V^-1 X has a condition
+    number near 1/eps may fit or fail by rounding.  ``pin[k]`` marks the components
     (sigma2_xi, sigma2_zeta) not identified on design k.  sigma2_xi is not
     with one study, or with every study indicator in the span, where the GLS
     mean absorbs any study effect.  sigma2_zeta is not when every study has
@@ -176,12 +178,13 @@ class Problem:
         self.pin = np.zeros((len(self.columns), 2), dtype=bool)
         self.pin[:, 0] = self.h < 2
         self.pin[:, 1] = np.all(self.group_sizes == 1)
+        self.full_rank = np.empty(len(self.columns), dtype=bool)
         # one QR per design; study indicator Z_j lies in span(X) iff |Z_j'Q|^2 = n_j
         for a in range(0, len(self.columns), self.block):
             X = self.Xt[self.columns[a:a + self.block]].transpose(0, 2, 1)
             Q, R = np.linalg.qr(X)
-            if R.shape[1] < self.f or collinear_columns(X, R).any():
-                raise np.linalg.LinAlgError(_RANK_DEFICIENT)
+            self.full_rank[a:a + self.block] = ((R.shape[1] == self.f)
+                                                & ~collinear_columns(X, R).any(1))
             proj = np.add.reduceat(Q, self.offsets, axis=1)
             self.pin[a:a + self.block, 0] |= np.all(
                 self.group_sizes - (proj * proj).sum(2) <= 1e-8 * self.group_sizes, axis=1)
@@ -225,7 +228,7 @@ class Problem:
         return np.add.reduceat(a.reshape(-1, self.m), self.offsets, axis=1).reshape(
             *a.shape[:2], self.h)
 
-    def _factor(self, A):
+    def _factor(self, A, design):
         """Li with A^-1 = Li' Li for each X'V^-1 X in A, and which ones factored.
 
         One failure makes a batched Cholesky raise for the whole stack, so the
@@ -241,7 +244,7 @@ class Problem:
                     L[i] = np.linalg.cholesky(a)
                 except np.linalg.LinAlgError:
                     L[i], ok[i] = np.eye(self.f), False
-        return np.linalg.inv(L), ok
+        return np.linalg.inv(L), ok & self.full_rank[design]
 
     def _blocks(self, kernel, design, point):
         """Apply a kernel to (design, point) stacks in blocks of at most
@@ -265,13 +268,13 @@ class Problem:
         V^-1 - V^-1 X (X' V^-1 X)^-1 X' V^-1 for REML.  Returns (loglik (S,),
         score (S, 2), information (S, 2, 2), ok (S,)), in the order
         (sigma2_xi, sigma2_zeta).  ok is False where X' V^-1 X cannot be
-        factored; the other problems' results are those they have alone.
+        factored (see Problem); the other problems' results are those they have alone.
         """
         return self._blocks(self._evaluate_block, design, point)
 
     def _evaluate_block(self, design, point):
         y, v, d, s, c, Sy, Sx, dXt, yVy, XVy, XVX = self._sums(design, point)
-        Li, ok = self._factor(XVX)
+        Li, ok = self._factor(XVX, design)
         z = Li @ XVy[:, :, None]
         beta = (Li.transpose(0, 2, 1) @ z).transpose(0, 2, 1)   # rows (S, 1, f)
         rss = yVy - (z * z).sum((1, 2))
@@ -327,7 +330,7 @@ class Problem:
 
     def _gls_block(self, design, point):
         *_, XVy, XVX = self._sums(design, point)
-        Li, ok = self._factor(XVX)
+        Li, ok = self._factor(XVX, design)
         cov = Li.transpose(0, 2, 1) @ Li                 # numpy forms A'A by syrk: symmetric
         return (cov @ XVy[:, :, None])[:, :, 0], cov, ok
 
@@ -458,11 +461,14 @@ def _ascend(problem: Problem, design, start):
 
 def _fit_problem(problem: Problem):
     """One FitResult per design of ``problem``, in order, or, for a design
-    that a start cannot factor, the LinAlgError that fit_model raises.
+    that is not full rank or that a start cannot factor, fit_model's LinAlgError.
 
     The starts of all designs ascend in lockstep (see ``_ascend``), and the
-    best start of each design wins.
+    best start of each design wins.  With one study it warns fit_model's caller.
     """
+    if problem.h < 2:
+        warnings.warn("only one study: sigma2_xi is not identifiable and is fixed at 0",
+                      stacklevel=4)
     count = len(problem.columns)
     s = np.clip(np.var(problem.y, axis=1), VAR_FLOOR, VAR_CEIL)
     starts = np.full((count, 3, 2), VAR_FLOOR)          # (F, F), (F, s), (s, F) per design
@@ -505,8 +511,8 @@ def fit_designs(y, X, group_sizes, v, method: str = "reml", columns=None):
     at a time in order of first appearance, so only one width's fits are
     alive at once.  result is the FitResult, or the error fit_model raises:
     ValidationError for a design with no more trials than columns,
-    LinAlgError for one that a start cannot factor.  A collinear design
-    raises LinAlgError for its whole width (see Problem).
+    LinAlgError for one that is not full rank (see Problem) or that a start
+    cannot factor; no design's result depends on the others.
     """
     X = np.asarray(getattr(X, "matrix", X), dtype=np.float64)
     if X.ndim != 2:
@@ -530,17 +536,10 @@ def fit_designs(y, X, group_sizes, v, method: str = "reml", columns=None):
         yield from zip(keys, _fit_problem(problem))
 
 
-def fit_or_raise(result, group_sizes) -> FitResult:
+def fit_or_raise(result) -> FitResult:
     """A result of ``fit_designs`` as fit_model returns it: the FitResult,
-    or its error raised.  With one study it first warns, to the caller's
-    caller, that sigma2_xi is fixed at 0, unless the error is the
-    ValidationError of a design with too few trials."""
-    if isinstance(result, ValidationError):
-        raise result
-    if np.size(group_sizes) < 2:
-        warnings.warn("only one study: sigma2_xi is not identifiable and is fixed at 0",
-                      stacklevel=3)
-    if isinstance(result, np.linalg.LinAlgError):
+    or its error raised."""
+    if isinstance(result, Exception):
         raise result
     return result
 
@@ -560,12 +559,12 @@ def fit_model(y, X, group_sizes, v, method: str = "reml") -> FitResult:
     halving raises the loglik (its rounding limit); one that uses up
     MAX_EVALUATIONS gives converged=False.  A component that ``Problem.pin``
     marks as not identified stays at VAR_FLOOR: sigma2_xi with a single
-    study, sigma2_zeta when every study has one trial.  The fit is the
-    one-design case of ``fit_designs``.  A design with no more trials than
-    columns raises ValidationError, a collinear one LinAlgError (see
-    Problem).
+    study (with a warning), sigma2_zeta when every study has one trial.
+    The fit is the one-design case of ``fit_designs``.  A design with no
+    more trials than columns raises ValidationError, a collinear one
+    LinAlgError (see Problem).
     """
-    return fit_or_raise(next(fit_designs(y, X, group_sizes, v, method))[1], group_sizes)
+    return fit_or_raise(next(fit_designs(y, X, group_sizes, v, method))[1])
 
 
 @dataclass(frozen=True)

@@ -286,10 +286,10 @@ def recovery_text(summary) -> str:
             f"95% CI coverage {summary.coverage:.3f} "
             f"(Monte Carlo SE {summary.coverage_se:.3f})\n"
             f"sigma2_xi: truth {config.sigma2_xi:.4f}, "
-            f"mean {summary.mean_sigma2_xi:.4f} "
+            f"mean {summary.mean_sigma2_xi:.4f}, bias {summary.abs_bias_sigma2_xi:+.3g} "
             f"(rel. bias {summary.bias_sigma2_xi:+.3f})\n"
             f"sigma2_zeta: truth {config.sigma2_zeta:.4f}, "
-            f"mean {summary.mean_sigma2_zeta:.4f} "
+            f"mean {summary.mean_sigma2_zeta:.4f}, bias {summary.abs_bias_sigma2_zeta:+.3g} "
             f"(rel. bias {summary.bias_sigma2_zeta:+.3f})")
 
 

@@ -63,9 +63,8 @@ def criterion(fit: engine.FitResult, residuals, kind: str) -> float:
 
 @dataclass(frozen=True)
 class TrailRecord:
-    """One evaluated candidate subset."""
+    """One evaluated candidate subset; its index is its position in the trail."""
 
-    index: int
     features: tuple
     f: int
     loglik: float | None
@@ -86,25 +85,25 @@ def _fits(dataset: Dataset, subsets, method: str):
                               method, columns)
 
 
-def _record(index, features, fit) -> TrailRecord:
+def _record(features, fit) -> TrailRecord:
     if isinstance(fit, (ValidationError, np.linalg.LinAlgError)):
-        return TrailRecord(index=index, features=tuple(features), f=0, loglik=None,
+        return TrailRecord(features=tuple(features), f=0, loglik=None,
                            aic=None, bic=None, rmse=None, converged=False,
                            skipped=str(fit))
     residuals = fit.y - fit.X @ fit.beta
     return TrailRecord(
-        index=index, features=tuple(features), f=fit.f, loglik=fit.loglik,
+        features=tuple(features), f=fit.f, loglik=fit.loglik,
         aic=criterion(fit, residuals, "aic"),
         bic=criterion(fit, residuals, "bic"),
         rmse=criterion(fit, residuals, "rmse"),
         converged=fit.converged)
 
 
-def _subset_trail(dataset: Dataset, subsets, method: str, first: int = 0) -> list:
-    """One TrailRecord per feature subset, in order, indexed from ``first``."""
+def _subset_trail(dataset: Dataset, subsets, method: str) -> list:
+    """One TrailRecord per feature subset, in order."""
     records = [None] * len(subsets)
     for j, fit in _fits(dataset, subsets, method):
-        records[j] = _record(first + j, subsets[j], fit)
+        records[j] = _record(subsets[j], fit)
     return records
 
 
@@ -130,12 +129,12 @@ def _best_record(trail, kind: str) -> TrailRecord:
 def _stepwise_trail(dataset: Dataset, method: str, kind: str, trail: list) -> tuple:
     """Greedy forward-backward passes; returns the best features.
 
-    Each candidate's record is appended to ``trail``, indexed on from its
-    length.  The moves of one pass are fitted together."""
+    Each candidate's record is appended to ``trail``.  The moves of one
+    pass are fitted together."""
     names = dataset.schema.names
 
     def score(subsets):
-        records = _subset_trail(dataset, subsets, method, len(trail))
+        records = _subset_trail(dataset, subsets, method)
         trail.extend(records)
         return records
 
@@ -167,8 +166,8 @@ def _winners(dataset: Dataset, strategy: str, method: str) -> tuple:
 
     Exhaustive evaluates every subset of the feature groups once for all
     kinds; stepwise runs its own passes per kind, each appending to one
-    trail, so every record has its own index.  Ties break toward fewer
-    coefficients, then lexicographic feature order.
+    trail.  Ties break toward fewer coefficients, then lexicographic
+    feature order.
     """
     if strategy == "exhaustive":
         trail = _exhaustive_trail(dataset, method)
@@ -216,7 +215,7 @@ def _comparison_row(name, features, fit, fit_null) -> ModelComparisonRow:
             i2_zeta=math.nan, mu=math.nan, mu_se=math.nan, mu_prop=math.nan,
             mu_prop_low=math.nan, mu_prop_high=math.nan, r2_xi=None,
             r2_zeta=None, converged=False, note=str(fit))
-    record = _record(0, features, fit)
+    record = _record(features, fit)
     het = heterogeneity.heterogeneity_report(fit)
     pooled = engine.pooled_estimate(fit)
     r2 = (None, None) if name == "Null" else heterogeneity.r_squared(fit, fit_null)

@@ -242,6 +242,8 @@ class RecoverySummary:
     bias_sigma2_xi: float
     bias_sigma2_zeta: float
     n_nonconverged: int
+    abs_bias_sigma2_xi: float
+    abs_bias_sigma2_zeta: float
 
 
 def _replicates(config: SimConfig, reps: range):
@@ -266,8 +268,9 @@ def recovery_experiment(config: SimConfig, replications: int,
     The fitted model includes whatever moderators the generator injected
     (so the intercept estimates mu); coverage counts 95% CIs containing
     the true mu, and coverage_se is its Monte Carlo standard error.
-    Relative variance-component biases are against the configured
-    truths, or nan for truths of zero.
+    Variance-component biases are the mean estimates minus the configured
+    truths, and relative biases those over the truths, or nan for truths
+    of zero.
 
     Replicates are generated in order, _CHUNK at a time, and only their
     effects, sampling variances and design matrices are kept; each chunk
@@ -286,18 +289,18 @@ def recovery_experiment(config: SimConfig, replications: int,
         reps = range(first, min(first + _CHUNK, replications))
         fits = dict(engine.fit_designs(group_sizes=group_sizes, method=method,
                                        **_replicates(config, reps)))
-        fitted = [engine.fit_or_raise(fits[k], group_sizes) for k in range(len(reps))]
-        # pooled_estimate's prop, for the whole chunk at once
+        fitted = [engine.fit_or_raise(fits[k]) for k in range(len(reps))]
+        # pooled_estimate's prop and the intercept's CI, for the whole chunk at once
         pooled, pooled_se = np.array([engine.pooled_mean(fit) for fit in fitted]).T
         props = engine.intervals(pooled, pooled_se)[1][:, 0].tolist()
-        for rep, fit, prop in zip(reps, fitted, props):
-            mu_hat = float(fit.beta[0])
-            se = math.sqrt(max(float(fit.cov_beta[0, 0]), 0.0))
+        ses = [math.sqrt(max(float(fit.cov_beta[0, 0]), 0.0)) for fit in fitted]
+        ends = engine.intervals([fit.beta[0] for fit in fitted], ses)[0].tolist()
+        for rep, fit, (mu_hat, low, high), se, prop in zip(reps, fitted, ends, ses, props):
             records.append(RecoveryRecord(
                 replicate=rep, mu_hat=mu_hat, se=se,
                 sigma2_xi_hat=fit.varcomps.sigma2_xi,
                 sigma2_zeta_hat=fit.varcomps.sigma2_zeta,
-                covered=abs(mu_hat - config.mu) <= engine.Z95 * se,
+                covered=low <= config.mu <= high,
                 prop=prop, converged=fit.converged))
 
     mean_xi = float(np.mean([r.sigma2_xi_hat for r in records]))
@@ -315,4 +318,6 @@ def recovery_experiment(config: SimConfig, replications: int,
         coverage_se=math.sqrt(coverage * (1.0 - coverage) / replications),
         bias_sigma2_xi=rel_bias(mean_xi, config.sigma2_xi),
         bias_sigma2_zeta=rel_bias(mean_zeta, config.sigma2_zeta),
-        n_nonconverged=sum(1 for r in records if not r.converged))
+        n_nonconverged=sum(1 for r in records if not r.converged),
+        abs_bias_sigma2_xi=mean_xi - config.sigma2_xi,
+        abs_bias_sigma2_zeta=mean_zeta - config.sigma2_zeta)

@@ -155,6 +155,16 @@ class TestFit:
         assert plain[0] == 0
         assert run(capsys, "fit", marked, example_paths["schema"]) == plain
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nonconvergence_exit_3_warns(self, capsys, monkeypatch, example_paths, fmt):
+        monkeypatch.setattr(engine, "MAX_EVALUATIONS", 1)
+        code, out, err = run(capsys, "fit", example_paths["data"], example_paths["schema"],
+                             "--format", fmt)
+        assert code == 3
+        assert err == "warning: fit did not converge\n"
+        if fmt == "json":
+            assert json.loads(out)["converged"] is False
+
     def test_missing_file_exit_2(self, capsys, example_paths):
         code, _, err = run(capsys, "fit", "/nonexistent.csv", example_paths["schema"])
         assert code == 2
@@ -265,6 +275,19 @@ class TestSelect:
         for line in (out_dir / "search_trail.jsonl").read_text().splitlines():
             strict_json(line)
 
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_one_study_warns(self, capsys, tmp_path, command):
+        # sigma2_xi is held at the floor with one study, and every command says so
+        data = tmp_path / "one.csv"
+        data.write_text("study_id,trial_id,k,n,x\n" + "".join(
+            f"S1,t{i},{k},100,{x}\n" for i, (k, x) in enumerate(
+                [(80, 0.1), (70, 0.7), (60, 0.2), (75, 0.9), (90, 0.4), (65, 0.3)])))
+        schema = tmp_path / "schema.yaml"
+        schema.write_text("features:\n  x:\n    kind: numeric\n")
+        with pytest.warns(UserWarning, match="^only one study: sigma2_xi is not identifiable"):
+            code, _, _ = run(capsys, command, data, schema, "--out-dir", tmp_path / "out")
+        assert code == 0
+
     def test_ml_likelihood_flag_in_manifest(self, capsys, tmp_path, example_paths):
         out_dir = tmp_path / "ml"
         code, _, _ = run(capsys, "select", example_paths["data"],
@@ -296,6 +319,19 @@ class TestForest:
         code, _, _ = run(capsys, "forest", bad, example_paths["schema"],
                          tmp_path / "x.svg")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nonconvergence_exit_3_warns(self, capsys, monkeypatch, tmp_path, example_paths,
+                                         fmt):
+        monkeypatch.setattr(engine, "MAX_EVALUATIONS", 1)
+        out_svg = tmp_path / "forest.svg"
+        code, out, err = run(capsys, "forest", example_paths["data"], example_paths["schema"],
+                             out_svg, "--format", fmt)
+        assert code == 3
+        assert err == "warning: fit did not converge\n"
+        assert out_svg.exists()
+        if fmt == "json":
+            assert json.loads(out)["out"] == str(out_svg)
 
 
 class TestSimulateAndRecover:
@@ -377,6 +413,27 @@ class TestSimulateAndRecover:
         code, out, _ = run(capsys, "recover", cfg, "--reps", "3")
         assert code == 0
         assert "(rel. bias +nan)" in out                 # text output is unchanged
+
+    def test_recover_zero_xi_absolute_bias_is_finite(self, capsys, tmp_path):
+        # the absolute bias of a true sigma2_xi of 0 is its mean estimate
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("simulation:\n  h: 5\n  trials_per_study: 3\n  mu: 1.1\n"
+                       "  sigma2_xi: 0\n  sigma2_zeta: 0.005\n"
+                       "  n_range: [300, 900]\n  seed: 4\n")
+        code, out, _ = run(capsys, "recover", cfg, "--reps", "3", "--format", "json")
+        assert code == 0
+        payload = strict_json(out)
+        assert list(payload)[-3:] == ["coverage_se", "abs_bias_sigma2_xi", "abs_bias_sigma2_zeta"]
+        assert payload["abs_bias_sigma2_xi"] == payload["mean_sigma2_xi"]
+        assert payload["abs_bias_sigma2_zeta"] == pytest.approx(
+            payload["mean_sigma2_zeta"] - 0.005, abs=1e-15)
+        code, out, _ = run(capsys, "recover", cfg, "--reps", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert f"mean {payload['mean_sigma2_xi']:.4f}, " \
+            f"bias {payload['abs_bias_sigma2_xi']:+.3g} (rel. bias +nan)" in lines[2]
+        assert f", bias {payload['abs_bias_sigma2_zeta']:+.3g} (rel. bias " in lines[3]
+        assert "nan" not in lines[3]
 
     def test_recover_zero_reps_exit_2(self, capsys, example_paths):
         code, _, err = run(capsys, "recover", example_paths["simconfig"], "--reps", "0")

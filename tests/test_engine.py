@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import runpy
+import subprocess
+import sys
 from statistics import NormalDist
 
 import numpy as np
@@ -16,7 +19,7 @@ from metaprop.ingest import ValidationError
 from metaprop.simulate import generate, load_simconfig
 from metaprop.transforms import ft_inverse, ft_theta, ft_variance
 
-from conftest import toy_instance
+from conftest import ROOT, toy_instance
 
 
 def dense_loglik(y, X, sizes, vc, v, method):
@@ -359,6 +362,41 @@ class TestFitDesigns:
             assert fit.loglik == loglik[best]
             assert fit.n_evaluations == sum(evaluations[i] for i in runs)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_results_do_not_depend_on_the_batch(self, seed):
+        # one call spans random widths and mixes ordinary designs with designs
+        # that fail: m <= f, collinear (a column that combines two others) and
+        # unfactorable (a 1e-200-scaled column); each yields what it does alone
+        gen = np.random.default_rng(seed)
+        sizes = gen.integers(1, 5, int(gen.integers(2, 7)))
+        m = int(sizes.sum())
+        y, v = gen.normal(1.0, 0.3, m), 1.0 / (4.0 * np.exp(gen.uniform(0.0, 8.0, m)) + 2.0)
+        method = ("reml", "ml")[seed % 2]
+        designs = []
+        for kind in gen.permutation(["plain"] * 6 + ["wide", "collinear", "tiny"] * 2):
+            f = int(gen.integers(m, m + 2)) if kind == "wide" else int(gen.integers(3, 5))
+            X = np.column_stack([np.ones(m), gen.normal(size=(m, f - 1))])
+            if kind == "collinear":
+                X[:, -1] = gen.normal() * X[:, 0] + gen.normal() * X[:, 1]
+            elif kind == "tiny":
+                X[:, -1] *= 1e-200
+            designs.append(X)
+        ends = np.cumsum([X.shape[1] for X in designs])
+        columns = [range(end - X.shape[1], end) for X, end in zip(designs, ends)]
+        results = dict(engine.fit_designs(y, np.hstack(designs), sizes, v, method, columns))
+        assert sorted(results) == list(range(len(designs)))
+        for k, X in enumerate(designs):
+            try:
+                alone = fit_model(y, X, sizes, v, method=method)
+            except (ValidationError, np.linalg.LinAlgError) as error:
+                assert type(results[k]) is type(error) and str(results[k]) == str(error)
+                continue
+            fit = results[k]
+            assert (fit.varcomps, fit.loglik, fit.converged, fit.n_evaluations) == \
+                (alone.varcomps, alone.loglik, alone.converged, alone.n_evaluations)
+            for name in ("beta", "cov_beta", "X"):
+                assert np.array_equal(getattr(fit, name), getattr(alone, name)), name
+
     @pytest.mark.parametrize("method", ["reml", "ml"])
     def test_unfactorable_design_leaves_its_companion(self, method):
         # the third column of design 0 is 1e-200 times a normal one: the rank
@@ -513,14 +551,26 @@ class TestFitModel:
         y, v = gen.normal(1.0, 0.3, 8), gen.uniform(0.05, 0.3, 8)
         with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
             fit_model(y, X, [4, 4], v, method=method)
+        # at this point the Cholesky factorization of X'V^-1 X succeeds
+        vc = VarianceComponents(0.01, 0.01)
+        assert Problem(y, X, [4, 4], v, method).evaluate_batch([0], [[0.01, 0.01]])[3] == [False]
         with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-            Problem(y, np.column_stack([X[:, :3], np.zeros(8)]), [4, 4], v, method)
-        # one collinear design among full-rank ones of its width rejects the batch
+            log_likelihood(y, X, [4, 4], vc, v, method)
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            gls_fixed_effects(y, X, [4, 4], vc, v)
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            log_likelihood(y, np.column_stack([X[:, :3], np.zeros(8)]), [4, 4], vc, v, method)
+        # one collinear design among full-rank ones of its width fails alone
         both = np.column_stack([X, gen.normal(size=8)])
         full_rank = [[0, 1, 2], [0, 1, 4], [0, 2, 4], [1, 2, 4]]
-        Problem(y, both, [4, 4], v, method, columns=full_rank)
-        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-            Problem(y, both, [4, 4], v, method, columns=full_rank[:2] + [[1, 2, 3]] + full_rank[2:])
+        assert Problem(y, both, [4, 4], v, method, columns=full_rank).full_rank.all()
+        fits = dict(engine.fit_designs(y, both, [4, 4], v, method,
+                                       full_rank[:2] + [[1, 2, 3]] + full_rank[2:]))
+        assert isinstance(fits[2], np.linalg.LinAlgError) and "rank deficient" in str(fits[2])
+        for k, cols in zip([0, 1, 3, 4], full_rank):
+            alone = fit_model(y, both[:, cols], [4, 4], v, method=method)
+            assert (fits[k].varcomps, fits[k].loglik, fits[k].n_evaluations) == \
+                (alone.varcomps, alone.loglik, alone.n_evaluations)
 
     def test_m_not_greater_than_f(self):
         with pytest.raises(ValidationError):
@@ -757,3 +807,28 @@ class TestRecoveryShape:
             devs.append(abs(kappa[0] - mu))
         assert devs[0] == pytest.approx(0.0, abs=1e-6)
         assert devs == sorted(devs)
+
+
+class TestFitProbe:
+    """scripts/fit_probe.py, the seeded probe that compares fits across checkouts."""
+
+    SCRIPT = ROOT / "scripts" / "fit_probe.py"
+
+    def test_this_checkout_is_identical_to_itself(self):
+        proc = subprocess.run([sys.executable, str(self.SCRIPT), str(ROOT), "--count", "16"],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "identical: 16 of 16\n" in proc.stdout
+        assert "worse by more than 1e-08: 0\n" in proc.stdout
+
+    def test_worse_fit_or_new_error_fails(self, capsys):
+        compare = runpy.run_path(str(self.SCRIPT))["compare"]
+        fit = [1.0, 0.01, 0.02, True, 20]
+        assert compare([fit, "LinAlgError"], [fit, "LinAlgError"]) == 0
+        assert compare([[1.0 + 1e-6, 0.01, 0.02, True, 9]], [fit]) == 0
+        assert compare([[1.0 - 1e-6, 0.01, 0.02, True, 20]], [fit]) == 1
+        assert compare(["LinAlgError"], [fit]) == 1
+        assert compare(["ValidationError"], ["LinAlgError"]) == 1
+        out = capsys.readouterr().out
+        assert "worse by more than 1e-08: 1 (worst #0, by 1e-06)" in out
+        assert "#0: ValidationError here, LinAlgError in the parent" in out

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaprop.engine import Problem, fit_model
+from metaprop.engine import Problem, VarianceComponents, fit_designs, fit_model, log_likelihood
 from metaprop.ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError,
                              encode_design, load_schema, parse_dataset, read_text,
                              write_dataset_csv)
@@ -32,12 +32,16 @@ def assert_problem_applies_the_same_rule(dataset, design):
     """engine.Problem accepts the encoded design and rejects it with any dropped column."""
     y, v = np.linspace(0.5, 1.5, dataset.m), np.full(dataset.m, 0.1)
     sizes = dataset.group_sizes()
-    Problem(y, design, sizes, v)
+    assert Problem(y, design, sizes, v).full_rank.all()
     candidates, labels, _ = dataset.candidate_columns
     for label in design.dropped:
         X = np.column_stack([design.matrix, candidates[:, labels.index(label)]])
+        assert not Problem(y, X, sizes, v).full_rank.any()
         with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-            Problem(y, X, sizes, v)
+            log_likelihood(y, X, sizes, VarianceComponents(0.01, 0.01), v)
+        [(_, error)] = fit_designs(y, X, sizes, v)
+        assert isinstance(error, np.linalg.LinAlgError if X.shape[1] < dataset.m
+                          else ValidationError)
 
 
 class TestParse:

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from metaprop import engine, selection
+from metaprop import cli, engine, selection
 from metaprop.ingest import (Dataset, FeatureSchema, ValidationError, encode_design,
                              load_schema, parse_dataset)
 from metaprop.selection import criterion, five_model_protocol
@@ -188,7 +189,7 @@ class TestFiveModelProtocol:
         rows1, trail1 = five_model_protocol(data)
         rows2, trail2 = five_model_protocol(data)
         assert comparison_table(rows1, "csv") == comparison_table(rows2, "csv")
-        assert [(r.index, r.aic) for r in trail1] == [(r.index, r.aic) for r in trail2]
+        assert [r.aic for r in trail1] == [r.aic for r in trail2]      # position by position
 
     def test_stepwise_null_failure_raises(self):
         # one trial: the intercept-only model has m == f, so stepwise has no start
@@ -203,8 +204,17 @@ class TestFiveModelProtocol:
         assert {r.name for r in rows} == {"Null", "Full", "AIC", "BIC", "RMSE"}
         assert len(trail) > 0
 
-    def test_stepwise_trail_indices_are_positions(self):
-        # the three criteria's passes append to one trail, indexed on
+    def test_stepwise_trail_indices_are_positions(self, monkeypatch, capsys, tmp_path):
+        # the three criteria's passes append to one trail, and each line of
+        # search_trail.jsonl carries its record's position as its index
         data = generate(_noise_config(123, effect=0.25))
         _, trail = five_model_protocol(data, strategy="stepwise")
-        assert [r.index for r in trail] == list(range(len(trail)))
+        monkeypatch.setattr(cli, "_load_dataset", lambda *paths: data)
+        cli.main(["select", "data.csv", "schema.yaml", "--strategy", "stepwise",
+                  "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        with open(tmp_path / "search_trail.jsonl", encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        assert [line["index"] for line in lines] == list(range(len(trail)))
+        assert [tuple(line["features"]) for line in lines] == [r.features for r in trail]
+        assert [line["aic"] for line in lines] == [r.aic for r in trail]
