@@ -32,12 +32,15 @@ and the parent's keys must serialize to the parent's bytes.
 Last, it runs the other commands on both sides, each side in a fresh
 directory of its own so that relative paths in the arguments and in
 stdout are the same, and checks that the exit codes are equal and stdout,
-stderr and the files each command writes byte-identical: ``simulate`` on the
-same three configs and with ``--replicate 3 --format json``; ``fit`` as
-text, with ``--diagnostics --format json`` and with ``--method ml
---out-dir`` (fit.json); ``regress --features=all`` as text and JSON with
-regression.md and regression.csv, ``regress --features=ml_model``, and
-``regress --features=nope``, which exits 2;
+stderr (with each checkout's path masked) and the files each command
+writes byte-identical: ``simulate`` on the same three configs, on two
+more binomial ones (the example with n in [1, 9000], whose draws take
+one round, several, and partial last rounds, and the moderated layout,
+whose draws all take one round), and with ``--replicate 3 --format
+json``; ``fit`` as text, with ``--diagnostics --format json`` and with
+``--method ml --out-dir`` (fit.json); ``regress --features=all`` as
+text and JSON with regression.md and regression.csv, ``regress
+--features=ml_model``, and ``regress --features=nope``, which exits 2;
 ``forest`` as text, and with ``--format json`` on both scales and with
 both study-effect methods (the SVG too); ``recover --reps 20`` as text;
 and a four-trial ``select`` whose Full model fails, which exits 3 with a
@@ -207,6 +210,16 @@ def recover_configs() -> dict:
     return {"gaussian": example, "binomial": binomial, "moderated": MODERATED_CONFIG}
 
 
+def simulate_configs() -> dict:
+    """The simulate configs by name: the recover configs and two more in binomial mode."""
+    configs = recover_configs()
+    configs["binomial_wide_n"] = {"simulation": dict(configs["binomial"]["simulation"],
+                                                     n_range=[1, 9000])}
+    configs["moderated_binomial"] = {"simulation": dict(MODERATED_CONFIG["simulation"],
+                                                        mode="binomial")}
+    return configs
+
+
 def write_config(tmp: pathlib.Path, name: str, config: dict) -> pathlib.Path:
     path = tmp / f"config_{name}.yaml"
     path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
@@ -240,14 +253,17 @@ def output_problems(parent: pathlib.Path, tmp: pathlib.Path, label: str, argv,
     Each side runs in a fresh directory of its own, so a relative path in
     ARGV (an output file, an --out-dir) names a file there and prints the
     same on both sides.  The exit codes, stdout, stderr and each file in
-    FILES, relative to that directory, must be equal.  Exit 2 (bad input)
-    is compared too, and exit 3 (a failed fit) still writes every output.
+    FILES, relative to that directory, must be equal; in stderr, each
+    side's checkout path reads CHECKOUT, since a warning names the file
+    that issued it.  Exit 2 (bad input) is compared too, and exit 3 (a
+    failed fit) still writes every output.
     """
     results = []
     for side, checkout in (("here", ROOT), ("parent", parent)):
         where = tmp / f"{side} {label}"
         where.mkdir()
         code, stdout, stderr = run_cli(checkout, *argv, codes=(0, 2, 3), cwd=where)
+        stderr = stderr.replace(os.fsencode(checkout), b"CHECKOUT")   # a warning names its file
         results.append((code, [stdout, stderr] + [(where / name).read_bytes()
                                                   for name in files]))
     (code, ours), (parent_code, theirs) = results
@@ -272,7 +288,7 @@ def command_runs(tmp: pathlib.Path) -> list:
     simulated = ("sim.csv", "sim_schema.yaml")
     regression = ("out/regression.md", "out/regression.csv")
     runs = [(f"simulate {name}", ("simulate", write_config(tmp, name, config), "sim.csv"),
-             simulated) for name, config in recover_configs().items()]
+             simulated) for name, config in simulate_configs().items()]
     runs += [
         ("simulate --replicate 3",
          ("simulate", SIMCONFIG, "sim.csv", "--replicate", 3, "--format", "json"), simulated),

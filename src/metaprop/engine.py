@@ -33,6 +33,7 @@ case.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -459,16 +460,28 @@ def _ascend(problem: Problem, design, start):
         plan(np.concatenate([up[~passed], ended]))
 
 
+def _outer_stacklevel() -> int:
+    """The stacklevel that a warning of this function's caller needs to name
+    the first frame outside this package.  Every fit that one call into the
+    package makes then warns at one place, which Python shows once: a
+    command warns once, however many of its fits have one study."""
+    frame, level = sys._getframe(1), 1
+    while frame and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _fit_problem(problem: Problem):
     """One FitResult per design of ``problem``, in order, or, for a design
     that is not full rank or that a start cannot factor, fit_model's LinAlgError.
 
     The starts of all designs ascend in lockstep (see ``_ascend``), and the
-    best start of each design wins.  With one study it warns fit_model's caller.
+    best start of each design wins.  With one study it warns the caller
+    outside this package (see ``_outer_stacklevel``).
     """
     if problem.h < 2:
         warnings.warn("only one study: sigma2_xi is not identifiable and is fixed at 0",
-                      stacklevel=4)
+                      stacklevel=_outer_stacklevel())
     count = len(problem.columns)
     s = np.clip(np.var(problem.y, axis=1), VAR_FLOOR, VAR_CEIL)
     starts = np.full((count, 3, 2), VAR_FLOOR)          # (F, F), (F, s), (s, F) per design

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import Z95
 from .ingest import ValidationError
 from .transforms import HALF_PI
 
@@ -223,13 +222,13 @@ def regression_table(fit: engine.FitResult, design) -> RegressionTable:
         raise ValueError(f"design has {len(names)} columns, the fit {len(fit.beta)}")
     rows = []
     se_all = np.sqrt(np.maximum(np.diag(fit.cov_beta), 0.0))
-    for (label, feature), beta, se in zip(names, fit.beta.tolist(), se_all.tolist()):
+    ends = engine.intervals(fit.beta, se_all)[0].tolist()
+    for (label, feature), (beta, low, high), se in zip(names, ends, se_all.tolist()):
         if se > 0:
             p = math.erfc(abs(beta) / se / math.sqrt(2.0))
         else:
             p = 1.0 if beta == 0 else 0.0
-        rows.append(RegressionRow(label=label, beta=beta, se=se, p=p,
-                                  ci_low=beta - Z95 * se, ci_high=beta + Z95 * se,
+        rows.append(RegressionRow(label=label, beta=beta, se=se, p=p, ci_low=low, ci_high=high,
                                   feature=feature))
     return RegressionTable(rows=rows, feature_order=list(design.feature_groups),
                            reference_levels=dict(design.reference_levels),

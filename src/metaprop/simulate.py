@@ -249,13 +249,21 @@ class RecoverySummary:
 def _replicates(config: SimConfig, reps: range):
     """The keyword arguments of ``fit_designs`` for replicates ``reps``,
     generated in order: y and v with one row per replicate, and the
-    designs side by side in X, replicate k's in ``columns[k]``."""
+    designs side by side in X, replicate k's in ``columns[k]``.
+
+    A design depends only on the moderator columns, so replicates whose
+    columns are equal bit for bit share one encoding: without moderators,
+    one per call."""
     m = sum(config.trial_counts())
-    y, v, designs = np.empty((len(reps), m)), np.empty((len(reps), m)), []
+    y, v, designs, encoded = np.empty((len(reps), m)), np.empty((len(reps), m)), [], {}
     for k, rep in enumerate(reps):
         data = generate(config, replicate=rep)
         y[k], v[k] = engine.effect_arrays(data)
-        designs.append(encode_design(data, data.schema.names).matrix)
+        key = tuple(column.tobytes() if column.dtype != object else tuple(column)
+                    for column in data.features.values())
+        if key not in encoded:
+            encoded[key] = encode_design(data, data.schema.names).matrix
+        designs.append(encoded[key])
     ends = np.cumsum([design.shape[1] for design in designs])
     columns = [range(end - design.shape[1], end) for design, end in zip(designs, ends)]
     return {"y": y, "X": np.hstack(designs), "v": v, "columns": columns}

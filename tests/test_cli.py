@@ -288,6 +288,26 @@ class TestSelect:
             code, _, _ = run(capsys, command, data, schema, "--out-dir", tmp_path / "out")
         assert code == 0
 
+    def test_one_study_warns_once_per_command(self, tmp_path):
+        # select fits the search's subsets and the five rows, fit one model: each
+        # command's stderr carries the warning once
+        data = tmp_path / "one.csv"
+        data.write_text("study_id,trial_id,k,n,x\n" + "".join(
+            f"S1,t{i},{k},100,{x}\n" for i, (k, x) in enumerate(
+                [(80, 0.1), (70, 0.7), (60, 0.2), (75, 0.9), (90, 0.4), (65, 0.3)])))
+        schema = tmp_path / "schema.yaml"
+        schema.write_text("features:\n  x:\n    kind: numeric\n")
+        src = str(pathlib.Path(metaprop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for command in ("select", "fit"):
+            out = subprocess.run([sys.executable, "-m", "metaprop.cli", command, str(data),
+                                  str(schema), "--out-dir", str(tmp_path / command)],
+                                 env=env, capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+            lines = [line for line in out.stderr.splitlines() if "only one study" in line]
+            assert len(lines) == 1, (command, out.stderr)
+
     def test_ml_likelihood_flag_in_manifest(self, capsys, tmp_path, example_paths):
         out_dir = tmp_path / "ml"
         code, _, _ = run(capsys, "select", example_paths["data"],

@@ -47,7 +47,8 @@ def first_read_p(key, step):
     return float(np.nextafter(p, step * 2.0)) if step else p
 
 
-_N_CASES = st.sampled_from([1, 2, 1022, 1023, 1024, 1025, 2047, 2048]) | st.integers(0, 2100)
+_N_CASES = (st.sampled_from([1, 2, 1022, 1023, 1024, 1025, 2047, 2048, 3071, 3072, 3073])
+            | st.integers(0, 2100))
 _P_CASES = (st.sampled_from([0.0, 1.0, 2.0 ** -53, 1 - 2.0 ** -53]) | st.floats(0.0, 1.0)
             | st.sampled_from([-1, 0, 1]))      # an int is a step for first_read_p
 
@@ -160,6 +161,54 @@ class TestRng:
              for key, d in zip(keys, draws)]
         assert rng.binomial(keys, n, p).tolist() == [
             reference_binomial(key, n_i, p_i) for key, n_i, p_i in zip(keys, n, p)]
+
+    def test_next_u64_is_output_then_advance(self):
+        keys = rng.stream_key(21, np.arange(12).reshape(3, 4))
+        drawn, stepped = rng.Streams(keys), rng.Streams(keys)
+        for _ in range(4):
+            x = stepped.output()
+            stepped.advance()
+            assert x.shape == (3, 4)
+            assert np.array_equal(drawn.next_u64(), x)
+
+    @pytest.mark.parametrize("rows", [0, 1, 3, 5])
+    def test_advance_leaves_trailing_rows_untouched(self, rows):
+        # advance(rows) writes no state word of the rows after the leading ones, and
+        # every row then draws what its lanes draw alone after as many steps
+        keys = rng.stream_key(22, np.arange(5))
+        bank = rng.Streams.grid(keys, rng._LANE_SALT[:3])
+        bank.advance(2)                                  # makes s2 and s3 of rows 0 and 1
+        before = bank._s[:, rows:].copy()
+        bank.advance(rows)
+        assert np.array_equal(bank._s[:, rows:], before)
+        draws = [bank.next_u64() for _ in range(4)]
+        for i, key in enumerate(keys):
+            lanes = rng.Streams(rng._mix64(key ^ rng._LANE_SALT[:3]))
+            for _ in range((i < 2) + (i < rows)):
+                lanes.next_u64()
+            assert np.array_equal([d[i] for d in draws], [lanes.next_u64() for _ in range(4)])
+
+    @pytest.mark.parametrize("block_lanes", [4096, rng._BLOCK_LANES], ids=["4096", "module"])
+    def test_binomial_mixes_every_kind_of_row(self, monkeypatch, block_lanes):
+        # one call: rows of two to four rounds with partial last rounds, one-read rows
+        # (n <= 1024; a block of their own at 4096 lanes), p of 0 and 1, and p on and
+        # beside the 2**-53 grid point at which a row's first read turns into a hit;
+        # the last two rows' first read x is the hit threshold itself, which it meets
+        monkeypatch.setattr(rng, "_BLOCK_LANES", block_lanes)
+        n = [1, 7, 300, 1024, 1000, 5, 1025, 2048, 3071, 3073, 4000, 900, 2500, 1024, 12, 1,
+             2000]
+        candidates = rng.stream_key(24, np.arange(20000))
+        first = rng.Streams(rng._mix64(candidates ^ rng._LANE_SALT[0])).next_u64()
+        at_threshold = candidates[np.flatnonzero(first & np.uint64(2047) == 2047)[0]]
+        keys = np.append(rng.stream_key(23, np.arange(len(n) - 2)), [at_threshold] * 2)
+        p = [.4, 0, 1, .9, first_read_p(keys[4], 0), first_read_p(keys[5], -1), 1, 0, .3,
+             first_read_p(keys[9], 1), first_read_p(keys[10], 0), 2.0 ** -53, 1 - 2.0 ** -53,
+             first_read_p(keys[13], -1), .5] + [first_read_p(at_threshold, 1)] * 2
+        together = rng.binomial(keys, n, p).tolist()
+        assert together == [int(rng.binomial(k, n_i, p_i)) for k, n_i, p_i in zip(keys, n, p)]
+        assert together == [reference_binomial(k, n_i, p_i) for k, n_i, p_i in zip(keys, n, p)]
+        assert (together[1], together[2], together[6], together[7], together[15]) == (
+            0, 300, 1025, 0, 1)
 
     def test_mix64_of_zero_is_not_zero(self):
         # so a stream's s0 and s1 = _mix64(s0) are never both zero
@@ -368,6 +417,29 @@ class TestRecovery:
             assert (rec.mu_hat, rec.se, rec.sigma2_xi_hat, rec.sigma2_zeta_hat,
                     rec.prop) == pytest.approx(values, rel=1e-10)
         assert summary.coverage == 1.0 and summary.coverage_se == 0.0
+
+    def test_each_design_encoded_once_per_chunk(self, monkeypatch):
+        # without moderators every replicate has the same design: 10 replicates in
+        # chunks of 4 encode it three times, and generate still runs once per replicate
+        calls = {"encode_design": 0, "generate": []}
+        def counted_encode(*args):
+            calls["encode_design"] += 1
+            return encode_design(*args)
+        def counted_generate(config, replicate):
+            calls["generate"].append(replicate)
+            return generate(config, replicate=replicate)
+        monkeypatch.setattr(simulate, "encode_design", counted_encode)
+        monkeypatch.setattr(simulate, "generate", counted_generate)
+        monkeypatch.setattr(simulate, "_CHUNK", 4)
+        for mode in ("gaussian", "binomial"):
+            calls["encode_design"], calls["generate"] = 0, []
+            config = dataclasses.replace(load_simconfig(EXAMPLE_SIMCONFIG), mode=mode)
+            recovery_experiment(config, 10)
+            assert (calls["encode_design"], calls["generate"]) == (3, list(range(10)))
+        # a moderator drawn per study gives every replicate its own design
+        calls["encode_design"] = 0
+        recovery_experiment(MODERATED, 6)
+        assert calls["encode_design"] == 6
 
     def test_chunks_keep_replicate_order_and_errors(self, monkeypatch):
         # 7 replicates in chunks of 3 give the records of one chunk, in order; of
