@@ -30,30 +30,34 @@ stdout byte-identical; keys that only this checkout prints are listed,
 and the parent's keys must serialize to the parent's bytes.
 
 Last, it runs the other commands on both sides, each side in a fresh
-directory of its own so that relative paths in the arguments and in
-stdout are the same, and checks that the exit codes are equal and stdout,
-stderr (with each checkout's path masked) and the files each command
-writes byte-identical: ``simulate`` on the same three configs, on two
-more binomial ones (the example with n in [1, 9000], whose draws take
-one round, several, and partial last rounds, and the moderated layout,
-whose draws all take one round), and with ``--replicate 3 --format
-json``; ``fit`` as text, with ``--diagnostics --format json`` and with
-``--method ml --out-dir`` (fit.json); ``regress --features=all`` as
-text and JSON with regression.md and regression.csv, ``regress
+directory of its own holding an empty ``sub/``, so that relative paths
+in the arguments and in stdout are the same.  It checks that the exit
+codes are equal and that stdout, stderr (with each checkout's path,
+and the line number a warning names, masked) and every file the
+command leaves in that directory are byte-identical, each
+manifest.json with its timestamp masked.  The
+commands are: ``simulate`` on the same three configs, on two more
+binomial ones (the example with n in [1, 9000], whose draws take one
+round, several, and partial last rounds, and the moderated layout,
+whose draws all take one round), with ``--replicate 3 --format json``
+and with ``--schema-out sub/s.yaml --out-dir other``; ``fit`` as text,
+with ``--diagnostics --format json`` and with ``--method ml
+--out-dir``; ``regress --features=all`` as text and JSON, ``regress
 --features=ml_model``, and ``regress --features=nope``, which exits 2;
-``forest`` as text, and with ``--format json`` on both scales and with
-both study-effect methods (the SVG too); ``recover --reps 20`` as text;
-and a four-trial ``select`` whose Full model fails, which exits 3 with a
-notes footer, as text and with ``--format json`` (its comparison tables and
-trail).  Every ``--format json`` stdout of this checkout must also parse
-as strict JSON, without NaN or Infinity (RFC 8259); the parent's is only
-byte-compared.  Exits 1 on any mismatch.
+``forest`` as text, with ``--format json`` on both scales and with both
+study-effect methods, and into ``sub/`` with ``--out-dir other``;
+``recover --reps 20`` as text; and a four-trial ``select`` whose Full
+model fails, which exits 3 with a notes footer, as text and with
+``--format json``.  Every ``--format json`` stdout of this checkout must
+also parse as strict JSON, without NaN or Infinity (RFC 8259); the
+parent's is only byte-compared.  Exits 1 on any mismatch.
 """
 
 import csv
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -246,74 +250,88 @@ def recover_problems(parent: pathlib.Path, tmp: pathlib.Path, name: str, config:
     return problems
 
 
-def output_problems(parent: pathlib.Path, tmp: pathlib.Path, label: str, argv,
-                    files=()) -> list:
+def written(where: pathlib.Path) -> dict:
+    """The bytes of every file under WHERE by relative path, each manifest's
+    timestamp masked."""
+    files = {}
+    for path in sorted(where.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                data = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": "TIMESTAMP"', data)
+            files[path.relative_to(where).as_posix()] = data
+    return files
+
+
+def output_problems(parent: pathlib.Path, tmp: pathlib.Path, label: str, argv) -> list:
     """Run ``metaprop ARGV`` on both sides and compare the bytes it writes.
 
-    Each side runs in a fresh directory of its own, so a relative path in
-    ARGV (an output file, an --out-dir) names a file there and prints the
-    same on both sides.  The exit codes, stdout, stderr and each file in
-    FILES, relative to that directory, must be equal; in stderr, each
-    side's checkout path reads CHECKOUT, since a warning names the file
-    that issued it.  Exit 2 (bad input) is compared too, and exit 3 (a
-    failed fit) still writes every output.
+    Each side runs in a fresh directory of its own, holding an empty
+    ``sub/``, so a relative path in ARGV (an output file, an --out-dir)
+    names a file there and prints the same on both sides.  The exit
+    codes, stdout, stderr and every file left in that directory must be
+    equal; in stderr, each side's checkout path reads CHECKOUT and the
+    line number after it LINE, since a warning names the file and line
+    that issued it, and an edit above that line moves it.  The source
+    line the warning prints is still compared.  Exit 2 (bad input) is
+    compared too, and exit 3 (a failed fit) still writes every output.
     """
     results = []
     for side, checkout in (("here", ROOT), ("parent", parent)):
         where = tmp / f"{side} {label}"
-        where.mkdir()
+        (where / "sub").mkdir(parents=True)
         code, stdout, stderr = run_cli(checkout, *argv, codes=(0, 2, 3), cwd=where)
-        stderr = stderr.replace(os.fsencode(checkout), b"CHECKOUT")   # a warning names its file
-        results.append((code, [stdout, stderr] + [(where / name).read_bytes()
-                                                  for name in files]))
+        stderr = re.sub(re.escape(os.fsencode(checkout)) + rb"(/\S*?\.py):\d+:",
+                        rb"CHECKOUT\1:LINE:", stderr)   # a warning names its file and line
+        stderr = stderr.replace(os.fsencode(checkout), b"CHECKOUT")
+        results.append((code, {"stdout": stdout, "stderr": stderr, **written(where)}))
     (code, ours), (parent_code, theirs) = results
     problems = []
     if code != parent_code:
         problems.append(f"{label}: exit code {code} here, {parent_code} in the parent")
-    names = ["stdout", "stderr", *files]
-    for name, x, y in zip(names, ours, theirs):
-        if x != y:
+    for name in {**ours, **theirs}:
+        if name not in theirs or name not in ours:
+            side = "here" if name in ours else "in the parent"
+            problems.append(f"{label}: {name} is written only {side}")
+        elif ours[name] != theirs[name]:
             problems.append(f"{label}: {name} differs")
     if "json" in argv:
-        problems += json_problems(label, ours[0])
-    print(f"{label}: exit {code}, compared {', '.join(names)}")
+        problems += json_problems(label, ours["stdout"])
+    print(f"{label}: exit {code}, compared {', '.join(ours)}")
     return problems
 
 
 def command_runs(tmp: pathlib.Path) -> list:
-    """(label, argv, files) of every command that output_problems compares."""
+    """(label, argv) of every command that output_problems compares."""
     data, schema = tmp / "failing.csv", tmp / "failing_schema.yaml"
     data.write_text(FAILING_SELECT[0], encoding="utf-8")
     schema.write_text(FAILING_SELECT[1], encoding="utf-8")
-    simulated = ("sim.csv", "sim_schema.yaml")
-    regression = ("out/regression.md", "out/regression.csv")
-    runs = [(f"simulate {name}", ("simulate", write_config(tmp, name, config), "sim.csv"),
-             simulated) for name, config in simulate_configs().items()]
+    runs = [(f"simulate {name}", ("simulate", write_config(tmp, name, config), "sim.csv"))
+            for name, config in simulate_configs().items()]
     runs += [
         ("simulate --replicate 3",
-         ("simulate", SIMCONFIG, "sim.csv", "--replicate", 3, "--format", "json"), simulated),
-        ("fit", ("fit", DATA, SCHEMA), ()),
-        ("fit --diagnostics", ("fit", DATA, SCHEMA, "--diagnostics", "--format", "json"), ()),
-        ("fit --method ml", ("fit", DATA, SCHEMA, "--method", "ml", "--out-dir", "out"),
-         ("out/fit.json",)),
-        ("regress all", ("regress", DATA, SCHEMA, "--features=all", "--out-dir", "out"),
-         regression),
+         ("simulate", SIMCONFIG, "sim.csv", "--replicate", 3, "--format", "json")),
+        ("simulate --schema-out sub",
+         ("simulate", SIMCONFIG, "sim.csv", "--schema-out", "sub/s.yaml", "--out-dir", "other")),
+        ("fit", ("fit", DATA, SCHEMA)),
+        ("fit --diagnostics", ("fit", DATA, SCHEMA, "--diagnostics", "--format", "json")),
+        ("fit --method ml", ("fit", DATA, SCHEMA, "--method", "ml", "--out-dir", "out")),
+        ("regress all", ("regress", DATA, SCHEMA, "--features=all", "--out-dir", "out")),
         ("regress all json", ("regress", DATA, SCHEMA, "--features=all", "--format", "json",
-                              "--out-dir", "out"), regression),
-        ("regress ml_model", ("regress", DATA, SCHEMA, "--features=ml_model"), ()),
-        ("regress unknown feature", ("regress", DATA, SCHEMA, "--features=nope"), ()),
-        ("forest", ("forest", DATA, SCHEMA, "forest.svg"), ("forest.svg",)),
+                              "--out-dir", "out")),
+        ("regress ml_model", ("regress", DATA, SCHEMA, "--features=ml_model")),
+        ("regress unknown feature", ("regress", DATA, SCHEMA, "--features=nope")),
+        ("forest", ("forest", DATA, SCHEMA, "forest.svg")),
+        ("forest into sub", ("forest", DATA, SCHEMA, "sub/forest.svg", "--out-dir", "other")),
     ]
     runs += [(f"forest {scale} {effects}",
               ("forest", DATA, SCHEMA, "forest.svg", "--scale", scale,
-               "--study-effects", effects, "--format", "json"), ("forest.svg",))
+               "--study-effects", effects, "--format", "json"))
              for scale in ("proportion", "transformed") for effects in ("blup", "pool")]
     runs += [
-        ("recover --reps 20", ("recover", SIMCONFIG, "--reps", 20), ()),
-        ("select failing", ("select", data, schema, "--out-dir", "out"),
-         ("out/comparison.md", "out/comparison.csv", "out/search_trail.jsonl")),
-        ("select failing json", ("select", data, schema, "--format", "json", "--out-dir", "out"),
-         ("out/comparison.md", "out/comparison.csv", "out/search_trail.jsonl")),
+        ("recover --reps 20", ("recover", SIMCONFIG, "--reps", 20)),
+        ("select failing", ("select", data, schema, "--out-dir", "out")),
+        ("select failing json", ("select", data, schema, "--format", "json", "--out-dir", "out")),
     ]
     return runs
 
@@ -333,8 +351,8 @@ def main(argv) -> int:
             problems += search_problems(parent, tmp, strategy, likelihood)
         for name, config in recover_configs().items():
             problems += recover_problems(parent, tmp, name, config)
-        for label, argv, files in command_runs(tmp):
-            problems += output_problems(parent, tmp, label, argv, files)
+        for label, argv in command_runs(tmp):
+            problems += output_problems(parent, tmp, label, argv)
     for problem in problems:
         print(f"MISMATCH {problem}")
     print("equivalent" if not problems else f"{len(problems)} mismatches")

@@ -1,19 +1,20 @@
 """Command-line interface wiring ingest -> engine -> reports.
 
-Each command returns an ``Outcome``; ``main`` alone prints it and writes
-it.  Human-readable text, or with --format=json a single
+Each command returns an ``Outcome`` and writes nothing; ``main`` alone
+prints and writes it.  Text, or with --format=json a single
 machine-readable document, goes to stdout, and a warning to stderr.
 Artifacts (tables, search trails, fit payloads) go to files in the
-out-dir, together with a run manifest of every parsed argument; the
-out-dir is --out-dir, else $METAPROP_OUT_DIR, else the command's own
-fallback (select writes to metaprop_out; forest and simulate, which name
-their output file, write beside it).  Exit codes: 0 success, 2 input or
-validation error, 3 numerical failure (including non-convergence).
+out-dir with a manifest of every parsed argument, and the files the
+command line names (forest's SVG, simulate's CSV and schema) to their
+paths; the out-dir is --out-dir, else $METAPROP_OUT_DIR, else select's
+metaprop_out or the directory of forest's and simulate's output.  Exit
+codes: 0 success, 2 input or validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -24,8 +25,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, engine, heterogeneity, report, selection, simulate
-from .ingest import (Dataset, DesignMatrix, ValidationError, encode_design, load_schema,
-                     parse_dataset, read_text, write_dataset_csv)
+from .ingest import (Dataset, DesignMatrix, ValidationError, dataset_csv, encode_design,
+                     load_schema, parse_dataset, read_text)
 from .transforms import transform_diagnostic
 
 EXIT_OK = 0
@@ -40,7 +41,7 @@ class Outcome:
     code: int
     payload: dict                  # printed with --format=json
     text: str                      # printed otherwise
-    artifacts: dict = field(default_factory=dict)   # out-dir file name -> contents
+    artifacts: dict = field(default_factory=dict)   # file name or absolute path -> contents
     out_dir: str | None = None     # when neither --out-dir nor $METAPROP_OUT_DIR is set
     seed: int | None = None
     warning: str | None = None     # printed to stderr
@@ -62,20 +63,24 @@ def _json(value, indent=None) -> str:
 
 
 def _emit(args, outcome: Outcome) -> None:
-    """Write the manifest and the artifacts to the out-dir, if there is one,
-    then print the outcome, its warning first: a command whose out-dir
-    cannot be written prints only the error."""
+    """Write the artifacts, keyed by out-dir name or, for a file the command
+    line names, by absolute path, and the manifest, then print the outcome,
+    its warning first.  Each named file's directory is checked and the
+    out-dir made before the first write, so a failing command leaves no file."""
     out_dir = args.out_dir if args.out_dir is not None else os.environ.get("METAPROP_OUT_DIR")
     out_dir = out_dir or outcome.out_dir
     if out_dir:
+        for path in filter(os.path.isabs, outcome.artifacts):
+            if not os.path.isdir(os.path.dirname(path)):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         manifest = {"command": args.command,
                     "inputs": {key: value for key, value in vars(args).items()
                                if key not in ("command", "func", "format", "out_dir")},
                     "seed": outcome.seed, "out_dir": out_dir, "version": __version__,
                     "timestamp": datetime.now(timezone.utc).isoformat()}
         os.makedirs(out_dir, exist_ok=True)
-        for name, text in {"manifest.json": _json(manifest, indent=2) + "\n",
-                           **outcome.artifacts}.items():
+        for name, text in {**outcome.artifacts,
+                           "manifest.json": _json(manifest, indent=2) + "\n"}.items():
             with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
     if outcome.warning:
@@ -197,26 +202,23 @@ def cmd_forest(args) -> Outcome:
     dataset = _load_dataset(args.data, args.schema)
     fit, _ = _fit_dataset(dataset, (), args.method)
     svg, rows = report.forest_plot(fit, dataset, scale=args.scale, method=args.study_effects)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
     return _fit_outcome(fit, {"out": args.out, "rows": [asdict(r) for r in rows]},
                         f"wrote {args.out} ({len(rows)} studies)",
+                        {os.path.abspath(args.out): svg},
                         out_dir=os.path.dirname(args.out) or ".")
 
 
 def cmd_simulate(args) -> Outcome:
     config = simulate.load_simconfig(args.config)
     dataset = simulate.generate(config, replicate=args.replicate)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        write_dataset_csv(dataset, fh)
     schema_out = args.schema_out
     if schema_out is None:
         schema_out = os.path.splitext(args.out)[0] + "_schema.yaml"
-    with open(schema_out, "w", encoding="utf-8") as fh:
-        fh.write(dataset.schema.to_yaml())
     return Outcome(EXIT_OK,
                    {"out": args.out, "schema_out": schema_out, "m": dataset.m, "h": dataset.h},
                    f"wrote {args.out}: {dataset.m} trials in {dataset.h} studies",
+                   {os.path.abspath(args.out): dataset_csv(dataset),
+                    os.path.abspath(schema_out): dataset.schema.to_yaml()},
                    out_dir=os.path.dirname(args.out) or ".", seed=config.seed)
 
 

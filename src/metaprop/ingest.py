@@ -32,7 +32,7 @@ __all__ = [
     "collinear_columns",
     "independent_columns",
     "load_schema",
-    "write_dataset_csv",
+    "dataset_csv",
 ]
 
 # residual-norm ratio at or below which a column counts as exactly collinear
@@ -387,12 +387,14 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
                    features={name: ordered(values) for name, values in features.items()})
 
 
-def write_dataset_csv(dataset: Dataset, fh) -> None:
-    """Serialize a dataset back to the ingest CSV layout."""
-    writer = csv.writer(fh, lineterminator="\n")             # writes a float as its repr
+def dataset_csv(dataset: Dataset) -> str:
+    """A dataset in the ingest CSV layout."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")            # writes a float as its repr
     writer.writerow(["study_id", "trial_id", "k", "n"] + dataset.schema.names)
     columns = [dataset.study_id, dataset.trial_id, dataset.k, dataset.n, *dataset.features.values()]
     writer.writerows(zip(*(column.tolist() for column in columns)))
+    return buf.getvalue()
 
 
 @dataclass

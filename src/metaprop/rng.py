@@ -11,12 +11,13 @@ Python-level loops.
 returns one count per key.  Each draw reads its own fixed set of lane
 substreams, so it is the same whichever other draws share the call.
 The draws are the rows of a draw x lane grid of streams.  A lane
-computes the state words s2 and s3 only if it reads more than once, and
-it advances only between two reads, never after its last.  A hit is an
-integer comparison of the lane's raw 64-bit output with
-(ceil(p * 2**53) << 11) - 1, which needs no float uniform.  Rows go in
-blocks of at most _BLOCK_LANES lanes, a size set by measurement that
-bounds memory and changes no stream.
+advances only between two reads, never after its last, and the step
+before its last read updates only the state word s1 that the read
+uses; so it computes s2 only if it reads more than once, and s3 only if
+more than twice.  A hit is an integer comparison of the lane's raw
+64-bit output with (ceil(p * 2**53) << 11) - 1, which needs no float
+uniform.  Rows go in blocks of at most _BLOCK_LANES lanes, a size set
+by measurement that bounds memory and changes no stream.
 """
 
 from __future__ import annotations
@@ -24,18 +25,26 @@ from __future__ import annotations
 import numpy as np
 
 _U64 = np.uint64
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
-_MIX1 = _U64(0xBF58476D1CE4E5B9)
-_MIX2 = _U64(0x94D049BB133111EB)
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _mix64(z, out=None, t=None):
-    """The splitmix64 finalizer of the uint64 array or numpy scalar ``z``.
+    """The splitmix64 finalizer of ``z``: a nonnegative Python int, taken
+    mod 2**64 and mixed in exact integer arithmetic, or a uint64 array or
+    numpy scalar.
 
-    The result goes to ``out`` when it is given, which may be ``z`` itself,
-    with ``t``, an array of its shape, as the scratch of the shifts; else
-    it is new and ``z`` is left as it was.
+    For an array, the result goes to ``out`` when it is given, which may
+    be ``z`` itself, with ``t``, an array of its shape, as the scratch of
+    the shifts; else it is new and ``z`` is left as it was.
     """
+    if isinstance(z, int):
+        z = (z + _GOLDEN) & _MASK
+        z = (z ^ z >> 30) * _MIX1 & _MASK
+        z = (z ^ z >> 27) * _MIX2 & _MASK
+        return z ^ z >> 31
     with np.errstate(over="ignore"):
         z = np.add(z, _GOLDEN, out=out)
         z ^= np.right_shift(z, _U64(30), out=t)
@@ -46,18 +55,33 @@ def _mix64(z, out=None, t=None):
     return z
 
 
-def stream_key(seed: int, *path: int) -> np.ndarray:
+def _u64(idx):
+    """An integer scalar as a Python int in [0, 2**64), else an integer array
+    as uint64; a negative value wraps, as in two's complement."""
+    if isinstance(idx, (int, np.integer)):
+        return int(np.int64(idx)) & _MASK
+    return np.asarray(idx, dtype=np.int64).astype(_U64)
+
+
+def stream_key(seed: int, *path) -> np.ndarray:
     """Derive a substream key from a seed and an index path.
 
     Accepts scalar indices or equal-length integer arrays (for building
-    one key per lane in a single call).
+    one key per lane in a single call).  A path of scalars gives a numpy
+    uint64 scalar, one with arrays an array.
     """
-    key = _mix64(np.asarray(seed, dtype=np.int64).astype(_U64))
+    return extend_key(_mix64(_u64(seed)), *path)
+
+
+def extend_key(key, *path):
+    """The key of ``path`` under ``key``, so that ``stream_key(seed, *a, *b)``
+    equals ``extend_key(stream_key(seed, *a), *b)``.  Scalars mix as Python
+    ints until the first array entry."""
+    key = int(key) if isinstance(key, np.integer) else key
     for idx in path:
         with np.errstate(over="ignore"):
-            idx_u = (np.asarray(idx, dtype=np.int64).astype(_U64) + _U64(1)) * _GOLDEN
-        key = _mix64(key ^ _mix64(idx_u))
-    return key
+            key = _mix64(key ^ _mix64((_u64(idx) + 1) * _GOLDEN))
+    return _U64(key) if isinstance(key, int) else key
 
 
 class Streams:
@@ -67,10 +91,10 @@ class Streams:
     :func:`stream_key`; each key expands into a distinct 256-bit state
     via splitmix64, and every draw has the keys' shape.  The state words
     are s0 = _mix64(key) and s1, s2, s3, each _mix64 of the one before.
-    s2 and s3 of a stream are made when it first advances, so a stream
-    that is read once never computes them.  The state is never all
-    zero, as xoshiro requires: s1 = _mix64(s0) and _mix64(0) is not 0,
-    so s0 and s1 are never both 0.
+    s2 of a stream is made when it first advances and s3 when it first
+    takes a whole step, so a stream read once computes neither and one
+    read twice no s3.  The state is never all zero, as xoshiro requires:
+    s1 = _mix64(s0) and _mix64(0) is not 0, so s0 and s1 are never both 0.
 
     A draw is :meth:`output`, the value of the current state, followed
     by :meth:`advance`; both can act on the leading rows of the bank's
@@ -98,7 +122,7 @@ class Streams:
         self._s, self._t = s, np.empty(s.shape[1:], dtype=_U64)   # _t: the one scratch array
         _mix64(s[0], s[0], self._t)
         _mix64(s[0], s[1], self._t)
-        self._full = 0                                   # leading rows with s2 and s3 made
+        self._s2 = self._s3 = 0                          # leading rows with s2, s3 made
 
     def output(self, rows: int | None = None) -> np.ndarray:
         """The xoshiro256** output of the current state of the leading ``rows``
@@ -111,24 +135,37 @@ class Streams:
         x *= _U64(9)
         return x
 
-    def advance(self, rows: int | None = None):
-        """One xoshiro256** step of the leading ``rows`` streams (all by default)."""
+    def advance(self, rows: int | None = None, full: int | None = None):
+        """One xoshiro256** step of the leading ``rows`` streams (all by default).
+
+        The leading ``full`` of them (all by default) take the whole step.
+        The others take the step before their last read: only s1, which
+        :meth:`output` reads, moves, to s1 ^ s2 ^ s0, so they must not
+        advance again, and their s3 is never made.
+        """
         s, t = self._s, self._t[:rows]
-        if self._full < len(t):
-            new = slice(self._full, len(t))
+        rows = len(t)
+        full = rows if full is None else full
+        if self._s2 < rows:                              # rows stepping for the first time
+            new = slice(self._s2, rows)
             _mix64(s[1, new], s[2, new], t[new])
+            self._s2 = rows
+        if self._s3 < full:                              # rows first taking the whole step
+            new = slice(self._s3, full)
             _mix64(s[2, new], s[3, new], t[new])
-            self._full = len(t)
-        s0, s1, s2, s3 = s[:, :rows]                     # views: updated in place
-        np.left_shift(s1, _U64(17), out=t)
+            self._s3 = full
+        s0, s1, s2, _ = s[:, :rows]                      # views: updated in place
+        f0, f1, f2, f3 = s[:, :full]
+        tf = t[:full]
+        np.left_shift(f1, _U64(17), out=tf)
+        f3 ^= f1
         s2 ^= s0
-        s3 ^= s1
         s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        np.right_shift(s3, _U64(19), out=t)
-        s3 <<= _U64(45)
-        s3 |= t
+        f0 ^= f3
+        f2 ^= tf
+        np.right_shift(f3, _U64(19), out=tf)
+        f3 <<= _U64(45)
+        f3 |= tf
 
     def next_u64(self) -> np.ndarray:
         """One uint64 per stream: the output, then a step of every stream."""
@@ -183,11 +220,12 @@ def binomial(keys, n, p) -> np.ndarray:
     row's last round only its first n_i - r * _LANES.  Rows are sorted by
     n, largest first, so the rows still drawing are always the leading
     ones.  A round computes the output of those rows, which reads s1
-    alone; then only the rows that read again advance.  A row makes s2
-    and s3 at its first advance, so a row that reads once computes s0
-    and s1 only.  A hit is ``x <= (ceil(p_i * 2**53) << 11) - 1`` on the
-    raw 64-bit output x, the same test as ``uniform() < p_i`` since both
-    sides scale by 2**53 exactly; for 0 < p_i < 1 the threshold lies in
+    alone; then only the rows that read again advance, and those that
+    read just once more update s1 alone.  So a row that reads once
+    computes s0 and s1 only, and one that reads twice no s3.  A hit is
+    ``x <= (ceil(p_i * 2**53) << 11) - 1`` on the raw 64-bit output x,
+    the same test as ``uniform() < p_i`` since both sides scale by 2**53
+    exactly; for 0 < p_i < 1 the threshold lies in
     [2**11 - 1, 2**64 - 2**11 - 1], so it neither wraps nor overflows.
     Draws with p_i = 0 take no lanes and count 0, those with p_i = 1 take
     none and count n_i.  Hits add up per lane and are summed once per
@@ -226,11 +264,11 @@ def _grid_counts(keys, n, limit) -> np.ndarray:
     limit = np.repeat(limit, width).reshape(n.size, width)   # compares faster than broadcast
     hit = np.empty(limit.shape, dtype=bool)
     hits = np.zeros(limit.shape, dtype=np.min_scalar_type(int(rounds[0])))   # per lane
-    alive = (n.size - np.cumsum(np.bincount(rounds))).tolist()   # [r]: rows of > r rounds
+    alive = (n.size - np.cumsum(np.bincount(rounds))).tolist() + [0]   # [r]: rows of > r rounds
     for r in range(int(rounds[0])):
         live, ending = alive[r], alive[r + 1]            # rows drawing now, and again after
         np.less_equal(bank.output(live), limit[:live], out=hit[:live])
         hit[ending:live] &= lane < last[ending:live, None]
         hits[:live] += hit[:live].view(np.uint8)
-        bank.advance(ending)
+        bank.advance(ending, alive[r + 2])               # rows ending after the next read: s1 alone
     return hits.sum(axis=1, dtype=np.int64)

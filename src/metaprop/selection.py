@@ -63,15 +63,16 @@ def criterion(fit: engine.FitResult, residuals, kind: str) -> float:
 
 @dataclass(frozen=True)
 class TrailRecord:
-    """One evaluated candidate subset; its index is its position in the trail."""
+    """One evaluated candidate subset; its index is its position in the trail.
+    A subset that failed sets only its features and ``skipped``."""
 
     features: tuple
-    f: int
-    loglik: float | None
-    aic: float | None
-    bic: float | None
-    rmse: float | None
-    converged: bool
+    f: int = 0
+    loglik: float | None = None
+    aic: float | None = None
+    bic: float | None = None
+    rmse: float | None = None
+    converged: bool = False
     skipped: str | None = None
 
 
@@ -87,9 +88,7 @@ def _fits(dataset: Dataset, subsets, method: str):
 
 def _record(features, fit) -> TrailRecord:
     if isinstance(fit, (ValidationError, np.linalg.LinAlgError)):
-        return TrailRecord(features=tuple(features), f=0, loglik=None,
-                           aic=None, bic=None, rmse=None, converged=False,
-                           skipped=str(fit))
+        return TrailRecord(features=tuple(features), skipped=str(fit))
     residuals = fit.y - fit.X @ fit.beta
     return TrailRecord(
         features=tuple(features), f=fit.f, loglik=fit.loglik,
@@ -180,41 +179,36 @@ def _winners(dataset: Dataset, strategy: str, method: str) -> tuple:
 
 @dataclass
 class ModelComparisonRow:
-    """One row of the five-model comparison table."""
+    """One row of the five-model comparison table; a model that failed sets
+    only its name, features and ``note``."""
 
     name: str
     features: tuple
-    f: int
-    aic: float
-    bic: float
-    rmse: float
-    q: float
-    q_df: int
-    q_pvalue: float
-    sigma2_xi: float
-    sigma2_zeta: float
-    i2_xi: float
-    i2_zeta: float
-    mu: float
-    mu_se: float
-    mu_prop: float
-    mu_prop_low: float
-    mu_prop_high: float
-    r2_xi: float | None
-    r2_zeta: float | None
-    converged: bool
+    f: int = 0
+    aic: float = math.nan
+    bic: float = math.nan
+    rmse: float = math.nan
+    q: float = math.nan
+    q_df: int = 0
+    q_pvalue: float = math.nan
+    sigma2_xi: float = math.nan
+    sigma2_zeta: float = math.nan
+    i2_xi: float = math.nan
+    i2_zeta: float = math.nan
+    mu: float = math.nan
+    mu_se: float = math.nan
+    mu_prop: float = math.nan
+    mu_prop_low: float = math.nan
+    mu_prop_high: float = math.nan
+    r2_xi: float | None = None
+    r2_zeta: float | None = None
+    converged: bool = False
     note: str | None = None
 
 
 def _comparison_row(name, features, fit, fit_null) -> ModelComparisonRow:
     if isinstance(fit, (ValidationError, np.linalg.LinAlgError)):
-        return ModelComparisonRow(
-            name=name, features=tuple(features), f=0, aic=math.nan, bic=math.nan,
-            rmse=math.nan, q=math.nan, q_df=0, q_pvalue=math.nan,
-            sigma2_xi=math.nan, sigma2_zeta=math.nan, i2_xi=math.nan,
-            i2_zeta=math.nan, mu=math.nan, mu_se=math.nan, mu_prop=math.nan,
-            mu_prop_low=math.nan, mu_prop_high=math.nan, r2_xi=None,
-            r2_zeta=None, converged=False, note=str(fit))
+        return ModelComparisonRow(name=name, features=tuple(features), note=str(fit))
     record = _record(features, fit)
     het = heterogeneity.heterogeneity_report(fit)
     pooled = engine.pooled_estimate(fit)

@@ -170,8 +170,8 @@ def generate(config: SimConfig, replicate: int = 0) -> Dataset:
     study_idx = np.repeat(np.arange(h), sizes)
     trial_idx = np.concatenate([np.arange(s) for s in sizes])
 
-    study_streams = rng.Streams(rng.stream_key(config.seed, replicate,
-                                               np.arange(h), _STUDY_SENTINEL))
+    replicate_key = rng.stream_key(config.seed, replicate)
+    study_streams = rng.Streams(rng.extend_key(replicate_key, np.arange(h), _STUDY_SENTINEL))
     xi = study_streams.normal() * math.sqrt(config.sigma2_xi)
     mod_shift = np.zeros(h)
     mod_values = {}
@@ -183,7 +183,8 @@ def generate(config: SimConfig, replicate: int = 0) -> Dataset:
             mod_values[mod.name] = np.where(shift, "b", "a")
         mod_shift += mod.effect * shift
 
-    trial_streams = rng.Streams(rng.stream_key(config.seed, replicate, study_idx, trial_idx))
+    trial_keys = rng.extend_key(replicate_key, study_idx, trial_idx)
+    trial_streams = rng.Streams(trial_keys)
     n = trial_streams.integers(config.n_range[0], config.n_range[1])
     zeta = trial_streams.normal() * math.sqrt(config.sigma2_zeta)
 
@@ -201,8 +202,7 @@ def generate(config: SimConfig, replicate: int = 0) -> Dataset:
     if config.mode == "gaussian":
         k = np.clip(np.floor(p * n + 0.5).astype(np.int64), 0, n)
     else:
-        k = rng.binomial(rng.stream_key(config.seed, replicate, study_idx, trial_idx,
-                                        _BINOMIAL_SUBKEY), n, p)
+        k = rng.binomial(rng.extend_key(trial_keys, _BINOMIAL_SUBKEY), n, p)
 
     study_id = np.array([f"S{j + 1:0{width}d}" for j in range(h)], dtype=object)[study_idx]
     return Dataset(study_id=study_id, trial_id=study_id + "-t" + (trial_idx + 1).astype(str),

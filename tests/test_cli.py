@@ -483,7 +483,67 @@ class TestSimulateAndRecover:
         assert not (file_dir / "manifest.json").exists()
 
 
-FUZZ_CSV = [["study_id", "trial_id", "k", "n", "size", "model"],
+def files_under(root):
+    return sorted(p.relative_to(root).as_posix() for p in pathlib.Path(root).rglob("*"))
+
+
+class TestOutputPaths:
+    """forest and simulate return their named outputs as artifacts, and a
+    command that cannot write every output writes none."""
+
+    def argv(self, command, example_paths, out, *extra):
+        inputs = {"forest": [example_paths["data"], example_paths["schema"]],
+                  "simulate": [example_paths["simconfig"]]}[command]
+        return [command, *inputs, out, *extra]
+
+    @pytest.mark.parametrize("command, name", [("forest", "forest.svg"),
+                                               ("simulate", "sim.csv")])
+    def test_out_dir_naming_a_file_exit_2_writes_nothing(self, capsys, tmp_path, example_paths,
+                                                         command, name):
+        (tmp_path / "f").mkdir()
+        (tmp_path / "f" / "notadir").write_text("")
+        code, out, err = run(capsys, *self.argv(command, example_paths, tmp_path / "f" / name,
+                                                "--out-dir", tmp_path / "f" / "notadir"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno 17] File exists")
+        assert files_under(tmp_path) == ["f", "f/notadir"]
+
+    @pytest.mark.parametrize("command, out, extra", [
+        ("forest", "missing/forest.svg", ()),
+        ("forest", "missing/forest.svg", ("--out-dir", "out")),
+        ("simulate", "missing/sim.csv", ()),
+        ("simulate", "sim.csv", ("--schema-out", "missing/s.yaml")),
+        ("simulate", "sim.csv", ("--schema-out", "missing/s.yaml", "--out-dir", "out")),
+    ], ids=["forest", "forest-out-dir", "simulate", "simulate-schema",
+            "simulate-schema-out-dir"])
+    def test_output_in_missing_directory_exit_2_writes_nothing(self, capsys, tmp_path,
+                                                               monkeypatch, example_paths,
+                                                               command, out, extra):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *self.argv(command, example_paths, out, *extra))
+        assert code == 2
+        assert err.startswith("error: [Errno 2] No such file or directory") and "missing" in err
+        assert files_under(tmp_path) == []
+
+    def test_commands_return_outputs_and_write_nothing(self, tmp_path, monkeypatch,
+                                                       example_paths):
+        from metaprop.cli import build_parser, cmd_forest, cmd_simulate
+
+        monkeypatch.chdir(tmp_path)
+        forest = cmd_forest(build_parser().parse_args(
+            self.argv("forest", example_paths, "forest.svg")))
+        simulated = cmd_simulate(build_parser().parse_args(
+            self.argv("simulate", example_paths, "sim.csv", "--schema-out", "s.yaml")))
+        assert files_under(tmp_path) == []
+        assert forest.artifacts == {
+            str(tmp_path / "forest.svg"): (TESTDATA / "forest_golden.svg").read_text()}
+        assert list(simulated.artifacts) == [str(tmp_path / "sim.csv"), str(tmp_path / "s.yaml")]
+        assert simulated.artifacts[str(tmp_path / "s.yaml")] == "features: {}\n"
+        assert simulated.artifacts[str(tmp_path / "sim.csv")].startswith(
+            "study_id,trial_id,k,n\nS01,S01-t1,")
+
+
+FUZZ_CSV =[["study_id", "trial_id", "k", "n", "size", "model"],
             ["S1", "t1", "8", "10", "1500", "lr"],
             ["S1", "t2", "45", "50", "3000", "svm"],
             ["S2", "t1", "70", "100", "2000", "nn"],

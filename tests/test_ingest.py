@@ -1,4 +1,3 @@
-import io
 import itertools
 
 import numpy as np
@@ -8,8 +7,8 @@ from hypothesis import strategies as st
 
 from metaprop.engine import Problem, VarianceComponents, fit_designs, fit_model, log_likelihood
 from metaprop.ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError,
-                             encode_design, load_schema, parse_dataset, read_text,
-                             write_dataset_csv)
+                             dataset_csv, encode_design, load_schema, parse_dataset,
+                             read_text)
 
 from conftest import DATA, TESTDATA
 
@@ -125,9 +124,7 @@ class TestParse:
 
     def test_round_trip_preserves_counts(self):
         ds = parse_dataset(CSV, SCHEMA)
-        buf = io.StringIO()
-        write_dataset_csv(ds, buf)
-        again = parse_dataset(buf.getvalue(), _identity_schema())
+        again = parse_dataset(dataset_csv(ds), _identity_schema())
         assert [(t.study_id, t.k, t.n) for t in again.trials] == \
                [(t.study_id, t.k, t.n) for t in ds.trials]
 

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaprop import engine, rng, simulate
-from metaprop.ingest import ValidationError, encode_design, parse_dataset, write_dataset_csv
+from metaprop.ingest import ValidationError, dataset_csv, encode_design, parse_dataset
 from metaprop.report import recovery_text
 from metaprop.simulate import (Moderator, SimConfig, generate, load_simconfig,
                                recovery_experiment)
@@ -210,6 +209,50 @@ class TestRng:
         assert (together[1], together[2], together[6], together[7], together[15]) == (
             0, 300, 1025, 0, 1)
 
+    @pytest.mark.parametrize("full", [0, 2, 5])
+    def test_last_step_moves_s1_to_the_full_step_output(self, full):
+        # rows from `full` on take the step before their last read: their next
+        # output is the one a whole step gives, whatever they did before
+        keys = rng.stream_key(25, np.arange(5))
+        split, whole = (rng.Streams.grid(keys, rng._LANE_SALT[:3]) for _ in range(2))
+        for bank in (split, whole):
+            bank.advance(3)                              # rows 0-2 have stepped once
+        split.advance(5, full)
+        whole.advance(5)
+        assert np.array_equal(split.output(), whole.output())
+        assert np.array_equal(split._s[:, :full], whole._s[:, :full])
+
+    def test_rows_reading_twice_make_no_s3(self, monkeypatch):
+        # a block of rows that each read every lane twice mixes the keys, s0, s1
+        # and s2: four _mix64 calls per block, and no s3
+        keys, n, p = rng.stream_key(26, np.arange(4)), 2 * rng._LANES, 0.3
+        calls = []
+        original = rng._mix64
+        monkeypatch.setattr(rng, "_mix64", lambda *a, **k: calls.append(1) or original(*a, **k))
+        monkeypatch.setattr(rng, "_BLOCK_LANES", 2 * rng._LANES)   # two blocks of two rows
+        draws = rng.binomial(keys, n, p)
+        assert len(calls) == 2 * 4
+        assert draws.tolist() == [reference_binomial(key, n, p) for key in keys]
+
+    @pytest.mark.parametrize("head, tail", [
+        ((3,), (4, 5)),
+        ((3, -1), (7,)),
+        ((np.arange(4),), (-1,)),
+        ((2,), (np.arange(4), np.arange(4) - 2, 7)),
+        ((), (np.arange(3).reshape(3, 1), -1)),
+    ], ids=["scalar", "minus-one", "array-then-minus-one", "scalar-then-arrays", "seed-only"])
+    def test_extend_key_continues_the_path(self, head, tail):
+        whole = rng.stream_key(27, *head, *tail)
+        extended = rng.extend_key(rng.stream_key(27, *head), *tail)
+        assert type(extended) is type(whole)
+        assert np.array_equal(extended, whole)
+        with np.errstate(over="ignore"):            # the path step, in uint64 arithmetic
+            key = rng._mix64(np.int64(27).astype(np.uint64))
+            for idx in (*head, *tail):
+                idx = np.asarray(idx, dtype=np.int64).astype(np.uint64)
+                key = rng._mix64(key ^ rng._mix64((idx + np.uint64(1)) * np.uint64(rng._GOLDEN)))
+        assert np.array_equal(whole, key)
+
     def test_mix64_of_zero_is_not_zero(self):
         # so a stream's s0 and s1 = _mix64(s0) are never both zero
         assert rng._mix64(np.uint64(0)) != 0
@@ -217,12 +260,7 @@ class TestRng:
 
 class TestGenerate:
     def test_seed_determinism_byte_identical(self):
-        d1 = generate(base_config())
-        d2 = generate(base_config())
-        b1, b2 = io.StringIO(), io.StringIO()
-        write_dataset_csv(d1, b1)
-        write_dataset_csv(d2, b2)
-        assert b1.getvalue() == b2.getvalue()
+        assert dataset_csv(generate(base_config())) == dataset_csv(generate(base_config()))
 
     def test_different_replicates_differ(self):
         d1 = generate(base_config(), replicate=0)
@@ -320,9 +358,7 @@ class TestGenerate:
         cfg = base_config(moderators=[Moderator("x", 0.1),
                                       Moderator("g", 0.05, "categorical")])
         data = generate(cfg)
-        buf = io.StringIO()
-        write_dataset_csv(data, buf)
-        again = parse_dataset(buf.getvalue(), data.schema)
+        again = parse_dataset(dataset_csv(data), data.schema)
         assert again.m == data.m and again.h == data.h
         assert [t.k for t in again.trials] == [t.k for t in data.trials]
 
