@@ -33,7 +33,7 @@ Last, it runs the other commands on both sides, each side in a fresh
 directory of its own holding an empty ``sub/``, so that relative paths
 in the arguments and in stdout are the same.  It checks that the exit
 codes are equal and that stdout, stderr (with each checkout's path,
-and the line number a warning names, masked) and every file the
+and a line number of cli.py after it, masked) and every file the
 command leaves in that directory are byte-identical, each
 manifest.json with its timestamp masked.  The
 commands are: ``simulate`` on the same three configs, on two more
@@ -270,10 +270,11 @@ def output_problems(parent: pathlib.Path, tmp: pathlib.Path, label: str, argv) -
     ``sub/``, so a relative path in ARGV (an output file, an --out-dir)
     names a file there and prints the same on both sides.  The exit
     codes, stdout, stderr and every file left in that directory must be
-    equal; in stderr, each side's checkout path reads CHECKOUT and the
-    line number after it LINE, since a warning names the file and line
-    that issued it, and an edit above that line moves it.  The source
-    line the warning prints is still compared.  Exit 2 (bad input) is
+    equal; in stderr, each side's checkout path reads CHECKOUT, and the
+    line number of ``cli.py`` after it LINE: a warning from a fit or a
+    simulation names the ``cli.py`` line that started it, and an edit
+    above that line moves it.  The source line the warning prints, and
+    the line number of any other file, are still compared.  Exit 2 (bad input) is
     compared too, and exit 3 (a failed fit) still writes every output.
     """
     results = []
@@ -281,8 +282,8 @@ def output_problems(parent: pathlib.Path, tmp: pathlib.Path, label: str, argv) -
         where = tmp / f"{side} {label}"
         (where / "sub").mkdir(parents=True)
         code, stdout, stderr = run_cli(checkout, *argv, codes=(0, 2, 3), cwd=where)
-        stderr = re.sub(re.escape(os.fsencode(checkout)) + rb"(/\S*?\.py):\d+:",
-                        rb"CHECKOUT\1:LINE:", stderr)   # a warning names its file and line
+        stderr = re.sub(re.escape(os.fsencode(checkout)) + rb"/src/metaprop/cli\.py:\d+:",
+                        rb"CHECKOUT/src/metaprop/cli.py:LINE:", stderr)
         stderr = stderr.replace(os.fsencode(checkout), b"CHECKOUT")
         results.append((code, {"stdout": stdout, "stderr": stderr, **written(where)}))
     (code, ours), (parent_code, theirs) = results

@@ -1,13 +1,12 @@
 """Command-line interface wiring ingest -> engine -> reports.
 
-Each command returns an ``Outcome`` and writes nothing; ``main`` alone
-prints and writes it.  Text, or with --format=json a single
-machine-readable document, goes to stdout, and a warning to stderr.
-Artifacts (tables, search trails, fit payloads) go to files in the
-out-dir with a manifest of every parsed argument, and the files the
-command line names (forest's SVG, simulate's CSV and schema) to their
-paths; the out-dir is --out-dir, else $METAPROP_OUT_DIR, else select's
-metaprop_out or the directory of forest's and simulate's output.  Exit
+Each command returns an ``Outcome`` and writes nothing; ``main`` prints
+it (text, or with --format=json one JSON document, to stdout and a
+warning to stderr) and writes its files: artifacts such as tables,
+trails and fit payloads, with a manifest of every parsed argument, to
+the out-dir (--out-dir, else $METAPROP_OUT_DIR, else select's
+metaprop_out or the directory of forest's and simulate's output), and
+forest's SVG and simulate's CSV and schema to the paths named.  Exit
 codes: 0 success, 2 input or validation error, 3 numerical failure.
 """
 
@@ -65,22 +64,24 @@ def _json(value, indent=None) -> str:
 def _emit(args, outcome: Outcome) -> None:
     """Write the artifacts, keyed by out-dir name or, for a file the command
     line names, by absolute path, and the manifest, then print the outcome,
-    its warning first.  Each named file's directory is checked and the
-    out-dir made before the first write, so a failing command leaves no file."""
+    its warning first.  A named output's missing directory, or an output
+    that is a directory, raises before the first write, so it leaves no file."""
     out_dir = args.out_dir if args.out_dir is not None else os.environ.get("METAPROP_OUT_DIR")
     out_dir = out_dir or outcome.out_dir
     if out_dir:
-        for path in filter(os.path.isabs, outcome.artifacts):
-            if not os.path.isdir(os.path.dirname(path)):
-                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         manifest = {"command": args.command,
                     "inputs": {key: value for key, value in vars(args).items()
                                if key not in ("command", "func", "format", "out_dir")},
                     "seed": outcome.seed, "out_dir": out_dir, "version": __version__,
                     "timestamp": datetime.now(timezone.utc).isoformat()}
+        outputs = {**outcome.artifacts, "manifest.json": _json(manifest, indent=2) + "\n"}
+        for path in filter(os.path.isabs, outputs):
+            if not os.path.isdir(os.path.dirname(path)):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        for path in filter(os.path.isdir, (os.path.join(out_dir, name) for name in outputs)):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         os.makedirs(out_dir, exist_ok=True)
-        for name, text in {**outcome.artifacts,
-                           "manifest.json": _json(manifest, indent=2) + "\n"}.items():
+        for name, text in outputs.items():
             with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
     if outcome.warning:

@@ -25,26 +25,18 @@ from __future__ import annotations
 import numpy as np
 
 _U64 = np.uint64
-_MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+_GOLDEN = _U64(0x9E3779B97F4A7C15)
+_MIX1 = _U64(0xBF58476D1CE4E5B9)
+_MIX2 = _U64(0x94D049BB133111EB)
 
 
 def _mix64(z, out=None, t=None):
-    """The splitmix64 finalizer of ``z``: a nonnegative Python int, taken
-    mod 2**64 and mixed in exact integer arithmetic, or a uint64 array or
-    numpy scalar.
+    """The splitmix64 finalizer of ``z``, a uint64 array or numpy scalar.
 
-    For an array, the result goes to ``out`` when it is given, which may
-    be ``z`` itself, with ``t``, an array of its shape, as the scratch of
-    the shifts; else it is new and ``z`` is left as it was.
+    The result goes to ``out`` when it is given, which may be ``z``
+    itself, with ``t``, an array of its shape, as the scratch of the
+    shifts; else it is new and ``z`` is left as it was.
     """
-    if isinstance(z, int):
-        z = (z + _GOLDEN) & _MASK
-        z = (z ^ z >> 30) * _MIX1 & _MASK
-        z = (z ^ z >> 27) * _MIX2 & _MASK
-        return z ^ z >> 31
     with np.errstate(over="ignore"):
         z = np.add(z, _GOLDEN, out=out)
         z ^= np.right_shift(z, _U64(30), out=t)
@@ -55,14 +47,6 @@ def _mix64(z, out=None, t=None):
     return z
 
 
-def _u64(idx):
-    """An integer scalar as a Python int in [0, 2**64), else an integer array
-    as uint64; a negative value wraps, as in two's complement."""
-    if isinstance(idx, (int, np.integer)):
-        return int(np.int64(idx)) & _MASK
-    return np.asarray(idx, dtype=np.int64).astype(_U64)
-
-
 def stream_key(seed: int, *path) -> np.ndarray:
     """Derive a substream key from a seed and an index path.
 
@@ -70,18 +54,18 @@ def stream_key(seed: int, *path) -> np.ndarray:
     one key per lane in a single call).  A path of scalars gives a numpy
     uint64 scalar, one with arrays an array.
     """
-    return extend_key(_mix64(_u64(seed)), *path)
+    return extend_key(_mix64(np.asarray(seed, dtype=np.int64).astype(_U64)), *path)
 
 
 def extend_key(key, *path):
     """The key of ``path`` under ``key``, so that ``stream_key(seed, *a, *b)``
-    equals ``extend_key(stream_key(seed, *a), *b)``.  Scalars mix as Python
-    ints until the first array entry."""
-    key = int(key) if isinstance(key, np.integer) else key
+    equals ``extend_key(stream_key(seed, *a), *b)``; a negative index wraps,
+    as in two's complement."""
     for idx in path:
         with np.errstate(over="ignore"):
-            key = _mix64(key ^ _mix64((_u64(idx) + 1) * _GOLDEN))
-    return _U64(key) if isinstance(key, int) else key
+            idx_u = (np.asarray(idx, dtype=np.int64).astype(_U64) + _U64(1)) * _GOLDEN
+        key = _mix64(key ^ _mix64(idx_u))
+    return key
 
 
 class Streams:
@@ -123,6 +107,7 @@ class Streams:
         _mix64(s[0], s[0], self._t)
         _mix64(s[0], s[1], self._t)
         self._s2 = self._s3 = 0                          # leading rows with s2, s3 made
+        self._limit = s.shape[1]                         # leading rows that may still advance
 
     def output(self, rows: int | None = None) -> np.ndarray:
         """The xoshiro256** output of the current state of the leading ``rows``
@@ -140,12 +125,16 @@ class Streams:
 
         The leading ``full`` of them (all by default) take the whole step.
         The others take the step before their last read: only s1, which
-        :meth:`output` reads, moves, to s1 ^ s2 ^ s0, so they must not
-        advance again, and their s3 is never made.
+        :meth:`output` reads, moves, to s1 ^ s2 ^ s0, and their s3 is never
+        made, so from then on a step of them raises ValueError.
         """
         s, t = self._s, self._t[:rows]
         rows = len(t)
-        full = rows if full is None else full
+        full = rows if full is None else min(full, rows)
+        if rows > self._limit:
+            raise ValueError(f"rows from {self._limit} on took their last step")
+        if full < rows:
+            self._limit = full
         if self._s2 < rows:                              # rows stepping for the first time
             new = slice(self._s2, rows)
             _mix64(s[1, new], s[2, new], t[new])

@@ -525,6 +525,22 @@ class TestOutputPaths:
         assert err.startswith("error: [Errno 2] No such file or directory") and "missing" in err
         assert files_under(tmp_path) == []
 
+    @pytest.mark.parametrize("command, out, extra, directory", [
+        ("forest", "adir", (), "adir"),
+        ("simulate", "sim.csv", ("--schema-out", "adir"), "adir"),
+        ("forest", "forest.svg", ("--out-dir", "out"), "out/manifest.json"),
+    ], ids=["forest", "simulate-schema", "manifest"])
+    def test_output_naming_a_directory_exit_2_writes_nothing(self, capsys, tmp_path,
+                                                             monkeypatch, example_paths,
+                                                             command, out, extra, directory):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / directory).mkdir(parents=True)
+        before = files_under(tmp_path)
+        code, _, err = run(capsys, *self.argv(command, example_paths, out, *extra))
+        assert code == 2
+        assert err.startswith("error: [Errno 21] Is a directory") and directory in err
+        assert files_under(tmp_path) == before
+
     def test_commands_return_outputs_and_write_nothing(self, tmp_path, monkeypatch,
                                                        example_paths):
         from metaprop.cli import build_parser, cmd_forest, cmd_simulate
@@ -543,7 +559,7 @@ class TestOutputPaths:
             "study_id,trial_id,k,n\nS01,S01-t1,")
 
 
-FUZZ_CSV =[["study_id", "trial_id", "k", "n", "size", "model"],
+FUZZ_CSV = [["study_id", "trial_id", "k", "n", "size", "model"],
             ["S1", "t1", "8", "10", "1500", "lr"],
             ["S1", "t2", "45", "50", "3000", "svm"],
             ["S2", "t1", "70", "100", "2000", "nn"],

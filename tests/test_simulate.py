@@ -222,6 +222,17 @@ class TestRng:
         assert np.array_equal(split.output(), whole.output())
         assert np.array_equal(split._s[:, :full], whole._s[:, :full])
 
+    def test_rows_past_their_last_step_do_not_advance(self):
+        # advance(3, 1) gives rows 1 and 2 the step before their last read, which
+        # leaves s0, s2 and s3 behind, so a later step of them raises
+        bank = rng.Streams(rng.stream_key(28, np.arange(4)))
+        bank.advance(3, 1)
+        for step in (bank.advance, lambda: bank.advance(2), bank.next_u64):
+            with pytest.raises(ValueError, match="from 1 on"):
+                step()
+        bank.advance(1)
+        bank.advance(0)
+
     def test_rows_reading_twice_make_no_s3(self, monkeypatch):
         # a block of rows that each read every lane twice mixes the keys, s0, s1
         # and s2: four _mix64 calls per block, and no s3
