@@ -32,25 +32,25 @@ and the parent's keys must serialize to the parent's bytes.
 Last, it runs the other commands on both sides, each side in a fresh
 directory of its own holding an empty ``sub/``, so that relative paths
 in the arguments and in stdout are the same.  It checks that the exit
-codes are equal and that stdout, stderr (with each checkout's path,
-and a line number of cli.py after it, masked) and every file the
-command leaves in that directory are byte-identical, each
-manifest.json with its timestamp masked.  The
-commands are: ``simulate`` on the same three configs, on two more
-binomial ones (the example with n in [1, 9000], whose draws take one
-round, several, and partial last rounds, and the moderated layout,
-whose draws all take one round), with ``--replicate 3 --format json``
-and with ``--schema-out sub/s.yaml --out-dir other``; ``fit`` as text,
-with ``--diagnostics --format json`` and with ``--method ml
---out-dir``; ``regress --features=all`` as text and JSON, ``regress
---features=ml_model``, and ``regress --features=nope``, which exits 2;
-``forest`` as text, with ``--format json`` on both scales and with both
-study-effect methods, and into ``sub/`` with ``--out-dir other``;
-``recover --reps 20`` as text; and a four-trial ``select`` whose Full
-model fails, which exits 3 with a notes footer, as text and with
-``--format json``.  Every ``--format json`` stdout of this checkout must
-also parse as strict JSON, without NaN or Infinity (RFC 8259); the
-parent's is only byte-compared.  Exits 1 on any mismatch.
+codes are equal and that stdout, stderr and every file the command
+leaves in that directory are byte-identical, each manifest.json with its
+timestamp masked.  The commands are: ``simulate`` on the same three
+configs, on two more binomial ones (the example with n in [1, 9000],
+whose draws take one round, several, and partial last rounds, and the
+moderated layout, whose draws all take one round), with ``--replicate 3
+--format json`` and with ``--schema-out sub/s.yaml --out-dir other``;
+``fit`` as text, with ``--diagnostics --format json`` and with
+``--method ml --out-dir``; ``regress --features=all`` as text and JSON,
+``regress --features=ml_model``, and ``regress --features=nope``, which
+exits 2; ``forest`` as text, with ``--format json`` on both scales and
+with both study-effect methods, and into ``sub/`` with ``--out-dir
+other``; ``recover --reps 20`` as text, of the example and of the
+binomial moderated layout, which clamps; a four-trial ``select`` whose
+Full model fails, which exits 3 with a notes footer, as text and with
+``--format json``; and ``fit`` and ``select`` of a one-study file, which
+warn.  Every ``--format json`` stdout of this checkout must also parse
+as strict JSON, without NaN or Infinity (RFC 8259); the parent's is only
+byte-compared.  Exits 1 on any mismatch.
 """
 
 import csv
@@ -80,6 +80,11 @@ MODERATED_CONFIG = {"simulation": {
 FAILING_SELECT = ("study_id,trial_id,k,n,grp\nS1,t1,80,100,a\nS1,t2,70,90,b\n"
                   "S2,t1,60,100,c\nS2,t2,75,80,d\n",
                   "features:\n  grp:\n    kind: categorical\n    reference_level: a\n")
+# six trials of one study: sigma2_xi is not identifiable, and every fit warns
+ONE_STUDY = ("study_id,trial_id,k,n,x\n" + "".join(
+    f"S1,t{i},{k},100,{x}\n" for i, (k, x) in enumerate(
+        [(80, 0.1), (70, 0.7), (60, 0.2), (75, 0.9), (90, 0.4), (65, 0.3)])),
+             "features:\n  x:\n    kind: numeric\n")
 
 ALL = ("train_test_ratio", "training_size", "sentiment_classes", "ml_model",
        "n_extraction_methods", "extraction_method", "language", "labeling_method",
@@ -270,21 +275,14 @@ def output_problems(parent: pathlib.Path, tmp: pathlib.Path, label: str, argv) -
     ``sub/``, so a relative path in ARGV (an output file, an --out-dir)
     names a file there and prints the same on both sides.  The exit
     codes, stdout, stderr and every file left in that directory must be
-    equal; in stderr, each side's checkout path reads CHECKOUT, and the
-    line number of ``cli.py`` after it LINE: a warning from a fit or a
-    simulation names the ``cli.py`` line that started it, and an edit
-    above that line moves it.  The source line the warning prints, and
-    the line number of any other file, are still compared.  Exit 2 (bad input) is
-    compared too, and exit 3 (a failed fit) still writes every output.
+    equal.  Exit 2 (bad input) is compared too, and exit 3 (a failed fit)
+    still writes every output.
     """
     results = []
     for side, checkout in (("here", ROOT), ("parent", parent)):
         where = tmp / f"{side} {label}"
         (where / "sub").mkdir(parents=True)
         code, stdout, stderr = run_cli(checkout, *argv, codes=(0, 2, 3), cwd=where)
-        stderr = re.sub(re.escape(os.fsencode(checkout)) + rb"/src/metaprop/cli\.py:\d+:",
-                        rb"CHECKOUT/src/metaprop/cli.py:LINE:", stderr)
-        stderr = stderr.replace(os.fsencode(checkout), b"CHECKOUT")
         results.append((code, {"stdout": stdout, "stderr": stderr, **written(where)}))
     (code, ours), (parent_code, theirs) = results
     problems = []
@@ -307,8 +305,12 @@ def command_runs(tmp: pathlib.Path) -> list:
     data, schema = tmp / "failing.csv", tmp / "failing_schema.yaml"
     data.write_text(FAILING_SELECT[0], encoding="utf-8")
     schema.write_text(FAILING_SELECT[1], encoding="utf-8")
-    runs = [(f"simulate {name}", ("simulate", write_config(tmp, name, config), "sim.csv"))
-            for name, config in simulate_configs().items()]
+    one, one_schema = tmp / "one.csv", tmp / "one_schema.yaml"
+    one.write_text(ONE_STUDY[0], encoding="utf-8")
+    one_schema.write_text(ONE_STUDY[1], encoding="utf-8")
+    configs = {name: write_config(tmp, name, config)
+               for name, config in simulate_configs().items()}
+    runs = [(f"simulate {name}", ("simulate", path, "sim.csv")) for name, path in configs.items()]
     runs += [
         ("simulate --replicate 3",
          ("simulate", SIMCONFIG, "sim.csv", "--replicate", 3, "--format", "json")),
@@ -331,8 +333,12 @@ def command_runs(tmp: pathlib.Path) -> list:
              for scale in ("proportion", "transformed") for effects in ("blup", "pool")]
     runs += [
         ("recover --reps 20", ("recover", SIMCONFIG, "--reps", 20)),
+        ("recover moderated_binomial --reps 20",
+         ("recover", configs["moderated_binomial"], "--reps", 20)),
         ("select failing", ("select", data, schema, "--out-dir", "out")),
         ("select failing json", ("select", data, schema, "--format", "json", "--out-dir", "out")),
+        ("fit one study", ("fit", one, one_schema, "--out-dir", "out")),
+        ("select one study", ("select", one, one_schema, "--out-dir", "out")),
     ]
     return runs
 

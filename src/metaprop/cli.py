@@ -1,12 +1,13 @@
 """Command-line interface wiring ingest -> engine -> reports.
 
 Each command returns an ``Outcome`` and writes nothing; ``main`` prints
-it (text, or with --format=json one JSON document, to stdout and a
-warning to stderr) and writes its files: artifacts such as tables,
-trails and fit payloads, with a manifest of every parsed argument, to
+each distinct warning the command raised once, as a ``warning:`` line on
+stderr, then writes its files and prints it (text, or with --format=json
+one JSON document, to stdout).  The files are artifacts such as tables,
+trails and fit payloads, with a manifest of every parsed argument, in
 the out-dir (--out-dir, else $METAPROP_OUT_DIR, else select's
 metaprop_out or the directory of forest's and simulate's output), and
-forest's SVG and simulate's CSV and schema to the paths named.  Exit
+forest's SVG and simulate's CSV and schema at the paths named.  Exit
 codes: 0 success, 2 input or validation error, 3 numerical failure.
 """
 
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
@@ -43,7 +45,6 @@ class Outcome:
     artifacts: dict = field(default_factory=dict)   # file name or absolute path -> contents
     out_dir: str | None = None     # when neither --out-dir nor $METAPROP_OUT_DIR is set
     seed: int | None = None
-    warning: str | None = None     # printed to stderr
 
 
 def _finite(value):
@@ -63,9 +64,9 @@ def _json(value, indent=None) -> str:
 
 def _emit(args, outcome: Outcome) -> None:
     """Write the artifacts, keyed by out-dir name or, for a file the command
-    line names, by absolute path, and the manifest, then print the outcome,
-    its warning first.  A named output's missing directory, or an output
-    that is a directory, raises before the first write, so it leaves no file."""
+    line names, by absolute path, and the manifest, then print the outcome.
+    A named output's missing directory, or an output that is a directory,
+    raises before the first write, so it leaves no file."""
     out_dir = args.out_dir if args.out_dir is not None else os.environ.get("METAPROP_OUT_DIR")
     out_dir = out_dir or outcome.out_dir
     if out_dir:
@@ -84,8 +85,6 @@ def _emit(args, outcome: Outcome) -> None:
         for name, text in outputs.items():
             with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
-    if outcome.warning:
-        print(outcome.warning, file=sys.stderr)
     if args.format == "json":
         print(_json(outcome.payload, indent=2))
     else:
@@ -97,7 +96,8 @@ def _fit_outcome(fit: engine.FitResult, *args, **kwargs) -> Outcome:
     warning when it did not converge."""
     if fit.converged:
         return Outcome(EXIT_OK, *args, **kwargs)
-    return Outcome(EXIT_NUMERIC, *args, **kwargs, warning="warning: fit did not converge")
+    warnings.warn("fit did not converge")
+    return Outcome(EXIT_NUMERIC, *args, **kwargs)
 
 
 def _load_dataset(data_path: str, schema_path: str) -> Dataset:
@@ -312,7 +312,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        outcome = args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            try:
+                outcome = args.func(args)
+            finally:
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    print(f"warning: {message}", file=sys.stderr)
         _emit(args, outcome)
         return outcome.code
     except (ValidationError, FileNotFoundError, OSError) as exc:

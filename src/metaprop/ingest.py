@@ -157,10 +157,25 @@ def _mapping(value, what: str) -> dict:
     return value
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that refuses a key given twice in one mapping (safe_load keeps the last)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise ValidationError(f"line {key_node.start_mark.line + 1}: "
+                                          f"key {key!r} is given twice")
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_mapping(text: str, what: str) -> dict:
-    """YAML text holding a mapping; a syntax error is a ValidationError naming its line."""
+    """YAML text holding a mapping; bad syntax or a repeated key is a ValidationError naming its line."""
     try:
-        tree = yaml.safe_load(text)
+        tree = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ValidationError(f"invalid YAML: {exc}") from None
     return _mapping(tree, what)
@@ -302,14 +317,18 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
     input order within a study is preserved.  A file needs at least 2 data
     rows, since no model can be fitted to one trial.
     """
-    reader = csv.DictReader(io.StringIO(csv_text, newline=None))  # universal newlines
+    reader = csv.reader(io.StringIO(csv_text, newline=None))  # universal newlines
     try:
-        rows = [(reader.line_num, row) for row in reader]
+        records = [(reader.line_num, record) for record in reader]  # a record's last line
     except csv.Error as exc:
-        raise ValidationError(f"line {reader.line_num + 1}: {exc}") from None
-    if reader.fieldnames is None:
+        raise ValidationError(f"line {reader.line_num}: {exc}") from None
+    if not records:
         raise ValidationError("empty file: no header row")
-    cols = set(reader.fieldnames)
+    (line, header), rows = records[0], [record for record in records[1:] if record[1]]
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise ValidationError(f"line {line}: the header names column {repeated[0]!r} twice")
+    cols = set(header)
     required = {"study_id", "trial_id", "n"}
     missing = required - cols
     if missing:
@@ -324,8 +343,11 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
     features = {name: [] for name in schema.names}
     seen = set()
     for line, row in rows:
-        study_id = (row.get("study_id") or "").strip()
-        trial_id = (row.get("trial_id") or "").strip()
+        if len(row) != len(header):
+            raise ValidationError(f"line {line}: {len(row)} fields where the header "
+                                  f"has {len(header)}")
+        row = dict(zip(header, row))
+        study_id, trial_id = row["study_id"].strip(), row["trial_id"].strip()
         if not study_id:
             raise ValidationError(f"line {line}: empty study_id")
         if (study_id, trial_id) in seen:
@@ -348,12 +370,11 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
             raise ValidationError(f"line {line}: need 0 <= k <= n, got k={k}, n={n}")
 
         for spec in schema.entries:
-            raw = row[spec.name]
-            if raw is None or raw.strip() == "":
+            raw = row[spec.name].strip()
+            if not raw:
                 raise ValidationError(
                     f"line {line}: feature {spec.name!r} is empty; encode missing "
                     "categories explicitly (e.g. 'Not specified')")
-            raw = raw.strip()
             if spec.kind == "numeric":
                 try:
                     value = float(raw) / spec.scale

@@ -127,7 +127,11 @@ class TestFit:
         ("data", b"S2,t2,9007199254740994,10\n", "line 5: k exceeds 2**53"),
         ("data", b"S2,t2,6," + b"9" * 200_000 + b"\n", "line 5: field larger"),
         ("data", b"S2,t2,,10\n", "line 5: accuracy is not a number"),
-    ], ids=["data-latin1", "schema-latin1", "n-1e20", "k-2**53+2", "long-field", "no-k"])
+        ("data", b"S2,t2,6,10,7\n", "line 5: 5 fields where the header has 4"),
+        ("data", b"S2,t2,6\n", "line 5: 3 fields where the header has 4"),
+        ("schema", b"features: {a: {kind: numeric}}\n", "line 2: key 'features' is given twice"),
+    ], ids=["data-latin1", "schema-latin1", "n-1e20", "k-2**53+2", "long-field", "no-k",
+            "extra-field", "missing-field", "schema-key-twice"])
     def test_malformed_file_exit_2_with_line(self, capsys, tmp_path, target, raw, needle):
         files = {"data": b"study_id,trial_id,k,n\nS1,t1,8,10\nS1,t2,7,10\nS2,t1,9,10\n",
                  "schema": b"features: {}\n"}
@@ -137,6 +141,16 @@ class TestFit:
         code, _, err = run(capsys, "fit", tmp_path / "data", tmp_path / "schema")
         assert code == 2
         assert needle in err
+
+    def test_header_naming_a_column_twice_exit_2(self, capsys, tmp_path):
+        # csv.DictReader would keep the second n, 5000, and fit accuracies near 0
+        data, schema = tmp_path / "data.csv", tmp_path / "schema.yaml"
+        data.write_text("study_id,trial_id,k,n,n,x\nS1,t1,80,100,5000,1\nS1,t2,70,100,5000,2\n"
+                        "S2,t1,60,100,5000,3\nS2,t2,75,100,5000,4\n")
+        schema.write_text("features:\n  x:\n    kind: numeric\n")
+        code, out, err = run(capsys, "fit", data, schema)
+        assert code == 2 and out == ""
+        assert err == "error: line 1: the header names column 'n' twice\n"
 
     @pytest.mark.parametrize("command", ["fit", "select"])
     def test_one_trial_exit_2(self, capsys, tmp_path, command):
@@ -284,9 +298,9 @@ class TestSelect:
                 [(80, 0.1), (70, 0.7), (60, 0.2), (75, 0.9), (90, 0.4), (65, 0.3)])))
         schema = tmp_path / "schema.yaml"
         schema.write_text("features:\n  x:\n    kind: numeric\n")
-        with pytest.warns(UserWarning, match="^only one study: sigma2_xi is not identifiable"):
-            code, _, _ = run(capsys, command, data, schema, "--out-dir", tmp_path / "out")
+        code, _, err = run(capsys, command, data, schema, "--out-dir", tmp_path / "out")
         assert code == 0
+        assert err == "warning: only one study: sigma2_xi is not identifiable and is fixed at 0\n"
 
     def test_one_study_warns_once_per_command(self, tmp_path):
         # select fits the search's subsets and the five rows, fit one model: each
@@ -407,6 +421,36 @@ class TestSimulateAndRecover:
         code, _, err = run(capsys, "simulate", cfg, tmp_path / "x.csv")
         assert code == 2
         assert needle in err
+
+    def test_config_giving_a_key_twice_exit_2(self, capsys, tmp_path):
+        # safe_load would keep h: 30 and write 60 trials in 30 studies
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("simulation:\n  h: 3\n  trials_per_study: 2\n  mu: 1\n  sigma2_xi: 0\n"
+                       "  sigma2_zeta: 0\n  n_range: [10, 20]\n  h: 30\n")
+        code, out, err = run(capsys, "simulate", cfg, tmp_path / "x.csv")
+        assert code == 2 and out == ""
+        assert err == "error: line 8: key 'h' is given twice\n"
+        assert files_under(tmp_path) == ["cfg.yaml"]
+
+    def test_warning_precedes_error_and_nothing_is_written(self, tmp_path):
+        # the clamp note is printed once, without a source path, before the error
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("simulation:\n  h: 10\n  trials_per_study: 10\n  mu: 1.55\n"
+                       "  sigma2_xi: 0.05\n  sigma2_zeta: 0.002\n  n_range: [100, 500]\n")
+        src = str(pathlib.Path(metaprop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-m", "metaprop.cli", "simulate", str(cfg),
+                              "missing/sim.csv"], cwd=tmp_path, env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 2 and out.stdout == ""
+        warning, error = out.stderr.splitlines()
+        assert warning.startswith("warning: ") and warning.endswith(
+            "% of generated effects fell outside [0, pi/2] and were clamped; the "
+            "configuration pushes proportions against the boundary")
+        assert error == ("error: [Errno 2] No such file or directory: "
+                         f"'{tmp_path / 'missing' / 'sim.csv'}'")
+        assert files_under(tmp_path) == ["cfg.yaml"]
 
     def test_recover_small(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.yaml"

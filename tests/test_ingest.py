@@ -234,6 +234,13 @@ class TestSchemaValidation:
         again = FeatureSchema.from_yaml(text)
         assert again == SCHEMA
 
+    def test_merge_key_overrides_without_counting_as_repeated(self):
+        text = ("features:\n  a: &spec {kind: categorical, reference_level: x}\n"
+                "  b:\n    <<: *spec\n    reference_level: y\n")
+        assert [e.reference_level for e in FeatureSchema.from_yaml(text).entries] == ["x", "y"]
+        with pytest.raises(ValidationError, match="^line 7: key 'kind' is given twice$"):
+            FeatureSchema.from_yaml(text + "    kind: numeric\n    kind: categorical\n")
+
 
 class TestEncodeDesign:
     def test_basic_layout(self):

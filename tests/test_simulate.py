@@ -419,9 +419,10 @@ class TestRecovery:
             recovery_experiment(base_config(), 0)
 
     def test_batched_records_equal_fit_model_alone(self):
-        widths = {encode_design(generate(MODERATED, r), ["x", "g"]).f for r in range(16)}
-        assert widths == {2, 3}
-        assert batch_mismatches() == []
+        with pytest.warns(UserWarning, match="clamped"):    # MODERATED clamps 11.1%
+            widths = {encode_design(generate(MODERATED, r), ["x", "g"]).f for r in range(16)}
+            assert widths == {2, 3}
+            assert batch_mismatches() == []
 
     def test_recovery_study_script_prints_recovery_text(self):
         script = EXAMPLE_SIMCONFIG.parents[1] / "scripts" / "recovery_study.py"
