@@ -176,8 +176,13 @@ def load_mapping(text: str, what: str) -> dict:
     """YAML text holding a mapping; bad syntax or a repeated key is a ValidationError naming its line."""
     try:
         tree = yaml.load(text, Loader=_UniqueKeyLoader)
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"invalid YAML: {exc}") from None
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.context_mark or exc.problem_mark
+        context = f"{exc.context}: " if exc.context else ""
+        raise ValidationError(f"line {mark.line + 1}: invalid YAML: {context}{exc.problem}") from None
+    except yaml.reader.ReaderError as exc:               # a character YAML does not allow
+        line = text.count("\n", 0, exc.position) + 1
+        raise ValidationError(f"line {line}: invalid YAML: {str(exc).splitlines()[0]}") from None
     return _mapping(tree, what)
 
 

@@ -1,8 +1,8 @@
 """Deterministic 64-bit PRNG with index-addressed substreams.
 
 The generator is xoshiro256** (Blackman & Vigna 2021) seeded through
-splitmix64, so every stream is fully specified by the run seed plus an
-integer index path such as (replicate, study, trial).  Stream state is
+splitmix64, so every stream is set by the run seed plus an integer
+index path such as (replicate, study, trial).  Stream state is
 held in numpy uint64 arrays and updated in place, which lets many
 parallel streams advance in lockstep (one lane per stream) without
 Python-level loops.
@@ -11,12 +11,10 @@ Python-level loops.
 returns one count per key.  Each draw reads its own fixed set of lane
 substreams, so it is the same whichever other draws share the call.
 The draws are the rows of a draw x lane grid of streams.  A lane
-advances only between two reads, never after its last, and the step
-before its last read updates only the state word s1 that the read
-uses; so it computes s2 only if it reads more than once, and s3 only if
-more than twice.  A hit is an integer comparison of the lane's raw
-64-bit output with (ceil(p * 2**53) << 11) - 1, which needs no float
-uniform.  Rows go in blocks of at most _BLOCK_LANES lanes, a size set
+steps only between two reads, never after its last, so it computes its
+state words s2 and s3 only if it reads more than once.  A hit is an
+integer comparison of the lane's raw 64-bit output with
+(ceil(p * 2**53) << 11) - 1, which needs no float uniform.  Rows go in blocks of at most _BLOCK_LANES lanes, a size set
 by measurement that bounds memory and changes no stream.
 """
 
@@ -75,10 +73,10 @@ class Streams:
     :func:`stream_key`; each key expands into a distinct 256-bit state
     via splitmix64, and every draw has the keys' shape.  The state words
     are s0 = _mix64(key) and s1, s2, s3, each _mix64 of the one before.
-    s2 of a stream is made when it first advances and s3 when it first
-    takes a whole step, so a stream read once computes neither and one
-    read twice no s3.  The state is never all zero, as xoshiro requires:
-    s1 = _mix64(s0) and _mix64(0) is not 0, so s0 and s1 are never both 0.
+    s2 and s3 of a stream are made when it first advances, so a stream
+    read once computes neither.  The state is never all zero, as xoshiro
+    requires: s1 = _mix64(s0) and _mix64(0) is not 0, so s0 and s1 are
+    never both 0.
 
     A draw is :meth:`output`, the value of the current state, followed
     by :meth:`advance`; both can act on the leading rows of the bank's
@@ -106,8 +104,7 @@ class Streams:
         self._s, self._t = s, np.empty(s.shape[1:], dtype=_U64)   # _t: the one scratch array
         _mix64(s[0], s[0], self._t)
         _mix64(s[0], s[1], self._t)
-        self._s2 = self._s3 = 0                          # leading rows with s2, s3 made
-        self._limit = s.shape[1]                         # leading rows that may still advance
+        self._s2 = 0                                     # leading rows with s2, s3 made
 
     def output(self, rows: int | None = None) -> np.ndarray:
         """The xoshiro256** output of the current state of the leading ``rows``
@@ -120,41 +117,25 @@ class Streams:
         x *= _U64(9)
         return x
 
-    def advance(self, rows: int | None = None, full: int | None = None):
-        """One xoshiro256** step of the leading ``rows`` streams (all by default).
-
-        The leading ``full`` of them (all by default) take the whole step.
-        The others take the step before their last read: only s1, which
-        :meth:`output` reads, moves, to s1 ^ s2 ^ s0, and their s3 is never
-        made, so from then on a step of them raises ValueError.
-        """
+    def advance(self, rows: int | None = None):
+        """One xoshiro256** step of the leading ``rows`` streams (all by default)."""
         s, t = self._s, self._t[:rows]
         rows = len(t)
-        full = rows if full is None else min(full, rows)
-        if rows > self._limit:
-            raise ValueError(f"rows from {self._limit} on took their last step")
-        if full < rows:
-            self._limit = full
         if self._s2 < rows:                              # rows stepping for the first time
             new = slice(self._s2, rows)
             _mix64(s[1, new], s[2, new], t[new])
-            self._s2 = rows
-        if self._s3 < full:                              # rows first taking the whole step
-            new = slice(self._s3, full)
             _mix64(s[2, new], s[3, new], t[new])
-            self._s3 = full
-        s0, s1, s2, _ = s[:, :rows]                      # views: updated in place
-        f0, f1, f2, f3 = s[:, :full]
-        tf = t[:full]
-        np.left_shift(f1, _U64(17), out=tf)
-        f3 ^= f1
+            self._s2 = rows
+        s0, s1, s2, s3 = s[:, :rows]                     # views: updated in place
+        np.left_shift(s1, _U64(17), out=t)
+        s3 ^= s1
         s2 ^= s0
         s1 ^= s2
-        f0 ^= f3
-        f2 ^= tf
-        np.right_shift(f3, _U64(19), out=tf)
-        f3 <<= _U64(45)
-        f3 |= tf
+        s0 ^= s3
+        s2 ^= t
+        np.right_shift(s3, _U64(19), out=t)
+        s3 <<= _U64(45)
+        s3 |= t
 
     def next_u64(self) -> np.ndarray:
         """One uint64 per stream: the output, then a step of every stream."""
@@ -209,11 +190,10 @@ def binomial(keys, n, p) -> np.ndarray:
     row's last round only its first n_i - r * _LANES.  Rows are sorted by
     n, largest first, so the rows still drawing are always the leading
     ones.  A round computes the output of those rows, which reads s1
-    alone; then only the rows that read again advance, and those that
-    read just once more update s1 alone.  So a row that reads once
-    computes s0 and s1 only, and one that reads twice no s3.  A hit is
-    ``x <= (ceil(p_i * 2**53) << 11) - 1`` on the raw 64-bit output x,
-    the same test as ``uniform() < p_i`` since both sides scale by 2**53
+    alone; then only the rows that read again advance, so a row that
+    reads once computes s0 and s1 only.  A hit is
+    ``x <= (ceil(p_i * 2**53) << 11) - 1`` on the raw 64-bit output x, the
+    same test as ``uniform() < p_i`` since both sides scale by 2**53
     exactly; for 0 < p_i < 1 the threshold lies in
     [2**11 - 1, 2**64 - 2**11 - 1], so it neither wraps nor overflows.
     Draws with p_i = 0 take no lanes and count 0, those with p_i = 1 take
@@ -253,11 +233,11 @@ def _grid_counts(keys, n, limit) -> np.ndarray:
     limit = np.repeat(limit, width).reshape(n.size, width)   # compares faster than broadcast
     hit = np.empty(limit.shape, dtype=bool)
     hits = np.zeros(limit.shape, dtype=np.min_scalar_type(int(rounds[0])))   # per lane
-    alive = (n.size - np.cumsum(np.bincount(rounds))).tolist() + [0]   # [r]: rows of > r rounds
+    alive = (n.size - np.cumsum(np.bincount(rounds))).tolist()   # [r]: rows of > r rounds
     for r in range(int(rounds[0])):
         live, ending = alive[r], alive[r + 1]            # rows drawing now, and again after
         np.less_equal(bank.output(live), limit[:live], out=hit[:live])
         hit[ending:live] &= lane < last[ending:live, None]
         hits[:live] += hit[:live].view(np.uint8)
-        bank.advance(ending, alive[r + 2])               # rows ending after the next read: s1 alone
+        bank.advance(ending)
     return hits.sum(axis=1, dtype=np.int64)

@@ -4,8 +4,9 @@ Effect sizes are drawn on the transformed scale: population mean, plus a
 study-level deviation with the between-study variance, plus a
 trial-level deviation with the within-study variance, plus (in gaussian
 mode) a sampling error with variance 1/(4n+2).  Effects are then clamped
-to [0, pi/2], the range of the transform, with a warning when more than
-5% are.  Gaussian mode is the reference for recovery checks: it matches
+to [0, pi/2], the range of the transform, with a ClampWarning when more
+than 5% are; a recovery experiment sums its replicates' warnings up in
+one.  Gaussian mode is the reference for recovery checks: it matches
 the estimator's assumed model except where that clamping moves an
 effect.  Binomial mode instead draws k ~ Binomial(n, p) around the
 back-transformed proportion to probe transform adequacy.
@@ -34,6 +35,7 @@ __all__ = [
     "Moderator",
     "SimConfig",
     "generate",
+    "ClampWarning",
     "recovery_experiment",
     "RecoveryRecord",
     "RecoverySummary",
@@ -162,6 +164,15 @@ _STUDY_SENTINEL = -1   # trial index reserved for study-level draws
 _BINOMIAL_SUBKEY = 7   # sub-index under the trial stream for binomial counts
 
 
+class ClampWarning(UserWarning):
+    """More than 5% of a generated dataset's effects, ``rate`` of them, were clamped."""
+
+    def __init__(self, rate: float):
+        super().__init__(f"{100 * rate:.1f}% of generated effects fell outside [0, pi/2] and "
+                         "were clamped; the configuration pushes proportions against the boundary")
+        self.rate = rate
+
+
 def generate(config: SimConfig, replicate: int = 0) -> Dataset:
     """One synthetic dataset; deterministic in (config, replicate)."""
     sizes = config.trial_counts()
@@ -194,9 +205,7 @@ def generate(config: SimConfig, replicate: int = 0) -> Dataset:
     clamped = np.clip(theta, 0.0, HALF_PI)
     clamp_rate = float(np.mean(clamped != theta))
     if clamp_rate > 0.05:
-        warnings.warn(f"{100 * clamp_rate:.1f}% of generated effects fell outside "
-                      "[0, pi/2] and were clamped; the configuration pushes "
-                      "proportions against the boundary", stacklevel=2)
+        warnings.warn(ClampWarning(clamp_rate), stacklevel=2)
     p = ft_inverse_array(clamped, n.astype(np.float64))
 
     if config.mode == "gaussian":
@@ -246,10 +255,11 @@ class RecoverySummary:
     abs_bias_sigma2_zeta: float
 
 
-def _replicates(config: SimConfig, reps: range):
+def _replicates(config: SimConfig, reps: range, clamp_rates: list):
     """The keyword arguments of ``fit_designs`` for replicates ``reps``,
     generated in order: y and v with one row per replicate, and the
-    designs side by side in X, replicate k's in ``columns[k]``.
+    designs side by side in X, replicate k's in ``columns[k]``.  The rate
+    of each ClampWarning that ``generate`` raises goes to ``clamp_rates``.
 
     A design depends only on the moderator columns, so replicates whose
     columns are equal bit for bit share one encoding: without moderators,
@@ -257,7 +267,10 @@ def _replicates(config: SimConfig, reps: range):
     m = sum(config.trial_counts())
     y, v, designs, encoded = np.empty((len(reps), m)), np.empty((len(reps), m)), [], {}
     for k, rep in enumerate(reps):
-        data = generate(config, replicate=rep)
+        with warnings.catch_warnings(record=True) as notes:
+            warnings.simplefilter("always", ClampWarning)
+            data = generate(config, replicate=rep)
+        clamp_rates += [note.message.rate for note in notes if note.category is ClampWarning]
         y[k], v[k] = engine.effect_arrays(data)
         key = tuple(column.tobytes() if column.dtype != object else tuple(column)
                     for column in data.features.values())
@@ -286,17 +299,18 @@ def recovery_experiment(config: SimConfig, replications: int,
     starts of every replicate of one design width in lockstep.  Memory
     thus grows with _CHUNK, not with the replications, and each record
     equals ``engine.fit_model`` on its replicate alone.  The first failing
-    replicate raises fit_model's error.
+    replicate raises fit_model's error.  After the last chunk, the
+    replicates' ClampWarnings become one UserWarning.
     """
     if replications < 1:
         raise ValidationError("replications must be >= 1")
 
     group_sizes = np.array(config.trial_counts())
-    records = []
+    records, clamp_rates = [], []
     for first in range(0, replications, _CHUNK):
         reps = range(first, min(first + _CHUNK, replications))
         fits = dict(engine.fit_designs(group_sizes=group_sizes, method=method,
-                                       **_replicates(config, reps)))
+                                       **_replicates(config, reps, clamp_rates)))
         fitted = [engine.fit_or_raise(fits[k]) for k in range(len(reps))]
         # pooled_estimate's prop and the intercept's CI, for the whole chunk at once
         pooled, pooled_se = np.array([engine.pooled_mean(fit) for fit in fitted]).T
@@ -310,6 +324,10 @@ def recovery_experiment(config: SimConfig, replications: int,
                 sigma2_zeta_hat=fit.varcomps.sigma2_zeta,
                 covered=low <= config.mu <= high,
                 prop=prop, converged=fit.converged))
+    if clamp_rates:
+        warnings.warn(f"{len(clamp_rates)} of {replications} replicates had more than 5% of "
+                      "their generated effects clamped to [0, pi/2] "
+                      f"(at most {100 * max(clamp_rates):.1f}%)", stacklevel=2)
 
     mean_xi = float(np.mean([r.sigma2_xi_hat for r in records]))
     mean_zeta = float(np.mean([r.sigma2_zeta_hat for r in records]))

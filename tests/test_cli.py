@@ -120,6 +120,19 @@ class TestFit:
         assert code == 2
         assert needle in err
 
+    @pytest.mark.parametrize("schema, expected", [
+        ("features:\n  a: {kind: numeric\n", "line 2: invalid YAML: while parsing a flow mapping: "
+                                              "expected ',' or '}', but got '<stream end>'"),
+        ("features:\n  a: \x07\n", "line 2: invalid YAML: unacceptable character #x0007: "
+                                   "special characters are not allowed"),
+    ], ids=["flow-mapping", "control-character"])
+    def test_yaml_syntax_error_is_one_line(self, capsys, tmp_path, schema, expected):
+        data = tmp_path / "data.csv"
+        data.write_text("study_id,trial_id,k,n,a\nS1,t1,8,10,1\nS2,t1,7,10,2\n")
+        (tmp_path / "schema.yaml").write_text(schema)
+        code, out, err = run(capsys, "fit", data, tmp_path / "schema.yaml")
+        assert (code, out, err) == (2, "", f"error: {expected}\n")
+
     @pytest.mark.parametrize("target, raw, needle", [
         ("data", b"S2,t2,6,10\nS3,t1,5,10\n".replace(b"S3", b"S\xe93"), "line 6: not valid UTF-8"),
         ("schema", "features: {a: {kind: \xe9}}\n".encode("latin-1"), "line 2: not valid UTF-8"),
@@ -422,6 +435,14 @@ class TestSimulateAndRecover:
         assert code == 2
         assert needle in err
 
+    def test_config_yaml_syntax_error_is_one_line(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("simulation:\n  h: [\n  mu: 1\n")
+        code, out, err = run(capsys, "simulate", cfg, tmp_path / "x.csv")
+        assert (code, out) == (2, "")
+        assert err == ("error: line 2: invalid YAML: while parsing a flow sequence: "
+                       "expected ',' or ']', but got '<stream end>'\n")
+
     def test_config_giving_a_key_twice_exit_2(self, capsys, tmp_path):
         # safe_load would keep h: 30 and write 60 trials in 30 studies
         cfg = tmp_path / "cfg.yaml"
@@ -451,6 +472,16 @@ class TestSimulateAndRecover:
         assert error == ("error: [Errno 2] No such file or directory: "
                          f"'{tmp_path / 'missing' / 'sim.csv'}'")
         assert files_under(tmp_path) == ["cfg.yaml"]
+
+    def test_recover_prints_one_clamp_summary(self, capsys, tmp_path):
+        # every replicate clamps, at 31 distinct rates: one summary line, not 31 notes
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("simulation:\n  h: 10\n  trials_per_study: 10\n  mu: 1.55\n"
+                       "  sigma2_xi: 0.05\n  sigma2_zeta: 0.002\n  n_range: [100, 500]\n")
+        code, _, err = run(capsys, "recover", cfg, "--reps", "50")
+        assert code == 0
+        assert err == ("warning: 50 of 50 replicates had more than 5% of their generated "
+                       "effects clamped to [0, pi/2] (at most 77.0%)\n")
 
     def test_recover_small(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.yaml"

@@ -209,40 +209,16 @@ class TestRng:
         assert (together[1], together[2], together[6], together[7], together[15]) == (
             0, 300, 1025, 0, 1)
 
-    @pytest.mark.parametrize("full", [0, 2, 5])
-    def test_last_step_moves_s1_to_the_full_step_output(self, full):
-        # rows from `full` on take the step before their last read: their next
-        # output is the one a whole step gives, whatever they did before
-        keys = rng.stream_key(25, np.arange(5))
-        split, whole = (rng.Streams.grid(keys, rng._LANE_SALT[:3]) for _ in range(2))
-        for bank in (split, whole):
-            bank.advance(3)                              # rows 0-2 have stepped once
-        split.advance(5, full)
-        whole.advance(5)
-        assert np.array_equal(split.output(), whole.output())
-        assert np.array_equal(split._s[:, :full], whole._s[:, :full])
-
-    def test_rows_past_their_last_step_do_not_advance(self):
-        # advance(3, 1) gives rows 1 and 2 the step before their last read, which
-        # leaves s0, s2 and s3 behind, so a later step of them raises
-        bank = rng.Streams(rng.stream_key(28, np.arange(4)))
-        bank.advance(3, 1)
-        for step in (bank.advance, lambda: bank.advance(2), bank.next_u64):
-            with pytest.raises(ValueError, match="from 1 on"):
-                step()
-        bank.advance(1)
-        bank.advance(0)
-
-    def test_rows_reading_twice_make_no_s3(self, monkeypatch):
-        # a block of rows that each read every lane twice mixes the keys, s0, s1
-        # and s2: four _mix64 calls per block, and no s3
+    def test_rows_reading_twice_mix_five_words(self, monkeypatch):
+        # a block of rows that each read every lane twice mixes the keys, s0, s1,
+        # and at the one step s2 and s3: five _mix64 calls per block
         keys, n, p = rng.stream_key(26, np.arange(4)), 2 * rng._LANES, 0.3
         calls = []
         original = rng._mix64
         monkeypatch.setattr(rng, "_mix64", lambda *a, **k: calls.append(1) or original(*a, **k))
         monkeypatch.setattr(rng, "_BLOCK_LANES", 2 * rng._LANES)   # two blocks of two rows
         draws = rng.binomial(keys, n, p)
-        assert len(calls) == 2 * 4
+        assert len(calls) == 2 * 5
         assert draws.tolist() == [reference_binomial(key, n, p) for key in keys]
 
     @pytest.mark.parametrize("head, tail", [
