@@ -65,8 +65,12 @@ def _json(value, indent=None) -> str:
 def _emit(args, outcome: Outcome) -> None:
     """Write the artifacts, keyed by out-dir name or, for a file the command
     line names, by absolute path, and the manifest, then print the outcome.
+    Each file is written under a temporary name in its own directory, and
+    all are renamed into place only after the last write succeeds; on any
+    error the temporaries are removed, so a failed write leaves no file.
     A named output's missing directory, or an output that is a directory,
-    raises before the first write, so it leaves no file."""
+    raises before the first write: a rename onto a directory would fail
+    only after the renames before it."""
     out_dir = args.out_dir if args.out_dir is not None else os.environ.get("METAPROP_OUT_DIR")
     out_dir = out_dir or outcome.out_dir
     if out_dir:
@@ -82,9 +86,24 @@ def _emit(args, outcome: Outcome) -> None:
         for path in filter(os.path.isdir, (os.path.join(out_dir, name) for name in outputs)):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         os.makedirs(out_dir, exist_ok=True)
-        for name, text in outputs.items():
-            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
+        paths = [os.path.join(out_dir, name) for name in outputs]
+        written = []
+        try:
+            for path, text in zip(paths, outputs.values()):
+                head, tail = os.path.split(path)
+                temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+                with open(temporary, "x", encoding="utf-8") as fh:
+                    written.append(temporary)
+                    fh.write(text)
+            for temporary, path in zip(written, paths):
+                os.replace(temporary, path)
+        except BaseException:
+            for temporary in written:
+                try:
+                    os.remove(temporary)
+                except OSError:                  # already renamed
+                    pass
+            raise
     if args.format == "json":
         print(_json(outcome.payload, indent=2))
     else:

@@ -12,7 +12,7 @@ Sherman-Morrison per study instead of dense m x m algebra.  The same
 per-study sums give the exact ML/REML score and expected information
 (Harville 1977), so the variance components are maximized by Fisher
 scoring directly on the variance scale, within [VAR_FLOOR, VAR_CEIL],
-from three deterministic starts; fixed effects follow by generalized
+from two deterministic starts; fixed effects follow by generalized
 least squares at the optimum.
 
 A ``Problem`` holds many designs of one width over one study layout,
@@ -470,11 +470,11 @@ def _fit_problem(problem: Problem):
         warnings.warn("only one study: sigma2_xi is not identifiable and is fixed at 0")
     count = len(problem.columns)
     s = np.clip(np.var(problem.y, axis=1), VAR_FLOOR, VAR_CEIL)
-    starts = np.full((count, 3, 2), VAR_FLOOR)          # (F, F), (F, s), (s, F) per design
-    starts[:, 1, 1] = starts[:, 2, 0] = s
-    # no start lifts a pinned component, and with s at the floor the three coincide
-    keep = ~(problem.pin[:, None] & (starts > VAR_FLOOR)).any(2)
-    keep[:, 1:] &= (s > VAR_FLOOR)[:, None]
+    starts = np.full((count, 2, 2), VAR_FLOOR)          # (F, s), (s, F) per design
+    starts[:, 0, 1] = starts[:, 1, 0] = s
+    starts = np.where(problem.pin[:, None], VAR_FLOOR, starts)   # no start lifts a pinned component
+    keep = np.ones((count, 2), dtype=bool)
+    keep[:, 1] = (starts[:, 1] != starts[:, 0]).any(1)   # a repeat of the first is dropped
     design = np.nonzero(keep)[0]                         # row-major, as starts[keep]
     point, loglik, converged, evaluations, factored = _ascend(problem, design, starts[keep])
     counts = np.bincount(design, minlength=count)
@@ -547,21 +547,23 @@ def fit_model(y, X, group_sizes, v, method: str = "reml") -> FitResult:
     """Maximize the log-likelihood over the two variance components.
 
     Fisher scoring on (sigma2_xi, sigma2_zeta) within [VAR_FLOOR, VAR_CEIL]
-    from the starts (0, 0), (0, s) and (s, 0), s = var(y); each start first
-    fits its nonzero component with the other held at VAR_FLOOR, and the
-    best start wins.  A step solves information @ step = score over the
-    free components: one at VAR_FLOOR stays there when its score is <= 0 or
-    its step points down (the KKT conditions).  A step is halved until the
-    loglik rises; a trial point that cannot be factored counts as no rise.
-    A start has converged when the Newton decrement score @ step is at most
-    1e-9 (that last step is still taken once), or at most 1e-6 once no
-    halving raises the loglik (its rounding limit); one that uses up
-    MAX_EVALUATIONS gives converged=False.  A component that ``Problem.pin``
-    marks as not identified stays at VAR_FLOOR: sigma2_xi with a single
-    study (with a warning), sigma2_zeta when every study has one trial.
-    The fit is the one-design case of ``fit_designs``.  A design with no
-    more trials than columns raises ValidationError, a collinear one
-    LinAlgError (see Problem).
+    from the starts (0, s) and (s, 0), s = var(y); each start first fits
+    its nonzero component with the other held at VAR_FLOOR, and the best
+    start wins.  A pinned component (see below) starts at VAR_FLOOR, and a
+    second start equal to the first is not run.  A step solves
+    information @ step = score over the free components: one at VAR_FLOOR
+    stays there when its score is <= 0 or its step points down (the KKT
+    conditions).  A step is halved until the loglik rises; a trial point
+    that cannot be factored counts as no rise.  A start has converged when
+    the Newton decrement score @ step is at most 1e-9 (that last step is
+    still taken once), or at most 1e-6 once no halving raises the loglik
+    (its rounding limit); one that uses up MAX_EVALUATIONS gives
+    converged=False.  A component that ``Problem.pin`` marks as not
+    identified stays at VAR_FLOOR: sigma2_xi with a single study (with a
+    warning), sigma2_zeta when every study has one trial.  The fit is the
+    one-design case of ``fit_designs``.  A design with no more trials than
+    columns raises ValidationError, a collinear one LinAlgError (see
+    Problem).
     """
     return fit_or_raise(next(fit_designs(y, X, group_sizes, v, method))[1])
 

@@ -31,12 +31,14 @@ __all__ = [
     "encode_design",
     "collinear_columns",
     "independent_columns",
+    "subset_columns",
     "load_schema",
     "dataset_csv",
 ]
 
 # residual-norm ratio at or below which a column counts as exactly collinear
 COLLINEARITY_TOL = 1e-10
+_QR_BLOCK = 1 << 20    # sets x m x f per rank-rule QR at most: bounds memory, not results
 
 
 class ValidationError(ValueError):
@@ -449,21 +451,54 @@ def collinear_columns(X, R):
             <= COLLINEARITY_TOL * np.linalg.norm(X[..., :r], axis=-2))
 
 
-def independent_columns(X):
-    """The indices of the columns that the collinearity rule keeps.
+def independent_columns(X, sets) -> list:
+    """The columns of X that the collinearity rule keeps from each set of
+    column indices, as one index array per set.
 
-    The first column ``collinear_columns`` flags is dropped and the QR redone
-    until none is flagged (so all-zero columns go too); the columns past rank
-    m go last.
+    Per set, the first column ``collinear_columns`` flags is dropped and the
+    QR redone until none is flagged (so all-zero columns go too); the
+    columns past rank m go last.  Each round, the sets of one width share
+    one batched QR, in blocks of at most _QR_BLOCK matrix elements.
     """
     X = np.asarray(X, dtype=np.float64)
-    kept = np.arange(X.shape[1])
-    while True:
-        columns = X[:, kept]
-        small = collinear_columns(columns, np.linalg.qr(columns, mode="r"))
-        if not small.any():
-            return kept[:len(small)]
-        kept = np.delete(kept, np.argmax(small))
+    kept = [np.asarray(columns, dtype=np.intp) for columns in sets]
+    pending = range(len(kept))
+    while pending:
+        widths: dict = {}
+        for j in pending:
+            widths.setdefault(len(kept[j]), []).append(j)
+        pending = []
+        for f, members in widths.items():
+            block = max(1, _QR_BLOCK // (X.shape[0] * max(f, 1)))
+            for a in range(0, len(members), block):
+                chunk = members[a:a + block]
+                stack = X[:, [kept[j] for j in chunk]].transpose(1, 0, 2)
+                flagged = collinear_columns(stack, np.linalg.qr(stack, mode="r"))
+                for j, small in zip(chunk, flagged):
+                    if small.any():
+                        kept[j] = np.delete(kept[j], np.argmax(small))
+                        pending.append(j)
+                    else:
+                        kept[j] = kept[j][:len(small)]
+    return kept
+
+
+def _offered(dataset: Dataset, selected) -> list:
+    """The candidate columns a feature subset offers: the intercept and
+    each selected feature's columns, as indices in schema order."""
+    known, chosen = set(dataset.schema.names), set(selected)
+    unknown = [f for f in selected if f not in known]
+    if unknown:
+        raise ValidationError(f"unknown feature names: {unknown}")
+    return [i for i, owner in enumerate(dataset.candidate_columns[2])
+            if owner is None or owner in chosen]
+
+
+def subset_columns(dataset: Dataset, subsets) -> list:
+    """The kept ``columns`` of ``encode_design`` for each feature subset, as
+    index arrays, decided by one ``independent_columns`` call for all."""
+    return independent_columns(dataset.candidate_columns[0],
+                               [_offered(dataset, selected) for selected in subsets])
 
 
 def encode_design(dataset: Dataset, selected_features) -> DesignMatrix:
@@ -476,12 +511,9 @@ def encode_design(dataset: Dataset, selected_features) -> DesignMatrix:
     the result always has full column rank.
     """
     selected = list(selected_features)
-    unknown = [f for f in selected if f not in dataset.schema]
-    if unknown:
-        raise ValidationError(f"unknown feature names: {unknown}")
+    offered = _offered(dataset, selected)
     candidates, labels, owners = dataset.candidate_columns
-    offered = [i for i, owner in enumerate(owners) if owner is None or owner in selected]
-    kept = [offered[j] for j in independent_columns(candidates[:, offered])]
+    kept = independent_columns(candidates, [offered])[0].tolist()
     references = {e.name: e.reference_level for e in dataset.schema.entries
                   if e.name in selected and e.kind == "categorical"}
     return DesignMatrix(

@@ -9,7 +9,9 @@ fits and removes any search-strategy ambiguity from the results.
 
 Every fit here, the search trail's and the five rows', goes through
 ``_fits``: each subset's design is a column slice of the dataset's
-candidate columns, and ``engine.fit_designs`` fits the slices of one
+candidate columns, the kept columns of every subset of one call are
+decided together (one batched QR per width and round, not one encoder
+call per subset), and ``engine.fit_designs`` fits the slices of one
 call together, batched by width inside the engine.  Each fit is still
 the one ``engine.fit_model`` gives that subset alone, so a row's AIC,
 BIC and RMSE equal its subset's trail record.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, heterogeneity
-from .ingest import Dataset, ValidationError, encode_design
+from .ingest import Dataset, ValidationError, subset_columns
 
 __all__ = [
     "ModelComparisonRow",
@@ -79,8 +81,9 @@ class TrailRecord:
 def _fits(dataset: Dataset, subsets, method: str):
     """(j, fit or error) per feature subset, lazily: the one place this module
     fits anything.  Subset j's design is its ``encode_design`` slice of the
-    candidate columns; ``engine.fit_designs`` batches the designs."""
-    columns = [encode_design(dataset, features).columns for features in subsets]
+    candidate columns, with the kept columns of every subset decided by one
+    ``ingest.subset_columns`` call; ``engine.fit_designs`` batches the designs."""
+    columns = subset_columns(dataset, subsets)
     y, v = engine.effect_arrays(dataset)
     return engine.fit_designs(y, dataset.candidate_columns[0], dataset.group_sizes(), v,
                               method, columns)

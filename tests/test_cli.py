@@ -616,6 +616,46 @@ class TestOutputPaths:
         assert err.startswith("error: [Errno 21] Is a directory") and directory in err
         assert files_under(tmp_path) == before
 
+    @pytest.mark.parametrize("command, argv, written, left", [
+        ("regress", ["--features", "ml_model", "--out-dir", "out"],
+         ["out", "out/manifest.json", "out/regression.csv", "out/regression.md"], ["out"]),
+        ("simulate", ["sim.csv", "--schema-out", "s.yaml"],
+         ["manifest.json", "s.yaml", "sim.csv"], []),
+    ], ids=["regress", "simulate"])
+    @pytest.mark.parametrize("fail", [False, True], ids=["ok", "second-write-fails"])
+    def test_failed_write_leaves_no_file(self, capsys, tmp_path, monkeypatch, example_paths,
+                                         command, argv, written, left, fail):
+        # every output goes to a temporary name first; when the second file's
+        # write raises, no output and no temporary remains
+        from metaprop import cli
+
+        opened = []
+
+        def opening(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            opened.append(os.path.basename(path))
+            if fail and len(opened) == 2:
+                real = fh.write
+
+                def write(text):                 # part of the text reaches the file
+                    real(text[:10])
+                    raise OSError(28, "No space left on device", path)
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr(cli, "open", opening, raising=False)
+        monkeypatch.chdir(tmp_path)
+        inputs = {"regress": [example_paths["data"], example_paths["schema"]],
+                  "simulate": [example_paths["simconfig"]]}[command]
+        code, out, err = run(capsys, command, *inputs, *argv)
+        assert all(name.startswith(".") and name.endswith(f".{os.getpid()}.tmp")
+                   for name in opened)
+        if fail:
+            assert (code, out) == (2, "") and err.startswith("error: [Errno 28] No space left")
+            assert len(opened) == 2 and files_under(tmp_path) == left
+        else:
+            assert code == 0 and files_under(tmp_path) == written
+
     def test_commands_return_outputs_and_write_nothing(self, tmp_path, monkeypatch,
                                                        example_paths):
         from metaprop.cli import build_parser, cmd_forest, cmd_simulate

@@ -293,8 +293,8 @@ class TestFitDesigns:
     @pytest.mark.parametrize("method, loglik", [("reml", 2.845210549425948),
                                                 ("ml", 4.640165133394344)])
     def test_constant_y_runs_one_start(self, monkeypatch, method, loglik):
-        # var(y) = 0 puts s at the floor, where the three starts coincide: that
-        # design runs one, its companion with its own y row all three
+        # var(y) = 0 puts s at the floor, where the two starts coincide: that
+        # design runs one, its companion with its own y row both
         gen = np.random.default_rng(11)
         sizes = np.array([3, 1, 4, 2])
         m = int(sizes.sum())
@@ -311,7 +311,7 @@ class TestFitDesigns:
         fits = dict(engine.fit_designs(ys, np.ones((m, 1)), sizes, v, method, [[0], [0]]))
         floor = engine.VAR_FLOOR
         [(design, points)] = starts
-        assert design == [0, 1, 1, 1] and points[0] == [floor, floor]
+        assert design == [0, 1, 1] and points[0] == [floor, floor]
         # literal values, those of the per-design start loop
         fit = fits[0]
         assert fit.loglik == pytest.approx(loglik, rel=1e-12)
@@ -350,8 +350,8 @@ class TestFitDesigns:
         floor, want_design, want_start = engine.VAR_FLOOR, [], []
         for k, pin in enumerate(problem.pin):
             s = float(np.clip(np.var(problem.y[k]), floor, engine.VAR_CEIL))
-            starts = np.array([(floor, floor), (floor, s), (s, floor)])
-            for p in dict.fromkeys(map(tuple, starts[~(pin & (starts > floor)).any(1)])):
+            starts = np.where(pin, floor, np.array([(floor, s), (s, floor)]))
+            for p in dict.fromkeys(map(tuple, starts)):
                 want_design.append(k)
                 want_start.append(list(p))
         assert design.tolist() == want_design and start.tolist() == want_start

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaprop.engine import Problem, VarianceComponents, fit_designs, fit_model, log_likelihood
+from metaprop import ingest
 from metaprop.ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError,
-                             dataset_csv, encode_design, load_schema, parse_dataset,
-                             read_text)
+                             collinear_columns, dataset_csv, encode_design,
+                             independent_columns, load_schema, parse_dataset, read_text,
+                             subset_columns)
 
 from conftest import DATA, TESTDATA
 
@@ -357,3 +359,89 @@ class TestEncodeDesign:
             assert np.array_equal(candidates[:, design.columns], design.matrix)
             assert design.labels == [labels[i] for i in design.columns]
         assert design.dropped == ["topic=Not specified"]
+
+
+def one_set_at_a_time(X, columns):
+    """The rank rule before it was batched, kept as the reference: one set,
+    one QR per round, the first flagged column dropped each round."""
+    kept = np.asarray(columns, dtype=np.intp)
+    while True:
+        small = collinear_columns(X[:, kept], np.linalg.qr(X[:, kept], mode="r"))
+        if not small.any():
+            return kept[:len(small)]
+        kept = np.delete(kept, np.argmax(small))
+
+
+def hostile_columns():
+    """Eight rows, fifteen columns: 0 intercept, 1-3 random, 4 all zero, 5
+    and 6 two dummies of the same rows (as S20's two 'Not specified' dummies
+    in the example), 7 a copy of 1, 8 = 2 + 3, 9 the sum of 5 and its
+    complement (the intercept again), 10 a scaled copy of 7, 11-14 random."""
+    gen = np.random.default_rng(3)
+    X = np.empty((8, 15))
+    X[:, 0] = 1.0
+    X[:, 1:4] = gen.normal(size=(8, 3))
+    X[:, 4] = 0.0
+    X[:, 5] = X[:, 6] = [0, 0, 0, 0, 0, 1, 1, 1]
+    X[:, 7] = X[:, 1]
+    X[:, 8] = X[:, 2] + X[:, 3]
+    X[:, 9] = X[:, 5] + (1 - X[:, 5])
+    X[:, 10] = 3.0 * X[:, 7]
+    X[:, 11:] = gen.normal(size=(8, 4))
+    return X
+
+
+HOSTILE_SETS = [
+    [0, 4],                                   # all-zero column
+    [0, 5, 6],                                # two dummies of the same rows: 6 goes
+    [0, 1, 7, 4, 10],                         # three drop rounds: 7, then 4, then 10
+    [0, 9, 5, 6, 1, 7, 2, 3, 8],              # four drop rounds: 9, 6, 7, 8
+    list(range(15)),                          # more columns than rows, with drops
+    [0, 1, 2, 3, 11, 12, 13, 14, 4, 7],       # rank m reached: 4 and 7 go last
+    [0, 1, 2, 3, 11, 5, 6, 7, 8, 9, 10, 4],   # the same columns in another order
+    [11, 3, 2, 1, 0, 5, 9, 8],                # independent until past rank m
+    [4], [0], [], [1, 2, 3, 11],              # trivial widths
+    [0, 5, 6],                                # a repeated set
+]
+
+
+class TestIndependentColumns:
+    def test_hostile_sets_match_one_set_at_a_time(self):
+        X = hostile_columns()
+        got = independent_columns(X, HOSTILE_SETS)
+        assert [g.tolist() for g in got] == [one_set_at_a_time(X, c).tolist()
+                                             for c in HOSTILE_SETS]
+        assert got[0].tolist() == [0] and got[1].tolist() == [0, 5]
+        assert got[2].tolist() == [0, 1] and got[8].tolist() == [] and got[10].tolist() == []
+        assert got[4].tolist() == [0, 1, 2, 3, 5, 11, 12, 13]
+        assert got[5].tolist() == [0, 1, 2, 3, 11, 12, 13, 14]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sets_and_blocks_match_one_set_at_a_time(self, seed, monkeypatch):
+        # the sets of one call leave their rounds at different times, and
+        # splitting a width into blocks of one set changes no result
+        X = hostile_columns()
+        gen = np.random.default_rng(seed)
+        sets = [gen.permutation(15)[:gen.integers(0, 16)] for _ in range(300)]
+        want = [one_set_at_a_time(X, c).tolist() for c in sets]
+        assert [g.tolist() for g in independent_columns(X, sets)] == want
+        monkeypatch.setattr(ingest, "_QR_BLOCK", 1)
+        assert [g.tolist() for g in independent_columns(X, sets)] == want
+
+    def test_every_example_subset_matches_one_set_at_a_time(self, example_dataset):
+        names = example_dataset.schema.names
+        subsets = [subset for r in range(len(names) + 1)
+                   for subset in itertools.combinations(names, r)]
+        candidates, _, owners = example_dataset.candidate_columns
+        got = subset_columns(example_dataset, subsets)
+        assert len(got) == 4096
+        for features, kept in zip(subsets, got):
+            offered = [i for i, owner in enumerate(owners) if owner is None or owner in features]
+            assert kept.tolist() == one_set_at_a_time(candidates, offered).tolist(), features
+        # the full model drops one of S20's two 'Not specified' dummies
+        assert encode_design(example_dataset, names).columns == got[-1].tolist()
+        assert encode_design(example_dataset, names).dropped == ["topic=Not specified"]
+
+    def test_unknown_feature_in_any_subset(self, example_dataset):
+        with pytest.raises(ValidationError, match=r"unknown feature names: \['nope'\]"):
+            subset_columns(example_dataset, [(), ("ml_model", "nope")])

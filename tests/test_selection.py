@@ -158,6 +158,37 @@ class TestLockstepSearch:
         assert [r.converged for r in trail] == [False] * len(trail)
 
 
+class TestSearchCost:
+    """Counts that do not depend on the machine: evaluations per fit of the
+    exhaustive REML search over the example's first 8 features."""
+
+    MEASURED_EVALUATIONS_PER_FIT = 4067 / 256
+
+    def test_two_starts_and_evaluations_per_fit(self, example_dataset, monkeypatch):
+        from conftest import DATA
+
+        first8 = FeatureSchema(entries=example_dataset.schema.entries[:8])
+        data = parse_dataset((DATA / "example_trials.csv").read_text(encoding="utf-8"), first8)
+        problems, starts = [0], []
+        evaluate_batch, ascend = engine.Problem.evaluate_batch, engine._ascend
+
+        def counting(problem, design, point):
+            problems[0] += len(design)
+            return evaluate_batch(problem, design, point)
+
+        def recording(problem, design, start):
+            starts.append(np.bincount(design))
+            return ascend(problem, design, start)
+
+        monkeypatch.setattr(engine.Problem, "evaluate_batch", counting)
+        monkeypatch.setattr(engine, "_ascend", recording)
+        trail = selection._exhaustive_trail(data, "reml")
+        assert len(trail) == 256 and all(r.skipped is None and r.converged for r in trail)
+        assert max(count.max() for count in starts) == 2
+        per_fit = problems[0] / len(trail)
+        assert per_fit <= 1.1 * self.MEASURED_EVALUATIONS_PER_FIT, per_fit
+
+
 class TestFiveModelProtocol:
     def test_structure_and_ordering(self):
         data = generate(_noise_config(606, effect=0.2))

@@ -430,12 +430,12 @@ class TestRecovery:
                         sigma2_zeta=0.004, n_range=(30, 300), seed=5)
         summary = recovery_experiment(cfg, 3)
         expected = [
-            (0.9929871122506918, 0.03749658638147092, 0.0013259825452214763,
-             0.0052206495769035865, 0.7019596785631987),
-            (1.115904760260548, 0.07288019453956926, 0.014621838942765775,
-             0.0010391118886385262, 0.8085819806669832),
-            (1.0614872754041766, 0.08905992609619606, 0.022185674771215025,
-             0.0016628672467013882, 0.7643404472657607)]
+            (0.9929871146976402, 0.037496576290223384, 0.0013259796996342563,
+             0.005220651036025551, 0.7019596806530423),
+            (1.115904756057474, 0.07288019813274939, 0.014621842443514528,
+             0.0010391079873322815, 0.8085819774911505),
+            (1.0614872562034563, 0.08905993374424655, 0.022185674615876293,
+             0.00166287595894873, 0.7643404311435735)]
         for r, (rec, values) in enumerate(zip(summary.records, expected)):
             assert (rec.replicate, rec.covered, rec.converged) == (r, True, True)
             assert (rec.mu_hat, rec.se, rec.sigma2_xi_hat, rec.sigma2_zeta_hat,
