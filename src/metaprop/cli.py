@@ -42,7 +42,7 @@ class Outcome:
     code: int
     payload: dict                  # printed with --format=json
     text: str                      # printed otherwise
-    artifacts: dict = field(default_factory=dict)   # file name or absolute path -> contents
+    artifacts: list = field(default_factory=list)   # (file name or absolute path, contents)
     out_dir: str | None = None     # when neither --out-dir nor $METAPROP_OUT_DIR is set
     seed: int | None = None
 
@@ -63,14 +63,16 @@ def _json(value, indent=None) -> str:
 
 
 def _emit(args, outcome: Outcome) -> None:
-    """Write the artifacts, keyed by out-dir name or, for a file the command
-    line names, by absolute path, and the manifest, then print the outcome.
+    """Write the artifacts, each named by its out-dir name or, for a file the
+    command line names, by its absolute path, and the manifest, then print
+    the outcome.
     Each file is written under a temporary name in its own directory, and
     all are renamed into place only after the last write succeeds; on any
-    error the temporaries are removed, so a failed write leaves no file.
-    A named output's missing directory, or an output that is a directory,
-    raises before the first write: a rename onto a directory would fail
-    only after the renames before it."""
+    error the temporaries are removed, and so are the directories that
+    making the out-dir created, so a failed write leaves no file.  Two
+    outputs that resolve to one path, a named output's missing directory,
+    or an output that is a directory raise before the first write: a
+    rename onto a directory would fail only after the renames before it."""
     out_dir = args.out_dir if args.out_dir is not None else os.environ.get("METAPROP_OUT_DIR")
     out_dir = out_dir or outcome.out_dir
     if out_dir:
@@ -79,17 +81,25 @@ def _emit(args, outcome: Outcome) -> None:
                                if key not in ("command", "func", "format", "out_dir")},
                     "seed": outcome.seed, "out_dir": out_dir, "version": __version__,
                     "timestamp": datetime.now(timezone.utc).isoformat()}
-        outputs = {**outcome.artifacts, "manifest.json": _json(manifest, indent=2) + "\n"}
-        for path in filter(os.path.isabs, outputs):
+        outputs = [*outcome.artifacts, ("manifest.json", _json(manifest, indent=2) + "\n")]
+        paths = [os.path.join(out_dir, name) for name, _ in outputs]
+        resolved = list(map(os.path.realpath, paths))
+        for path in resolved:
+            if resolved.count(path) > 1:
+                raise ValidationError(f"two outputs resolve to one path: {path}")
+        for path in filter(os.path.isabs, (name for name, _ in outputs)):
             if not os.path.isdir(os.path.dirname(path)):
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-        for path in filter(os.path.isdir, (os.path.join(out_dir, name) for name in outputs)):
+        for path in filter(os.path.isdir, paths):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        os.makedirs(out_dir, exist_ok=True)
-        paths = [os.path.join(out_dir, name) for name in outputs]
+        made, directory = [], os.path.normpath(out_dir)
+        while directory and not os.path.exists(directory):   # what makedirs makes, deepest first
+            made.append(directory)
+            directory = os.path.dirname(directory)
         written = []
         try:
-            for path, text in zip(paths, outputs.values()):
+            os.makedirs(out_dir, exist_ok=True)
+            for path, (_, text) in zip(paths, outputs):
                 head, tail = os.path.split(path)
                 temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
                 with open(temporary, "x", encoding="utf-8") as fh:
@@ -102,6 +112,11 @@ def _emit(args, outcome: Outcome) -> None:
                 try:
                     os.remove(temporary)
                 except OSError:                  # already renamed
+                    pass
+            for directory in made:
+                try:
+                    os.rmdir(directory)
+                except OSError:                  # not empty: a rename succeeded
                     pass
             raise
     if args.format == "json":
@@ -171,7 +186,7 @@ def cmd_fit(args) -> Outcome:
             [(d.kind, "" if d.w is None else f"{d.w:.4f}",
               "" if d.p_value is None else f"{d.p_value:.4g}", d.skipped or "")
              for d in diagnostics])
-    return _fit_outcome(fit, payload, text, {"fit.json": _json(payload, indent=2) + "\n"})
+    return _fit_outcome(fit, payload, text, [("fit.json", _json(payload, indent=2) + "\n")])
 
 
 def cmd_regress(args) -> Outcome:
@@ -197,7 +212,7 @@ def cmd_regress(args) -> Outcome:
     markdown = table.markdown()
     text = markdown + f"\nR2 vs null: between-study {fmt(r2_xi)}, within-study {fmt(r2_zeta)}"
     return _fit_outcome(fit, payload, text,
-                        {"regression.md": markdown, "regression.csv": table.csv()})
+                        [("regression.md", markdown), ("regression.csv", table.csv())])
 
 
 def cmd_select(args) -> Outcome:
@@ -211,10 +226,10 @@ def cmd_select(args) -> Outcome:
                "n_candidates": len(trail)}
     failed = any(r.note is not None or not r.converged for r in rows)
     return Outcome(EXIT_NUMERIC if failed else EXIT_OK, payload, markdown,
-                   {"comparison.md": markdown,
-                    "comparison.csv": report.comparison_table(rows, format="csv"),
-                    "search_trail.jsonl": "".join(_json({"index": i, **asdict(rec)}) + "\n"
-                                                  for i, rec in enumerate(trail))},
+                   [("comparison.md", markdown),
+                    ("comparison.csv", report.comparison_table(rows, format="csv")),
+                    ("search_trail.jsonl", "".join(_json({"index": i, **asdict(rec)}) + "\n"
+                                                   for i, rec in enumerate(trail)))],
                    out_dir="metaprop_out")
 
 
@@ -224,7 +239,7 @@ def cmd_forest(args) -> Outcome:
     svg, rows = report.forest_plot(fit, dataset, scale=args.scale, method=args.study_effects)
     return _fit_outcome(fit, {"out": args.out, "rows": [asdict(r) for r in rows]},
                         f"wrote {args.out} ({len(rows)} studies)",
-                        {os.path.abspath(args.out): svg},
+                        [(os.path.abspath(args.out), svg)],
                         out_dir=os.path.dirname(args.out) or ".")
 
 
@@ -237,8 +252,8 @@ def cmd_simulate(args) -> Outcome:
     return Outcome(EXIT_OK,
                    {"out": args.out, "schema_out": schema_out, "m": dataset.m, "h": dataset.h},
                    f"wrote {args.out}: {dataset.m} trials in {dataset.h} studies",
-                   {os.path.abspath(args.out): dataset_csv(dataset),
-                    os.path.abspath(schema_out): dataset.schema.to_yaml()},
+                   [(os.path.abspath(args.out), dataset_csv(dataset)),
+                    (os.path.abspath(schema_out), dataset.schema.to_yaml())],
                    out_dir=os.path.dirname(args.out) or ".", seed=config.seed)
 
 

@@ -473,15 +473,11 @@ def _fit_problem(problem: Problem):
     starts = np.full((count, 2, 2), VAR_FLOOR)          # (F, s), (s, F) per design
     starts[:, 0, 1] = starts[:, 1, 0] = s
     starts = np.where(problem.pin[:, None], VAR_FLOOR, starts)   # no start lifts a pinned component
-    keep = np.ones((count, 2), dtype=bool)
-    keep[:, 1] = (starts[:, 1] != starts[:, 0]).any(1)   # a repeat of the first is dropped
-    design = np.nonzero(keep)[0]                         # row-major, as starts[keep]
-    point, loglik, converged, evaluations, factored = _ascend(problem, design, starts[keep])
-    counts = np.bincount(design, minlength=count)
-    # each design's first best start: the first of its run, stably sorted by -loglik
-    best = np.lexsort((-loglik, design))[np.cumsum(counts) - counts]
-    fitted = np.bincount(design[~factored], minlength=count) == 0
-    total = np.bincount(design, weights=evaluations, minlength=count).astype(np.int64)
+    point, loglik, converged, evaluations, factored = _ascend(
+        problem, np.repeat(np.arange(count), 2), starts.reshape(-1, 2))
+    best = 2 * np.arange(count) + loglik.reshape(count, 2).argmax(1)   # its first best start
+    fitted = factored.reshape(count, 2).all(1)
+    total = evaluations.reshape(count, 2).sum(1)
     beta, cov, _ = problem.gls_batch(np.flatnonzero(fitted), point[best[fitted]])
     row = np.cumsum(fitted) - 1
 
@@ -549,9 +545,8 @@ def fit_model(y, X, group_sizes, v, method: str = "reml") -> FitResult:
     Fisher scoring on (sigma2_xi, sigma2_zeta) within [VAR_FLOOR, VAR_CEIL]
     from the starts (0, s) and (s, 0), s = var(y); each start first fits
     its nonzero component with the other held at VAR_FLOOR, and the best
-    start wins.  A pinned component (see below) starts at VAR_FLOOR, and a
-    second start equal to the first is not run.  A step solves
-    information @ step = score over the free components: one at VAR_FLOOR
+    start wins.  A pinned component (see below) starts at VAR_FLOOR.  A step
+    solves information @ step = score over the free components: one at VAR_FLOOR
     stays there when its score is <= 0 or its step points down (the KKT
     conditions).  A step is halved until the loglik rises; a trial point
     that cannot be factored counts as no rise.  A start has converged when

@@ -105,9 +105,6 @@ class FeatureSchema:
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
-    def __contains__(self, name: str) -> bool:
-        return any(e.name == name for e in self.entries)
-
     @classmethod
     def from_dict(cls, tree: dict) -> "FeatureSchema":
         if "features" not in tree:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError, encode_design,
-                     load_mapping, read_text)
+from .ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError,
+                     independent_columns, load_mapping, read_text)
 from .transforms import HALF_PI, ft_inverse_array, ft_variance
 from . import engine
 
@@ -257,29 +257,25 @@ class RecoverySummary:
 
 def _replicates(config: SimConfig, reps: range, clamp_rates: list):
     """The keyword arguments of ``fit_designs`` for replicates ``reps``,
-    generated in order: y and v with one row per replicate, and the
-    designs side by side in X, replicate k's in ``columns[k]``.  The rate
-    of each ClampWarning that ``generate`` raises goes to ``clamp_rates``.
-
-    A design depends only on the moderator columns, so replicates whose
-    columns are equal bit for bit share one encoding: without moderators,
-    one per call."""
+    generated in order: y and v with one row per replicate, and each
+    replicate's candidate columns side by side in X.  One
+    ``independent_columns`` call decides every replicate's kept columns,
+    by the rule ``encode_design`` applies: replicate k's are ``columns[k]``.
+    The rate of each ClampWarning that ``generate`` raises goes to
+    ``clamp_rates``."""
     m = sum(config.trial_counts())
-    y, v, designs, encoded = np.empty((len(reps), m)), np.empty((len(reps), m)), [], {}
-    for k, rep in enumerate(reps):
-        with warnings.catch_warnings(record=True) as notes:
-            warnings.simplefilter("always", ClampWarning)
+    y, v, candidates = np.empty((len(reps), m)), np.empty((len(reps), m)), []
+    with warnings.catch_warnings(record=True) as notes:
+        warnings.simplefilter("always", ClampWarning)
+        for k, rep in enumerate(reps):
             data = generate(config, replicate=rep)
-        clamp_rates += [note.message.rate for note in notes if note.category is ClampWarning]
-        y[k], v[k] = engine.effect_arrays(data)
-        key = tuple(column.tobytes() if column.dtype != object else tuple(column)
-                    for column in data.features.values())
-        if key not in encoded:
-            encoded[key] = encode_design(data, data.schema.names).matrix
-        designs.append(encoded[key])
-    ends = np.cumsum([design.shape[1] for design in designs])
-    columns = [range(end - design.shape[1], end) for design, end in zip(designs, ends)]
-    return {"y": y, "X": np.hstack(designs), "v": v, "columns": columns}
+            y[k], v[k] = engine.effect_arrays(data)
+            candidates.append(data.candidate_columns[0])
+    clamp_rates += [note.message.rate for note in notes if note.category is ClampWarning]
+    ends = np.cumsum([block.shape[1] for block in candidates])
+    sets = [range(end - block.shape[1], end) for block, end in zip(candidates, ends)]
+    X = np.hstack(candidates)
+    return {"y": y, "X": X, "v": v, "columns": independent_columns(X, sets)}
 
 
 def recovery_experiment(config: SimConfig, replications: int,
@@ -294,8 +290,9 @@ def recovery_experiment(config: SimConfig, replications: int,
     of zero.
 
     Replicates are generated in order, _CHUNK at a time, and only their
-    effects, sampling variances and design matrices are kept; each chunk
-    is then fitted by one ``engine.fit_designs`` call, which advances the
+    effects, sampling variances and candidate columns are kept.  One rank
+    decision per chunk picks every replicate's design (see _replicates),
+    and one ``engine.fit_designs`` call fits the chunk, advancing the
     starts of every replicate of one design width in lockstep.  Memory
     thus grows with _CHUNK, not with the replications, and each record
     equals ``engine.fit_model`` on its replicate alone.  The first failing

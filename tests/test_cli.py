@@ -616,17 +616,34 @@ class TestOutputPaths:
         assert err.startswith("error: [Errno 21] Is a directory") and directory in err
         assert files_under(tmp_path) == before
 
-    @pytest.mark.parametrize("command, argv, written, left", [
-        ("regress", ["--features", "ml_model", "--out-dir", "out"],
-         ["out", "out/manifest.json", "out/regression.csv", "out/regression.md"], ["out"]),
-        ("simulate", ["sim.csv", "--schema-out", "s.yaml"],
-         ["manifest.json", "s.yaml", "sim.csv"], []),
-    ], ids=["regress", "simulate"])
+    @pytest.mark.parametrize("command, extra, path", [
+        ("simulate", ("--schema-out", "sim.csv"), "sim.csv"),
+        ("forest", (), "manifest.json"),
+    ], ids=["simulate-schema", "forest-manifest"])
+    def test_two_outputs_at_one_path_exit_2_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                           example_paths, command, extra, path):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *self.argv(command, example_paths, path, *extra))
+        assert (code, out) == (2, "")
+        assert err == f"error: two outputs resolve to one path: {tmp_path.resolve() / path}\n"
+        assert files_under(tmp_path) == []
+
+    @pytest.mark.parametrize("command, argv, existing, written", [
+        ("regress", ["--features", "ml_model", "--out-dir", "out"], [],
+         ["out", "out/manifest.json", "out/regression.csv", "out/regression.md"]),
+        ("regress", ["--features", "ml_model", "--out-dir", "a/b"], [],
+         ["a", "a/b", "a/b/manifest.json", "a/b/regression.csv", "a/b/regression.md"]),
+        ("regress", ["--features", "ml_model", "--out-dir", "a/b"], ["a"],
+         ["a", "a/b", "a/b/manifest.json", "a/b/regression.csv", "a/b/regression.md"]),
+        ("simulate", ["sim.csv", "--schema-out", "s.yaml"], [],
+         ["manifest.json", "s.yaml", "sim.csv"]),
+    ], ids=["regress", "regress-nested", "regress-nested-in-existing", "simulate"])
     @pytest.mark.parametrize("fail", [False, True], ids=["ok", "second-write-fails"])
     def test_failed_write_leaves_no_file(self, capsys, tmp_path, monkeypatch, example_paths,
-                                         command, argv, written, left, fail):
+                                         command, argv, existing, written, fail):
         # every output goes to a temporary name first; when the second file's
-        # write raises, no output and no temporary remains
+        # write raises, no output, no temporary and no directory made for the
+        # out-dir remains, and a directory that existed before stays
         from metaprop import cli
 
         opened = []
@@ -645,6 +662,8 @@ class TestOutputPaths:
 
         monkeypatch.setattr(cli, "open", opening, raising=False)
         monkeypatch.chdir(tmp_path)
+        for directory in existing:
+            os.mkdir(directory)
         inputs = {"regress": [example_paths["data"], example_paths["schema"]],
                   "simulate": [example_paths["simconfig"]]}[command]
         code, out, err = run(capsys, command, *inputs, *argv)
@@ -652,7 +671,7 @@ class TestOutputPaths:
                    for name in opened)
         if fail:
             assert (code, out) == (2, "") and err.startswith("error: [Errno 28] No space left")
-            assert len(opened) == 2 and files_under(tmp_path) == left
+            assert len(opened) == 2 and files_under(tmp_path) == existing
         else:
             assert code == 0 and files_under(tmp_path) == written
 
@@ -666,12 +685,12 @@ class TestOutputPaths:
         simulated = cmd_simulate(build_parser().parse_args(
             self.argv("simulate", example_paths, "sim.csv", "--schema-out", "s.yaml")))
         assert files_under(tmp_path) == []
-        assert forest.artifacts == {
-            str(tmp_path / "forest.svg"): (TESTDATA / "forest_golden.svg").read_text()}
-        assert list(simulated.artifacts) == [str(tmp_path / "sim.csv"), str(tmp_path / "s.yaml")]
-        assert simulated.artifacts[str(tmp_path / "s.yaml")] == "features: {}\n"
-        assert simulated.artifacts[str(tmp_path / "sim.csv")].startswith(
-            "study_id,trial_id,k,n\nS01,S01-t1,")
+        assert forest.artifacts == [
+            (str(tmp_path / "forest.svg"), (TESTDATA / "forest_golden.svg").read_text())]
+        [(csv_path, csv), (schema_path, schema)] = simulated.artifacts
+        assert [csv_path, schema_path] == [str(tmp_path / "sim.csv"), str(tmp_path / "s.yaml")]
+        assert schema == "features: {}\n"
+        assert csv.startswith("study_id,trial_id,k,n\nS01,S01-t1,")
 
 
 FUZZ_CSV = [["study_id", "trial_id", "k", "n", "size", "model"],

@@ -292,9 +292,9 @@ class TestFitDesigns:
 
     @pytest.mark.parametrize("method, loglik", [("reml", 2.845210549425948),
                                                 ("ml", 4.640165133394344)])
-    def test_constant_y_runs_one_start(self, monkeypatch, method, loglik):
+    def test_constant_y_runs_two_equal_starts(self, monkeypatch, method, loglik):
         # var(y) = 0 puts s at the floor, where the two starts coincide: that
-        # design runs one, its companion with its own y row both
+        # design runs both in lockstep, as its companion with its own y row does
         gen = np.random.default_rng(11)
         sizes = np.array([3, 1, 4, 2])
         m = int(sizes.sum())
@@ -311,12 +311,12 @@ class TestFitDesigns:
         fits = dict(engine.fit_designs(ys, np.ones((m, 1)), sizes, v, method, [[0], [0]]))
         floor = engine.VAR_FLOOR
         [(design, points)] = starts
-        assert design == [0, 1, 1] and points[0] == [floor, floor]
+        assert design == [0, 0, 1, 1] and points[0] == points[1] == [floor, floor]
         # literal values, those of the per-design start loop
         fit = fits[0]
         assert fit.loglik == pytest.approx(loglik, rel=1e-12)
         assert (fit.varcomps.sigma2_xi, fit.varcomps.sigma2_zeta) == (floor, floor)
-        assert (fit.n_evaluations, fit.converged) == (1, True)
+        assert (fit.n_evaluations, fit.converged) == (2, True)
         alone = fit_model(ys[1], np.ones((m, 1)), sizes, v, method=method)
         assert (fits[1].varcomps, fits[1].loglik, fits[1].n_evaluations) == \
             (alone.varcomps, alone.loglik, alone.n_evaluations)
@@ -351,9 +351,8 @@ class TestFitDesigns:
         for k, pin in enumerate(problem.pin):
             s = float(np.clip(np.var(problem.y[k]), floor, engine.VAR_CEIL))
             starts = np.where(pin, floor, np.array([(floor, s), (s, floor)]))
-            for p in dict.fromkeys(map(tuple, starts)):
-                want_design.append(k)
-                want_start.append(list(p))
+            want_design += [k, k]
+            want_start += starts.tolist()
         assert design.tolist() == want_design and start.tolist() == want_start
         for k, fit in enumerate(fits):
             runs = [i for i, d in enumerate(design) if d == k]

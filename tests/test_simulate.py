@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -442,28 +443,50 @@ class TestRecovery:
                     rec.prop) == pytest.approx(values, rel=1e-10)
         assert summary.coverage == 1.0 and summary.coverage_se == 0.0
 
-    def test_each_design_encoded_once_per_chunk(self, monkeypatch):
-        # without moderators every replicate has the same design: 10 replicates in
-        # chunks of 4 encode it three times, and generate still runs once per replicate
-        calls = {"encode_design": 0, "generate": []}
+    def test_one_rank_decision_per_chunk(self, monkeypatch):
+        # 10 replicates in chunks of 4 take three independent_columns calls, by
+        # either name, and no encode_design call, and generate still runs once
+        # per replicate
+        from metaprop import ingest
+
+        calls = {"independent_columns": 0, "encode_design": 0, "generate": []}
+        independent_columns, encode = ingest.independent_columns, ingest.encode_design
+        def counted_columns(*args):
+            calls["independent_columns"] += 1
+            return independent_columns(*args)
         def counted_encode(*args):
             calls["encode_design"] += 1
-            return encode_design(*args)
+            return encode(*args)
         def counted_generate(config, replicate):
             calls["generate"].append(replicate)
             return generate(config, replicate=replicate)
-        monkeypatch.setattr(simulate, "encode_design", counted_encode)
+        monkeypatch.setattr(simulate, "independent_columns", counted_columns)
+        monkeypatch.setattr(ingest, "independent_columns", counted_columns)
+        monkeypatch.setattr(ingest, "encode_design", counted_encode)
         monkeypatch.setattr(simulate, "generate", counted_generate)
         monkeypatch.setattr(simulate, "_CHUNK", 4)
-        for mode in ("gaussian", "binomial"):
-            calls["encode_design"], calls["generate"] = 0, []
-            config = dataclasses.replace(load_simconfig(EXAMPLE_SIMCONFIG), mode=mode)
-            recovery_experiment(config, 10)
-            assert (calls["encode_design"], calls["generate"]) == (3, list(range(10)))
-        # a moderator drawn per study gives every replicate its own design
-        calls["encode_design"] = 0
-        recovery_experiment(MODERATED, 6)
-        assert calls["encode_design"] == 6
+        example = load_simconfig(EXAMPLE_SIMCONFIG)
+        for config in (example, dataclasses.replace(example, mode="binomial"), MODERATED):
+            calls.update(independent_columns=0, encode_design=0, generate=[])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # MODERATED clamps
+                recovery_experiment(config, 10)
+            assert (calls["independent_columns"], calls["encode_design"],
+                    calls["generate"]) == (3, 0, list(range(10)))
+        # each replicate's kept columns and design values are encode_design's,
+        # also where every study draws one level of g and g drops out
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", simulate.ClampWarning)
+            kwargs = simulate._replicates(MODERATED, range(16), [])
+            datasets = [generate(MODERATED, r) for r in range(16)]
+        first = 0
+        for data, columns in zip(datasets, kwargs["columns"]):
+            design = encode_design(data, data.schema.names)
+            assert (columns - first).tolist() == design.columns
+            assert np.array_equal(kwargs["X"][:, columns], design.matrix)
+            first += data.candidate_columns[0].shape[1]
+        assert first == kwargs["X"].shape[1]
+        assert [len(columns) for columns in kwargs["columns"]].count(2) == 3   # replicates 1, 6, 13
 
     def test_chunks_keep_replicate_order_and_errors(self, monkeypatch):
         # 7 replicates in chunks of 3 give the records of one chunk, in order; of
