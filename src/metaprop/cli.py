@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -260,21 +260,11 @@ def cmd_simulate(args) -> Outcome:
 def cmd_recover(args) -> Outcome:
     config = simulate.load_simconfig(args.config)
     summary = simulate.recovery_experiment(config, args.reps, method=args.method)
-    payload = {
-        "replications": summary.replications,
-        "truth": {"mu": config.mu, "sigma2_xi": config.sigma2_xi,
-                  "sigma2_zeta": config.sigma2_zeta},
-        "mean_mu": summary.mean_mu,
-        "mean_sigma2_xi": summary.mean_sigma2_xi,
-        "mean_sigma2_zeta": summary.mean_sigma2_zeta,
-        "coverage": summary.coverage,
-        "bias_sigma2_xi": summary.bias_sigma2_xi,
-        "bias_sigma2_zeta": summary.bias_sigma2_zeta,
-        "n_nonconverged": summary.n_nonconverged,
-        "coverage_se": summary.coverage_se,
-        "abs_bias_sigma2_xi": summary.abs_bias_sigma2_xi,
-        "abs_bias_sigma2_zeta": summary.abs_bias_sigma2_zeta,
-    }
+    payload = {"replications": summary.replications,
+               "truth": {"mu": config.mu, "sigma2_xi": config.sigma2_xi,
+                         "sigma2_zeta": config.sigma2_zeta}}
+    payload.update((f.name, getattr(summary, f.name)) for f in fields(summary)
+                   if f.name not in ("config", "replications", "records"))
     return Outcome(EXIT_OK, payload, report.recovery_text(summary), seed=config.seed)
 
 

@@ -39,6 +39,11 @@ __all__ = [
 # residual-norm ratio at or below which a column counts as exactly collinear
 COLLINEARITY_TOL = 1e-10
 _QR_BLOCK = 1 << 20    # sets x m x f per rank-rule QR at most: bounds memory, not results
+# the magnitudes a nonzero scaled numeric value may take: squares then lie in
+# [1e-200, 1e200], so every sum of d * x**2 over at most 1e90 trials stays finite
+# and normal for any allowed n, since the weight d is at most 1/VAR_FLOOR = 1e12
+# and, for variance components up to VAR_CEIL = 1e6, at least about 5e-7
+NUMERIC_MIN, NUMERIC_MAX = 1e-100, 1e100
 
 
 class ValidationError(ValueError):
@@ -282,7 +287,10 @@ class Dataset:
     def candidate_columns(self) -> tuple:
         """(matrix, labels, owners) of every column ``encode_design`` can slice:
         the intercept (owner None), then per schema feature its numeric column
-        or one 0/1 column per observed non-reference category, sorted."""
+        or one 0/1 column per observed non-reference category, sorted.  Two
+        columns with one label (a numeric feature named ``intercept``, or one
+        named ``a=b`` beside level b of a categorical ``a``) are a
+        ValidationError, since a label must name one column."""
         blocks, labels, owners = [np.ones((self.m, 1))], ["intercept"], [None]
         for spec in self.schema.entries:
             column = self.features[spec.name]
@@ -295,6 +303,14 @@ class Dataset:
                 names = [f"{spec.name}={c}" for c in levels]
             labels += names
             owners += [spec.name] * len(names)
+        repeated = [label for label, count in Counter(labels).items() if count > 1]
+        if repeated:
+            first, second = [owner for label, owner in zip(labels, owners)
+                             if label == repeated[0]][:2]
+            raise ValidationError(
+                f"column label {repeated[0]!r} names a column of "
+                f"{'the intercept' if first is None else f'feature {first!r}'} and one of "
+                f"feature {second!r}: rename a feature")
         matrix = np.hstack(blocks, dtype=np.float64)
         matrix.setflags(write=False)                     # shared by every design of the dataset
         return matrix, tuple(labels), tuple(owners)
@@ -388,6 +404,11 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
                 if not math.isfinite(value):
                     raise ValidationError(f"line {line}: feature {spec.name!r} is not finite "
                                           f"after scaling: {raw!r} / {spec.scale!r}")
+                if value and not NUMERIC_MIN <= abs(value) <= NUMERIC_MAX:
+                    raise ValidationError(
+                        f"line {line}: feature {spec.name!r} is outside [{NUMERIC_MIN:g}, "
+                        f"{NUMERIC_MAX:g}] in magnitude after scaling: {raw!r} / {spec.scale!r}; "
+                        "choose its schema 'scale' to bring it in range")
             else:
                 try:
                     value = spec.map_category(raw)

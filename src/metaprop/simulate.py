@@ -238,7 +238,9 @@ class RecoveryRecord:
 
 @dataclass
 class RecoverySummary:
-    """Aggregate estimator behavior across replicates."""
+    """Aggregate estimator behavior across replicates.  ``metaprop recover
+    --format=json`` prints replications, the truth, then every other field
+    but config and records, in this order."""
 
     config: SimConfig
     replications: int
@@ -247,10 +249,10 @@ class RecoverySummary:
     mean_sigma2_xi: float
     mean_sigma2_zeta: float
     coverage: float
-    coverage_se: float
     bias_sigma2_xi: float
     bias_sigma2_zeta: float
     n_nonconverged: int
+    coverage_se: float
     abs_bias_sigma2_xi: float
     abs_bias_sigma2_zeta: float
 

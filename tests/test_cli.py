@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import metaprop
 from metaprop import engine
 from metaprop.cli import main
-from metaprop.simulate import load_simconfig
+from metaprop.simulate import load_simconfig, recovery_experiment
 
 TESTDATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -229,6 +229,34 @@ class TestRegress:
                            example_paths["schema"], "--features", "bogus")
         assert code == 2
         assert "unknown feature" in err
+
+    def test_repeated_column_label_exit_2(self, capsys, tmp_path):
+        # the numeric "intercept" would be reported dropped while the intercept is kept
+        data, schema = tmp_path / "d.csv", tmp_path / "s.yaml"
+        data.write_text("study_id,trial_id,k,n,intercept,m\n" + "".join(
+            f"S{i // 3},t{i % 3},{60 + i},100,1,{'abc'[i % 3]}\n" for i in range(12)))
+        schema.write_text("features:\n  intercept: {kind: numeric}\n"
+                          "  m: {kind: categorical, reference_level: a}\n")
+        code, out, err = run(capsys, "regress", data, schema, "--features", "intercept,m")
+        assert (code, out) == (2, "")
+        assert err == ("error: column label 'intercept' names a column of the intercept and "
+                       "one of feature 'intercept': rename a feature\n")
+
+    @pytest.mark.parametrize("command", ["regress", "select"])
+    @pytest.mark.parametrize("magnitude", ["1e160", "1e-200"])
+    def test_unsquarable_numeric_exit_2(self, capsys, tmp_path, command, magnitude):
+        # 1e160 overflowed the rank rule's column norm, 1e-200 made X'V^-1X singular
+        data, schema = tmp_path / "d.csv", tmp_path / "s.yaml"
+        data.write_text("study_id,trial_id,k,n,x\n" + "".join(
+            f"S{i // 2},t{i % 2},{60 + 3 * i},100,{1.3 + 0.37 * i:.2f}{magnitude[1:]}\n"
+            for i in range(8)))
+        schema.write_text("features:\n  x: {kind: numeric}\n")
+        args = ["--features", "x"] if command == "regress" else ["--out-dir", tmp_path / "out"]
+        code, out, err = run(capsys, command, data, schema, *args)
+        assert (code, out) == (2, "")
+        assert err == (f"error: line 2: feature 'x' is outside [1e-100, 1e+100] in magnitude "
+                       f"after scaling: '1.30{magnitude[1:]}' / 1.0; choose its schema 'scale' "
+                       "to bring it in range\n")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_nonconvergence_exit_3_warns(self, capsys, monkeypatch, example_paths, fmt):
@@ -491,8 +519,14 @@ class TestSimulateAndRecover:
         code, out, _ = run(capsys, "recover", cfg, "--reps", "3", "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["replications"] == 3
-        assert 0.0 <= payload["coverage"] <= 1.0
+        assert list(payload) == [
+            "replications", "truth", "mean_mu", "mean_sigma2_xi", "mean_sigma2_zeta",
+            "coverage", "bias_sigma2_xi", "bias_sigma2_zeta", "n_nonconverged", "coverage_se",
+            "abs_bias_sigma2_xi", "abs_bias_sigma2_zeta"]
+        assert payload["truth"] == {"mu": 1.1, "sigma2_xi": 0.01, "sigma2_zeta": 0.005}
+        summary = recovery_experiment(load_simconfig(cfg), 3)
+        fields = [key for key in payload if key != "truth"]
+        assert [payload[key] for key in fields] == [getattr(summary, key) for key in fields]
 
     def test_recover_zero_xi_json_is_strict(self, capsys, tmp_path):
         # the relative bias of a true sigma2_xi of 0 is not a number: JSON null
@@ -703,7 +737,7 @@ FUZZ_SCHEMA = ["features:", "  size:", "    kind: numeric", "    scale: 1000", "
                "    kind: categorical", "    reference_level: base", "    grouping:",
                "      lr: base", "      svm: svm", "      nn: nn"]
 CELL_TOKENS = ["", "0", "-1", "1.5", "1e20", "9007199254740993", "nan", "inf", "1e-320",
-               "1e308", "abc", "base", "accuracy", "k", "S1", "t1", '"', ",", "\x00", "\r", "\u00e9"]
+               "1e308", "1e160", "1e-200", "abc", "base", "accuracy", "k", "S1", "t1", '"', ",", "\x00", "\r", "\u00e9"]
 YAML_TOKENS = ["    scale: abc", "    scale: [1]", "    scale: .inf", "    scale: 1e-320",
                "    scale: 0", "    kind: [1]", "    kind: numeric", "    reference_level: [x]",
                "    reference_level: 7", "    grouping: [1]", "  size: [1, 2]", "  size: abc",

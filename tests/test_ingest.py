@@ -191,6 +191,27 @@ class TestDatasetColumns:
         with pytest.raises(ValidationError, match=message):
             Dataset(**_columns(**changes))
 
+    @pytest.mark.parametrize("entries, features, message", [
+        ((FeatureSpec(name="intercept", kind="numeric"),
+          FeatureSpec(name="m", kind="categorical", reference_level="a")),
+         {"intercept": [1.0, 1.0, 1.0], "m": ["a", "b", "c"]},
+         "column label 'intercept' names a column of the intercept and one of "
+         "feature 'intercept'"),
+        ((FeatureSpec(name="a", kind="categorical", reference_level="x"),
+          FeatureSpec(name="a=b", kind="numeric")),
+         {"a": ["x", "b", "x"], "a=b": [0.0, 1.0, 0.0]},
+         "column label 'a=b' names a column of feature 'a' and one of feature 'a=b'"),
+        ((FeatureSpec(name="a", kind="categorical", reference_level="x"),
+          FeatureSpec(name="a=b", kind="categorical", reference_level="x"),
+          FeatureSpec(name="a=b=c", kind="numeric")),
+         {"a": ["x", "b=c", "x"], "a=b": ["x", "c", "c"], "a=b=c": [0.0, 1.0, 0.0]},
+         "column label 'a=b=c' names a column of feature 'a' and one of feature 'a=b'"),
+    ], ids=["numeric-intercept", "numeric-equals-dummy", "three-columns"])
+    def test_repeated_column_label_rejected(self, entries, features, message):
+        ds = Dataset(**_columns(features=features, schema=FeatureSchema(entries=entries)))
+        with pytest.raises(ValidationError, match=f"^{message}: rename a feature$"):
+            ds.candidate_columns
+
     def test_trials_rows_hold_python_scalars(self):
         ds = parse_dataset(CSV, SCHEMA)
         assert ds.trials is ds.trials                    # built once

@@ -183,20 +183,21 @@ class TestRegressionTable:
         assert table.rows[0].p == 1.0
 
     @pytest.mark.parametrize("schema, columns, expected", [
-        # a numeric name with "=", a categorical one with "=", a numeric "intercept"
+        # a numeric name with "=", a categorical one with "=", a numeric "Intercept"
         ("dose=mg: {kind: numeric}\n"
          "arm=x: {kind: categorical, reference_level: a}\n"
-         "intercept: {kind: numeric}\n",
+         "Intercept: {kind: numeric}\n",
          lambda i: [f"{1.0 + 0.7 * i:.1f}", "abc"[i % 3], f"{i * 7 % 5}"],
          [("Intercept", ""), ("dose=mg", "dose=mg"), ("**arm=x** (Ref: a)", None),
           ("&nbsp;&nbsp;b", "arm=x"), ("&nbsp;&nbsp;c", "arm=x"),
-          ("intercept", "intercept")]),
-        # a numeric "a=b" whose label equals the dummy of level b of categorical a
+          ("Intercept", "Intercept")]),
+        # a numeric "b" whose row label equals that of the dummy of level b of
+        # categorical a (a numeric "a=b" would repeat the dummy's column label)
         ("a: {kind: categorical, reference_level: x}\n"
-         "a=b: {kind: numeric}\n",
+         "b: {kind: numeric}\n",
          lambda i: ["xb"[i % 2], f"{i * 7 % 5}"],
          [("Intercept", ""), ("**a** (Ref: x)", None), ("&nbsp;&nbsp;b", "a"),
-          ("a=b", "a=b")]),
+          ("b", "b")]),
     ], ids=["equals_in_names", "numeric_label_is_a_dummy_label"])
     def test_rows_named_by_design_position(self, schema, columns, expected):
         table = _feature_table(schema, columns)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from metaprop import engine, rng, simulate
 from metaprop.ingest import ValidationError, dataset_csv, encode_design, parse_dataset
-from metaprop.report import recovery_text
 from metaprop.simulate import (Moderator, SimConfig, generate, load_simconfig,
                                recovery_experiment)
 from metaprop.transforms import ft_inverse
@@ -400,17 +399,6 @@ class TestRecovery:
             widths = {encode_design(generate(MODERATED, r), ["x", "g"]).f for r in range(16)}
             assert widths == {2, 3}
             assert batch_mismatches() == []
-
-    def test_recovery_study_script_prints_recovery_text(self):
-        script = EXAMPLE_SIMCONFIG.parents[1] / "scripts" / "recovery_study.py"
-        out = subprocess.run([sys.executable, str(script), "--reps", "3"], capture_output=True,
-                             text=True, check=True, timeout=300).stdout
-        expected = ""
-        for mode in ("gaussian", "binomial"):
-            config = dataclasses.replace(load_simconfig(EXAMPLE_SIMCONFIG), mode=mode)
-            expected += (f"== {mode} generator (mode={mode})\n"
-                         + recovery_text(recovery_experiment(config, 3)) + "\n")
-        assert out == expected
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_batched_records_equal_fit_model_alone_per_blas_threads(self, threads):
