@@ -9,6 +9,7 @@ the out-dir (--out-dir, else $METAPROP_OUT_DIR, else select's
 metaprop_out or the directory of forest's and simulate's output), and
 forest's SVG and simulate's CSV and schema at the paths named.  Exit
 codes: 0 success, 2 input or validation error, 3 numerical failure.
+OpenBLAS runs one thread unless $OPENBLAS_NUM_THREADS says otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
+
+# Set before numpy loads OpenBLAS: the matrices are at most a few thousand
+# rows by ~30 columns, too small for a second BLAS thread, whose start-up
+# spin costs ~0.13 s of CPU per process.  A value the user sets wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -246,6 +252,7 @@ def cmd_forest(args) -> Outcome:
 def cmd_simulate(args) -> Outcome:
     config = simulate.load_simconfig(args.config)
     dataset = simulate.generate(config, replicate=args.replicate)
+    dataset.candidate_columns        # raises, as fit would, on a column label that repeats
     schema_out = args.schema_out
     if schema_out is None:
         schema_out = os.path.splitext(args.out)[0] + "_schema.yaml"

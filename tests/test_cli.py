@@ -481,6 +481,23 @@ class TestSimulateAndRecover:
         assert err == "error: line 8: key 'h' is given twice\n"
         assert files_under(tmp_path) == ["cfg.yaml"]
 
+    @pytest.mark.parametrize("moderators, label, owners", [
+        ("[{name: intercept, kind: numeric, effect: 0.1}]", "intercept", "the intercept"),
+        ("[{name: a, kind: categorical, effect: 0.1}, {name: 'a=b', kind: numeric, effect: 0.1}]",
+         "a=b", "feature 'a'"),
+    ], ids=["numeric-intercept", "numeric-equals-dummy"])
+    def test_repeated_column_label_exit_2(self, capsys, tmp_path, moderators, label, owners):
+        # fit would refuse the written dataset, so simulate writes none;
+        # seed 3 draws level b of 'a' in one of the 4 studies
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("simulation:\n  h: 4\n  trials_per_study: 3\n  mu: 1\n  sigma2_xi: 0.01\n"
+                       "  sigma2_zeta: 0.01\n  n_range: [50, 100]\n  seed: 3\n"
+                       f"  moderators: {moderators}\n")
+        code, out, err = run(capsys, "simulate", cfg, tmp_path / "s.csv")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: column label {label!r} names a column of {owners} ")
+        assert files_under(tmp_path) == ["cfg.yaml"]
+
     def test_warning_precedes_error_and_nothing_is_written(self, tmp_path):
         # the clamp note is printed once, without a source path, before the error
         cfg = tmp_path / "cfg.yaml"
@@ -818,10 +835,10 @@ print(codes)
 
 class TestImport:
     @staticmethod
-    def python(*args, cwd=None):
+    def python(*args, cwd=None, env=None):
         src = str(pathlib.Path(metaprop.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = os.environ if env is None else env
+        env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
                              text=True, check=True, timeout=120)
         return out.stdout.strip()
@@ -839,6 +856,34 @@ class TestImport:
                 "print(sorted(m for m in sys.modules "
                 "if m.startswith(('xml.sax', 'urllib.request', 'http'))))")
         assert self.python("-c", code) == "[]"
+
+    def test_package_import_leaves_out_numpy(self):
+        # metaprop.cli must set the BLAS thread count before numpy loads, and
+        # python -m metaprop.cli imports the package first
+        assert self.python("-c", "import sys, metaprop; print('numpy' in sys.modules)") == "False"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    @pytest.mark.parametrize("given, threads", [(None, 1), ("2", 2)], ids=["unset", "user-set"])
+    def test_one_blas_thread_unless_the_user_sets_it(self, given, threads):
+        if threads > len(os.sched_getaffinity(0)):
+            pytest.skip(f"OpenBLAS runs at most one thread per core, and {threads} are needed")
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        code = ("import os, metaprop.cli; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+        assert self.python("-c", code, env=env) == f"{given or 1} {threads}"
+
+    def test_select_output_does_not_depend_on_blas_threads(self, tmp_path, example_paths):
+        outputs = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / threads
+            stdout = self.python("-m", "metaprop.cli", "select", example_paths["data"],
+                                 str(TESTDATA / "small_schema.yaml"), "--out-dir", str(out_dir),
+                                 env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+            outputs.append([stdout] + [(out_dir / name).read_bytes() for name in (
+                "comparison.md", "comparison.csv", "search_trail.jsonl")])
+        assert outputs[0] == outputs[1]
 
     def test_commands_run_with_scipy_import_refused(self, tmp_path, example_paths):
         # a lazy import inside any command would fail under the refusing finder
