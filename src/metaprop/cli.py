@@ -252,14 +252,15 @@ def cmd_forest(args) -> Outcome:
 def cmd_simulate(args) -> Outcome:
     config = simulate.load_simconfig(args.config)
     dataset = simulate.generate(config, replicate=args.replicate)
-    dataset.candidate_columns        # raises, as fit would, on a column label that repeats
+    csv_text = dataset_csv(dataset)
+    parse_dataset(csv_text, dataset.schema).candidate_columns   # raises where fit would on it
     schema_out = args.schema_out
     if schema_out is None:
         schema_out = os.path.splitext(args.out)[0] + "_schema.yaml"
     return Outcome(EXIT_OK,
                    {"out": args.out, "schema_out": schema_out, "m": dataset.m, "h": dataset.h},
                    f"wrote {args.out}: {dataset.m} trials in {dataset.h} studies",
-                   [(os.path.abspath(args.out), dataset_csv(dataset)),
+                   [(os.path.abspath(args.out), csv_text),
                     (os.path.abspath(schema_out), dataset.schema.to_yaml())],
                    out_dir=os.path.dirname(args.out) or ".", seed=config.seed)
 

@@ -31,7 +31,7 @@ __all__ = [
     "encode_design",
     "collinear_columns",
     "independent_columns",
-    "subset_columns",
+    "offered_columns",
     "load_schema",
     "dataset_csv",
 ]
@@ -501,22 +501,16 @@ def independent_columns(X, sets) -> list:
     return kept
 
 
-def _offered(dataset: Dataset, selected) -> list:
-    """The candidate columns a feature subset offers: the intercept and
-    each selected feature's columns, as indices in schema order."""
+def offered_columns(dataset: Dataset, selected) -> list:
+    """The candidate columns a feature subset offers, before the collinearity
+    rule: the intercept and each selected feature's columns, as indices into
+    ``dataset.candidate_columns`` in schema order."""
     known, chosen = set(dataset.schema.names), set(selected)
     unknown = [f for f in selected if f not in known]
     if unknown:
         raise ValidationError(f"unknown feature names: {unknown}")
     return [i for i, owner in enumerate(dataset.candidate_columns[2])
             if owner is None or owner in chosen]
-
-
-def subset_columns(dataset: Dataset, subsets) -> list:
-    """The kept ``columns`` of ``encode_design`` for each feature subset, as
-    index arrays, decided by one ``independent_columns`` call for all."""
-    return independent_columns(dataset.candidate_columns[0],
-                               [_offered(dataset, selected) for selected in subsets])
 
 
 def encode_design(dataset: Dataset, selected_features) -> DesignMatrix:
@@ -529,7 +523,7 @@ def encode_design(dataset: Dataset, selected_features) -> DesignMatrix:
     the result always has full column rank.
     """
     selected = list(selected_features)
-    offered = _offered(dataset, selected)
+    offered = offered_columns(dataset, selected)
     candidates, labels, owners = dataset.candidate_columns
     kept = independent_columns(candidates, [offered])[0].tolist()
     references = {e.name: e.reference_level for e in dataset.schema.entries

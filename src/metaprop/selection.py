@@ -8,13 +8,14 @@ groups, which is deliberate: with a dozen groups that is a few thousand
 fits and removes any search-strategy ambiguity from the results.
 
 Every fit here, the search trail's and the five rows', goes through
-``_fits``: each subset's design is a column slice of the dataset's
-candidate columns, the kept columns of every subset of one call are
-decided together (one batched QR per width and round, not one encoder
-call per subset), and ``engine.fit_designs`` fits the slices of one
-call together, batched by width inside the engine.  Each fit is still
-the one ``engine.fit_model`` gives that subset alone, so a row's AIC,
-BIC and RMSE equal its subset's trail record.
+``fit_subsets``, which ``simulate.recovery_experiment`` also uses: each
+subset's design is a column slice of its dataset's candidate columns,
+the kept columns of every design of one call are decided together (one
+batched QR per width and round, not one encoder call per subset), and
+``engine.fit_designs`` fits the slices of one call together, batched by
+width inside the engine.  Each fit is still the one ``engine.fit_model``
+gives that subset alone, so a row's AIC, BIC and RMSE equal its
+subset's trail record.
 
 A caveat worth stating once: comparing REML likelihoods across models
 with different fixed effects is not strictly clean, but it mirrors the
@@ -29,12 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, heterogeneity
-from .ingest import Dataset, ValidationError, subset_columns
+from .ingest import Dataset, ValidationError, independent_columns, offered_columns
 
 __all__ = [
     "ModelComparisonRow",
     "TrailRecord",
     "criterion",
+    "fit_subsets",
     "five_model_protocol",
 ]
 
@@ -78,15 +80,30 @@ class TrailRecord:
     skipped: str | None = None
 
 
-def _fits(dataset: Dataset, subsets, method: str):
-    """(j, fit or error) per feature subset, lazily: the one place this module
-    fits anything.  Subset j's design is its ``encode_design`` slice of the
-    candidate columns, with the kept columns of every subset decided by one
-    ``ingest.subset_columns`` call; ``engine.fit_designs`` batches the designs."""
-    columns = subset_columns(dataset, subsets)
-    y, v = engine.effect_arrays(dataset)
-    return engine.fit_designs(y, dataset.candidate_columns[0], dataset.group_sizes(), v,
-                              method, columns)
+def fit_subsets(datasets, subsets, method: str):
+    """(i, fit or error) per design, lazily: design i = r * len(subsets) + j
+    is feature subset j of dataset r, its ``encode_design`` slice of that
+    dataset's candidate columns.
+
+    The datasets, of one study layout, are read in order when this is
+    called, and only each one's effects, sampling variances and candidate
+    columns are kept, so an iterable of them need not be held at once.
+    One ``independent_columns`` call decides the kept columns of every
+    design, and ``engine.fit_designs`` fits them: each design with its
+    dataset's y and v row, one row shared by all designs of one dataset."""
+    rows, blocks, sets, width = [], [], [], 0
+    for data in datasets:
+        rows.append(engine.effect_arrays(data))
+        blocks.append(data.candidate_columns[0])
+        sets += [[width + i for i in offered_columns(data, s)] for s in subsets]
+        width += blocks[-1].shape[1]
+        group_sizes = data.group_sizes()
+    if len(rows) == 1:
+        (y, v), X = rows[0], blocks[0]
+    else:
+        y, v = (np.repeat(np.array(a), len(subsets), 0) for a in zip(*rows))
+        X = np.hstack(blocks)
+    return engine.fit_designs(y, X, group_sizes, v, method, independent_columns(X, sets))
 
 
 def _record(features, fit) -> TrailRecord:
@@ -104,7 +121,7 @@ def _record(features, fit) -> TrailRecord:
 def _subset_trail(dataset: Dataset, subsets, method: str) -> list:
     """One TrailRecord per feature subset, in order."""
     records = [None] * len(subsets)
-    for j, fit in _fits(dataset, subsets, method):
+    for j, fit in fit_subsets([dataset], subsets, method):
         records[j] = _record(subsets[j], fit)
     return records
 
@@ -238,7 +255,7 @@ def five_model_protocol(dataset: Dataset, strategy: str = "exhaustive",
     winners, trail = _winners(dataset, strategy, method)
     plan = [("Null", ()), ("Full", tuple(dataset.schema.names)),
             ("AIC", winners["aic"]), ("BIC", winners["bic"]), ("RMSE", winners["rmse"])]
-    fits = dict(_fits(dataset, [features for _, features in plan], method))
+    fits = dict(fit_subsets([dataset], [features for _, features in plan], method))
     if not isinstance(fits[0], engine.FitResult):
         raise fits[0]
     rows = [_comparison_row(name, features, fits[j], fits[0])

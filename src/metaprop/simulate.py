@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
-from .ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError,
-                     independent_columns, load_mapping, read_text)
+from . import engine, rng, selection
+from .ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError, load_mapping,
+                     read_text)
 from .transforms import HALF_PI, ft_inverse_array, ft_variance
-from . import engine
 
 __all__ = [
     "Moderator",
@@ -219,7 +218,7 @@ def generate(config: SimConfig, replicate: int = 0) -> Dataset:
                    features={name: values[study_idx] for name, values in mod_values.items()})
 
 
-_CHUNK = 256   # replicates per fit_designs call: bounds memory, not results
+_CHUNK = 256   # replicates per fit_subsets call: bounds memory, not results
 
 
 @dataclass(frozen=True)
@@ -257,29 +256,6 @@ class RecoverySummary:
     abs_bias_sigma2_zeta: float
 
 
-def _replicates(config: SimConfig, reps: range, clamp_rates: list):
-    """The keyword arguments of ``fit_designs`` for replicates ``reps``,
-    generated in order: y and v with one row per replicate, and each
-    replicate's candidate columns side by side in X.  One
-    ``independent_columns`` call decides every replicate's kept columns,
-    by the rule ``encode_design`` applies: replicate k's are ``columns[k]``.
-    The rate of each ClampWarning that ``generate`` raises goes to
-    ``clamp_rates``."""
-    m = sum(config.trial_counts())
-    y, v, candidates = np.empty((len(reps), m)), np.empty((len(reps), m)), []
-    with warnings.catch_warnings(record=True) as notes:
-        warnings.simplefilter("always", ClampWarning)
-        for k, rep in enumerate(reps):
-            data = generate(config, replicate=rep)
-            y[k], v[k] = engine.effect_arrays(data)
-            candidates.append(data.candidate_columns[0])
-    clamp_rates += [note.message.rate for note in notes if note.category is ClampWarning]
-    ends = np.cumsum([block.shape[1] for block in candidates])
-    sets = [range(end - block.shape[1], end) for block, end in zip(candidates, ends)]
-    X = np.hstack(candidates)
-    return {"y": y, "X": X, "v": v, "columns": independent_columns(X, sets)}
-
-
 def recovery_experiment(config: SimConfig, replications: int,
                         method: str = "reml") -> RecoverySummary:
     """Fit every replicate and summarize how well the truth is recovered.
@@ -291,25 +267,28 @@ def recovery_experiment(config: SimConfig, replications: int,
     truths, and relative biases those over the truths, or nan for truths
     of zero.
 
-    Replicates are generated in order, _CHUNK at a time, and only their
-    effects, sampling variances and candidate columns are kept.  One rank
-    decision per chunk picks every replicate's design (see _replicates),
-    and one ``engine.fit_designs`` call fits the chunk, advancing the
-    starts of every replicate of one design width in lockstep.  Memory
-    thus grows with _CHUNK, not with the replications, and each record
-    equals ``engine.fit_model`` on its replicate alone.  The first failing
-    replicate raises fit_model's error.  After the last chunk, the
-    replicates' ClampWarnings become one UserWarning.
+    Each chunk of _CHUNK replicates is generated in order and fitted by
+    one ``selection.fit_subsets`` call with every moderator as its one
+    subset: that keeps only each replicate's effects, sampling variances
+    and candidate columns, takes one rank decision for the chunk, and
+    advances the starts of every replicate of one design width in
+    lockstep.  Memory thus grows with _CHUNK, not with the replications,
+    and each record equals ``engine.fit_model`` on its replicate alone.
+    The first failing replicate raises fit_model's error.  After the last
+    chunk, the replicates' ClampWarnings become one UserWarning.
     """
     if replications < 1:
         raise ValidationError("replications must be >= 1")
 
-    group_sizes = np.array(config.trial_counts())
     records, clamp_rates = [], []
     for first in range(0, replications, _CHUNK):
         reps = range(first, min(first + _CHUNK, replications))
-        fits = dict(engine.fit_designs(group_sizes=group_sizes, method=method,
-                                       **_replicates(config, reps, clamp_rates)))
+        with warnings.catch_warnings(record=True) as notes:   # generates; fits come later
+            warnings.simplefilter("always", ClampWarning)
+            designs = selection.fit_subsets((generate(config, rep) for rep in reps),
+                                            [config.schema().names], method)
+        clamp_rates += [note.message.rate for note in notes if note.category is ClampWarning]
+        fits = dict(designs)   # outside the capture, so the engine's warnings show
         fitted = [engine.fit_or_raise(fits[k]) for k in range(len(reps))]
         # pooled_estimate's prop and the intercept's CI, for the whole chunk at once
         pooled, pooled_se = np.array([engine.pooled_mean(fit) for fit in fitted]).T

@@ -23,6 +23,18 @@ def example_paths():
             "simconfig": str(DATA / "example_simconfig.yaml")}
 
 
+def handed_to_fit_designs(monkeypatch, datasets, subsets, method="reml"):
+    """The arguments (y, X, group_sizes, v, method, columns) that
+    ``selection.fit_subsets`` hands to ``engine.fit_designs``, fitting nothing."""
+    from metaprop import engine, selection
+
+    handed = []
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "fit_designs", lambda *args: handed.append(args) or iter(()))
+        assert list(selection.fit_subsets(datasets, subsets, method)) == []
+    return handed[0]
+
+
 def toy_instance(seed, n_studies=2, trials=2, v_range=(0.05, 0.3)):
     """Small random intercept-only problem for engine oracles."""
     gen = np.random.default_rng(seed)

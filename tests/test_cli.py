@@ -498,6 +498,31 @@ class TestSimulateAndRecover:
         assert err.startswith(f"error: column label {label!r} names a column of {owners} ")
         assert files_under(tmp_path) == ["cfg.yaml"]
 
+    @pytest.mark.parametrize("setting, error", [
+        ("moderators: [{name: n, effect: 0.1, kind: numeric}]",
+         "line 1: the header names column 'n' twice"),
+        ("moderators: [{name: k, effect: 0.1, kind: numeric}]",
+         "line 1: the header names column 'k' twice"),
+        ("moderators: [{name: study_id, effect: 0.1, kind: numeric}]",
+         "line 1: the header names column 'study_id' twice"),
+        ("moderators: [{name: trial_id, effect: 0.1, kind: numeric}]",
+         "line 1: the header names column 'trial_id' twice"),
+        ("n_range: [1e16, 2e16]", "line 2: n exceeds 2**53, got '"),
+    ], ids=["moderator-n", "moderator-k", "moderator-study_id", "moderator-trial_id",
+            "n-beyond-2**53"])
+    def test_csv_that_fit_refuses_exit_2(self, capsys, tmp_path, setting, error):
+        # simulate reads back the CSV it would write, so it writes none that fit refuses
+        fields = {"h": "4", "trials_per_study": "3", "mu": "1", "sigma2_xi": "0.01",
+                  "sigma2_zeta": "0.01", "n_range": "[50, 100]"}
+        key, value = setting.split(": ", 1)
+        fields[key] = value
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("simulation:\n" + "".join(f"  {k}: {v}\n" for k, v in fields.items()))
+        code, out, err = run(capsys, "simulate", cfg, tmp_path / "s.csv")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+        assert files_under(tmp_path) == ["cfg.yaml"]
+
     def test_warning_precedes_error_and_nothing_is_written(self, tmp_path):
         # the clamp note is printed once, without a source path, before the error
         cfg = tmp_path / "cfg.yaml"

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaprop.engine import Problem, VarianceComponents, fit_designs, fit_model, log_likelihood
-from metaprop import ingest
+from metaprop import ingest, selection
 from metaprop.ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError,
                              collinear_columns, dataset_csv, encode_design,
-                             independent_columns, load_schema, parse_dataset, read_text,
-                             subset_columns)
+                             independent_columns, load_schema, parse_dataset, read_text)
 
-from conftest import DATA, TESTDATA
+from conftest import DATA, TESTDATA, handed_to_fit_designs
 
 SCHEMA = FeatureSchema(entries=(
     FeatureSpec(name="size", kind="numeric", scale=1000.0),
@@ -449,12 +448,15 @@ class TestIndependentColumns:
         monkeypatch.setattr(ingest, "_QR_BLOCK", 1)
         assert [g.tolist() for g in independent_columns(X, sets)] == want
 
-    def test_every_example_subset_matches_one_set_at_a_time(self, example_dataset):
+    def test_every_example_subset_matches_one_set_at_a_time(self, example_dataset, monkeypatch):
+        # the kept columns that selection.fit_subsets fits, of one dataset's
+        # 4096 subsets, sliced from its candidate columns with its one y and v row
         names = example_dataset.schema.names
         subsets = [subset for r in range(len(names) + 1)
                    for subset in itertools.combinations(names, r)]
         candidates, _, owners = example_dataset.candidate_columns
-        got = subset_columns(example_dataset, subsets)
+        y, X, _, v, _, got = handed_to_fit_designs(monkeypatch, [example_dataset], subsets)
+        assert X is candidates and y.shape == v.shape == (example_dataset.m,)
         assert len(got) == 4096
         for features, kept in zip(subsets, got):
             offered = [i for i, owner in enumerate(owners) if owner is None or owner in features]
@@ -465,4 +467,4 @@ class TestIndependentColumns:
 
     def test_unknown_feature_in_any_subset(self, example_dataset):
         with pytest.raises(ValidationError, match=r"unknown feature names: \['nope'\]"):
-            subset_columns(example_dataset, [(), ("ml_model", "nope")])
+            selection.fit_subsets([example_dataset], [(), ("ml_model", "nope")], "reml")

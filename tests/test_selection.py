@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,8 @@ from metaprop.ingest import (Dataset, FeatureSchema, ValidationError, encode_des
                              load_schema, parse_dataset)
 from metaprop.selection import criterion, five_model_protocol
 from metaprop.simulate import Moderator, SimConfig, generate
+
+from test_simulate import MODERATED
 
 # boundary clamping is exercised explicitly in test_simulate; here it is noise
 pytestmark = pytest.mark.filterwarnings("ignore:.*clamped.*")
@@ -151,6 +154,25 @@ class TestLockstepSearch:
         for row in rows:
             record = by_features[row.features]
             assert (row.aic, row.bic, row.rmse) == (record.aic, record.bic, record.rmse)
+
+    @pytest.mark.parametrize("mode", ["gaussian", "binomial"])
+    def test_replicate_subset_designs_match_each_replicate_trail(self, mode):
+        # design (r, S) of one fit_subsets call is subset S of replicate r: 20
+        # replicates x all 4 subsets of x and g give each replicate's own trail
+        config = dataclasses.replace(MODERATED, mode=mode)
+        names = config.schema().names
+        subsets = [tuple(n for i, n in enumerate(names) if mask >> i & 1) for mask in range(4)]
+        fits = dict(selection.fit_subsets((generate(config, r) for r in range(20)), subsets,
+                                          "reml"))
+        assert sorted(fits) == list(range(80))
+        assert {fits[r * 4 + 3].f for r in range(20)} == {2, 3}   # g drops out in 3 replicates
+        for r in range(20):
+            trail = selection._exhaustive_trail(generate(config, r), "reml")
+            for j, alone in enumerate(trail):
+                record = selection._record(subsets[j], fits[r * 4 + j])
+                assert (record.features, record.f, record.skipped, record.converged) == (
+                    alone.features, alone.f, alone.skipped, alone.converged), (r, j)
+                assert record.loglik == pytest.approx(alone.loglik, rel=1e-10)
 
     def test_evaluation_cap_reaches_every_record(self, small, monkeypatch):
         monkeypatch.setattr(engine, "MAX_EVALUATIONS", 2)

@@ -19,6 +19,8 @@ from metaprop.simulate import (Moderator, SimConfig, generate, load_simconfig,
                                recovery_experiment)
 from metaprop.transforms import ft_inverse
 
+from conftest import handed_to_fit_designs
+
 EXAMPLE_SIMCONFIG = pathlib.Path(__file__).resolve().parents[1] / "data" / "example_simconfig.yaml"
 # four studies: in replicates 1, 6 and 13 every study draws the same level of g,
 # so g drops out and those designs have two columns instead of three
@@ -435,7 +437,7 @@ class TestRecovery:
         # 10 replicates in chunks of 4 take three independent_columns calls, by
         # either name, and no encode_design call, and generate still runs once
         # per replicate
-        from metaprop import ingest
+        from metaprop import ingest, selection
 
         calls = {"independent_columns": 0, "encode_design": 0, "generate": []}
         independent_columns, encode = ingest.independent_columns, ingest.encode_design
@@ -448,7 +450,7 @@ class TestRecovery:
         def counted_generate(config, replicate):
             calls["generate"].append(replicate)
             return generate(config, replicate=replicate)
-        monkeypatch.setattr(simulate, "independent_columns", counted_columns)
+        monkeypatch.setattr(selection, "independent_columns", counted_columns)
         monkeypatch.setattr(ingest, "independent_columns", counted_columns)
         monkeypatch.setattr(ingest, "encode_design", counted_encode)
         monkeypatch.setattr(simulate, "generate", counted_generate)
@@ -465,16 +467,18 @@ class TestRecovery:
         # also where every study draws one level of g and g drops out
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", simulate.ClampWarning)
-            kwargs = simulate._replicates(MODERATED, range(16), [])
             datasets = [generate(MODERATED, r) for r in range(16)]
+        y, X, _, v, _, kept = handed_to_fit_designs(monkeypatch, iter(datasets),
+                                                    [MODERATED.schema().names])
         first = 0
-        for data, columns in zip(datasets, kwargs["columns"]):
+        for r, (data, columns) in enumerate(zip(datasets, kept)):
             design = encode_design(data, data.schema.names)
             assert (columns - first).tolist() == design.columns
-            assert np.array_equal(kwargs["X"][:, columns], design.matrix)
+            assert np.array_equal(X[:, columns], design.matrix)
+            assert all(np.array_equal(a[r], b) for a, b in zip((y, v), engine.effect_arrays(data)))
             first += data.candidate_columns[0].shape[1]
-        assert first == kwargs["X"].shape[1]
-        assert [len(columns) for columns in kwargs["columns"]].count(2) == 3   # replicates 1, 6, 13
+        assert first == X.shape[1] and len(kept) == len(y) == len(v) == 16
+        assert [len(columns) for columns in kept].count(2) == 3   # replicates 1, 6, 13
 
     def test_chunks_keep_replicate_order_and_errors(self, monkeypatch):
         # 7 replicates in chunks of 3 give the records of one chunk, in order; of
