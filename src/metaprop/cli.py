@@ -249,11 +249,18 @@ def cmd_forest(args) -> Outcome:
                         out_dir=os.path.dirname(args.out) or ".")
 
 
+def _simulated_csv(config, replicate: int) -> tuple:
+    """(dataset, CSV text) of one replicate, the text read back as ``fit``
+    reads a file: raises where fit would refuse it."""
+    dataset = simulate.generate(config, replicate=replicate)
+    csv_text = dataset_csv(dataset)
+    parse_dataset(csv_text, dataset.schema).candidate_columns
+    return dataset, csv_text
+
+
 def cmd_simulate(args) -> Outcome:
     config = simulate.load_simconfig(args.config)
-    dataset = simulate.generate(config, replicate=args.replicate)
-    csv_text = dataset_csv(dataset)
-    parse_dataset(csv_text, dataset.schema).candidate_columns   # raises where fit would on it
+    dataset, csv_text = _simulated_csv(config, args.replicate)
     schema_out = args.schema_out
     if schema_out is None:
         schema_out = os.path.splitext(args.out)[0] + "_schema.yaml"
@@ -267,6 +274,11 @@ def cmd_simulate(args) -> Outcome:
 
 def cmd_recover(args) -> Outcome:
     config = simulate.load_simconfig(args.config)
+    # refuse a layout that no input file can carry; the experiment sums up
+    # replicate 0's clamp note with the others'
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", simulate.ClampWarning)
+        _simulated_csv(config, 0)
     summary = simulate.recovery_experiment(config, args.reps, method=args.method)
     payload = {"replications": summary.replications,
                "truth": {"mu": config.mu, "sigma2_xi": config.sigma2_xi,

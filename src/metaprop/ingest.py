@@ -44,6 +44,7 @@ _QR_BLOCK = 1 << 20    # sets x m x f per rank-rule QR at most: bounds memory, n
 # and normal for any allowed n, since the weight d is at most 1/VAR_FLOOR = 1e12
 # and, for variance components up to VAR_CEIL = 1e6, at least about 5e-7
 NUMERIC_MIN, NUMERIC_MAX = 1e-100, 1e100
+COUNT_MAX = 2 ** 53    # the largest k or n a dataset holds: float parsing is exact up to here
 
 
 class ValidationError(ValueError):
@@ -240,7 +241,7 @@ class Dataset:
         for name, column in counts.items():
             if column.dtype.kind not in "biu":           # int64 would truncate 1.7 to 1
                 value = np.asarray(column, np.float64)
-                bad = ~(np.abs(value) <= 2 ** 53) | (value != np.trunc(value))
+                bad = ~(np.abs(value) <= COUNT_MAX) | (value != np.trunc(value))
                 if bad.any():
                     i = int(np.argmax(bad))
                     raise ValidationError(f"trial {self.trial_id[i]!r}: {name} must be an "
@@ -323,7 +324,7 @@ def _parse_int(raw: str, what: str, line: int) -> int:
         raise ValidationError(f"line {line}: {what} is not a number: {raw!r}") from None
     if not val.is_integer():
         raise ValidationError(f"line {line}: {what} must be an integer, got {raw!r}")
-    if abs(val) > 2 ** 53:                               # float parsing is exact up to here
+    if abs(val) > COUNT_MAX:
         raise ValidationError(f"line {line}: {what} exceeds 2**53, got {raw!r}")
     return int(val)
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine, rng, selection
-from .ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError, load_mapping,
-                     read_text)
+from .ingest import (COUNT_MAX, Dataset, FeatureSchema, FeatureSpec, ValidationError,
+                     load_mapping, read_text)
 from .transforms import HALF_PI, ft_inverse_array, ft_variance
 
 __all__ = [
@@ -86,6 +86,9 @@ class SimConfig:
             raise ValidationError("every study needs at least 1 trial")
         if len(self.n_range) != 2 or not 1 <= self.n_range[0] <= self.n_range[1]:
             raise ValidationError("n_range must be [min, max] with 1 <= min <= max")
+        if self.n_range[1] > COUNT_MAX:
+            raise ValidationError("n_range may not exceed 2**53, the largest n a dataset "
+                                  f"holds, got max {self.n_range[1]}")
 
     def trial_counts(self) -> list:
         if isinstance(self.trials_per_study, int):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -507,7 +508,7 @@ class TestSimulateAndRecover:
          "line 1: the header names column 'study_id' twice"),
         ("moderators: [{name: trial_id, effect: 0.1, kind: numeric}]",
          "line 1: the header names column 'trial_id' twice"),
-        ("n_range: [1e16, 2e16]", "line 2: n exceeds 2**53, got '"),
+        ("n_range: [1e16, 2e16]", "n_range may not exceed 2**53, "),
     ], ids=["moderator-n", "moderator-k", "moderator-study_id", "moderator-trial_id",
             "n-beyond-2**53"])
     def test_csv_that_fit_refuses_exit_2(self, capsys, tmp_path, setting, error):
@@ -521,6 +522,30 @@ class TestSimulateAndRecover:
         code, out, err = run(capsys, "simulate", cfg, tmp_path / "s.csv")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {error}") and err.count("\n") == 1
+        assert files_under(tmp_path) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize("command, mode", [
+        ("simulate", "binomial"), ("recover", "gaussian"), ("recover", "binomial"),
+    ], ids=["simulate-binomial", "recover-gaussian", "recover-binomial"])   # simulate-gaussian: above
+    @pytest.mark.parametrize("setting, error", [
+        ("moderators: [{name: n, effect: 0.1, kind: numeric}]",
+         "error: line 1: the header names column 'n' twice\n"),
+        ("n_range: [1e16, 2e16]", "error: n_range may not exceed 2**53, the largest n a "
+                                  "dataset holds, got max 20000000000000000\n"),
+    ], ids=["moderator-n", "n-beyond-2**53"])
+    def test_layout_no_file_can_carry_exit_2(self, capsys, tmp_path, monkeypatch, setting,
+                                             error, command, mode):
+        # recover reads replicate 0 back as simulate does; a binomial draw of n
+        # beyond 2**53 once ran out of memory in both commands
+        monkeypatch.chdir(tmp_path)
+        fields = {"h": "4", "trials_per_study": "3", "mu": "1", "sigma2_xi": "0.01",
+                  "sigma2_zeta": "0.01", "n_range": "[50, 100]", "seed": "3", "mode": mode}
+        key, value = setting.split(": ", 1)
+        fields[key] = value
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("simulation:\n" + "".join(f"  {k}: {v}\n" for k, v in fields.items()))
+        argv = {"simulate": ["simulate", cfg, "s.csv"], "recover": ["recover", cfg, "--reps", "3"]}
+        assert run(capsys, *argv[command], "--out-dir", "out") == (2, "", error)
         assert files_under(tmp_path) == ["cfg.yaml"]
 
     def test_warning_precedes_error_and_nothing_is_written(self, tmp_path):
@@ -881,6 +906,23 @@ class TestImport:
                 "print(sorted(m for m in sys.modules "
                 "if m.startswith(('xml.sax', 'urllib.request', 'http'))))")
         assert self.python("-c", code) == "[]"
+
+    def test_import_leaves_out_process_pools(self):
+        # the exhaustive search forks with os alone; selection imports nothing
+        # that its engine, heterogeneity and ingest imports have not loaded
+        code = ("import sys, metaprop.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        assert self.python("-c", code) == "[]"
+        code = ("import sys, numpy, metaprop.engine, metaprop.heterogeneity, metaprop.ingest; "
+                "before = set(sys.modules); import metaprop.selection; "
+                "print(sorted(set(sys.modules) - before))")
+        assert self.python("-c", code) == "['metaprop.selection']"
+        tree = ast.parse(pathlib.Path(metaprop.__file__).with_name("selection.py").read_text())
+        imported = {"." * node.level + (node.module or "") if isinstance(node, ast.ImportFrom)
+                    else alias.name for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert sorted(imported) == [".", ".ingest", "__future__", "dataclasses", "math", "numpy"]
 
     def test_package_import_leaves_out_numpy(self):
         # metaprop.cli must set the BLAS thread count before numpy loads, and

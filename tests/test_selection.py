@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 
 from metaprop import cli, engine, selection
-from metaprop.ingest import (Dataset, FeatureSchema, ValidationError, encode_design,
-                             load_schema, parse_dataset)
+from metaprop.ingest import (Dataset, FeatureSchema, FeatureSpec, ValidationError,
+                             encode_design, load_schema, parse_dataset)
 from metaprop.selection import criterion, five_model_protocol
 from metaprop.simulate import Moderator, SimConfig, generate
 
@@ -204,11 +206,109 @@ class TestSearchCost:
 
         monkeypatch.setattr(engine.Problem, "evaluate_batch", counting)
         monkeypatch.setattr(engine, "_ascend", recording)
+        monkeypatch.setattr(selection, "_workers", lambda: 1)   # counters see this process only
         trail = selection._exhaustive_trail(data, "reml")
         assert len(trail) == 256 and all(r.skipped is None and r.converged for r in trail)
         assert max(count.max() for count in starts) == 2
         per_fit = problems[0] / len(trail)
         assert per_fit <= 1.1 * self.MEASURED_EVALUATIONS_PER_FIT, per_fit
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedSearch:
+    """The exhaustive search splits its width classes over forked children;
+    the trail, errors and warnings must be the serial search's."""
+
+    @pytest.fixture(scope="class")
+    def first8(self, example_dataset):
+        from conftest import DATA
+
+        schema = FeatureSchema(entries=example_dataset.schema.entries[:8])
+        return parse_dataset((DATA / "example_trials.csv").read_text(encoding="utf-8"), schema)
+
+    @pytest.fixture(scope="class")
+    def one_width(self):
+        # every level grouped into the reference: 8 subsets, all of width 1
+        from conftest import DATA
+
+        levels = {"language": ["English", "Italian", "Nepali", "Tamil"],
+                  "confusion_matrix": ["No", "Yes"], "dataset_type": ["Existing", "Self-scraped"]}
+        schema = FeatureSchema(entries=tuple(
+            FeatureSpec(name=name, kind="categorical", reference_level=values[0],
+                        grouping={value: values[0] for value in values})
+            for name, values in levels.items()))
+        return parse_dataset((DATA / "example_trials.csv").read_text(encoding="utf-8"), schema)
+
+    @pytest.mark.parametrize("data", ["first8", "one_width"])
+    def test_records_equal_at_one_two_and_three_workers(self, data, request, monkeypatch):
+        dataset = request.getfixturevalue(data)
+        trails = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(selection, "_workers", lambda: workers)
+            trails.append(selection._exhaustive_trail(dataset, "reml"))
+            no_child_left()
+        assert trails[0] == trails[1] == trails[2]           # loglik floats included
+        assert [r.loglik for r in trails[0]] == [r.loglik for r in trails[2]]
+        assert all(r.skipped is None for r in trails[0])
+        assert len({r.f for r in trails[0]}) == (1 if data == "one_width" else 20)
+
+    def test_one_width_class_forks_nothing(self, one_width, monkeypatch):
+        monkeypatch.setattr(selection, "_workers", lambda: 3)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert len(selection._exhaustive_trail(one_width, "reml")) == 8
+
+    def test_shares_are_whole_width_classes_longest_first(self):
+        widths = [1, 2, 2, 3, 3, 3, 9]
+        shares = selection._shares(widths, 2)
+        # class costs d (f + 4)^2 + 200: f=9 369, f=3 347, f=2 272, f=1 225
+        assert shares == [[0, 6], [1, 2, 3, 4, 5]]
+        assert sorted(sum(selection._shares(widths, 3), [])) == list(range(7))
+
+    @staticmethod
+    def failing_in(where, error, monkeypatch):
+        """Patch _subset_trail to raise ``error`` in the parent or in the children."""
+        parent, subset_trail = os.getpid(), selection._subset_trail
+
+        def trail(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise error
+            return subset_trail(*args)
+
+        monkeypatch.setattr(selection, "_subset_trail", trail)
+        monkeypatch.setattr(selection, "_workers", lambda: 3)
+
+    def test_child_exception_reaches_the_caller(self, first8, monkeypatch):
+        self.failing_in("child", ValidationError("raised in a child"), monkeypatch)
+        with pytest.raises(ValidationError, match="^raised in a child$"):
+            five_model_protocol(first8)
+        no_child_left()
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError("raised here"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    def test_own_share_failing_reaps_every_child(self, first8, monkeypatch, error):
+        self.failing_in("parent", error, monkeypatch)
+        with pytest.raises(type(error)):
+            selection._exhaustive_trail(first8, "reml")
+        no_child_left()
+
+    def test_child_warning_is_reissued(self, first8, monkeypatch):
+        parent, subset_trail = os.getpid(), selection._subset_trail
+
+        def trail(*args):
+            if os.getpid() != parent:
+                warnings.warn("warned in a child")
+            return subset_trail(*args)
+
+        monkeypatch.setattr(selection, "_subset_trail", trail)
+        monkeypatch.setattr(selection, "_workers", lambda: 2)
+        with pytest.warns(UserWarning, match="^warned in a child$") as caught:
+            trail = selection._exhaustive_trail(first8, "reml")
+        assert len(caught) == 1 and len(trail) == 256
+        no_child_left()
 
 
 class TestFiveModelProtocol:
