@@ -259,6 +259,9 @@ def _simulated_csv(config, replicate: int) -> tuple:
 
 
 def cmd_simulate(args) -> Outcome:
+    if args.replicate not in simulate.INT64_RANGE:
+        raise ValidationError("--replicate must lie in the signed 64-bit range "
+                              f"[-2**63, 2**63 - 1], got {args.replicate}")
     config = simulate.load_simconfig(args.config)
     dataset, csv_text = _simulated_csv(config, args.replicate)
     schema_out = args.schema_out

@@ -14,8 +14,13 @@ The draws are the rows of a draw x lane grid of streams.  A lane
 steps only between two reads, never after its last, so it computes its
 state words s2 and s3 only if it reads more than once.  A hit is an
 integer comparison of the lane's raw 64-bit output with
-(ceil(p * 2**53) << 11) - 1, which needs no float uniform.  Rows go in blocks of at most _BLOCK_LANES lanes, a size set
-by measurement that bounds memory and changes no stream.
+(ceil(p * 2**53) << 11) - 1, which needs no float uniform.  Rows go in
+blocks of at most _BLOCK_LANES lanes, a size set by measurement that
+bounds memory and changes no stream.  A draw of n trials reads n numbers,
+so its time grows with n, and :func:`binomial` refuses an n above
+BINOMIAL_N_MAX = 2**24.  At that n one draw takes about 0.5 s alone and
+0.11 s in a block of 32 (one Xeon core), so a replicate of 195 trials
+takes about 22 s; at 2**30 it would take about 24 min.
 """
 
 from __future__ import annotations
@@ -85,24 +90,9 @@ class Streams:
 
     def __init__(self, keys: np.ndarray):
         keys = np.atleast_1d(np.asarray(keys, dtype=_U64))
-        s = np.empty((4,) + keys.shape, dtype=_U64)
-        s[0] = keys
-        self._seed(s)
-
-    @classmethod
-    def grid(cls, keys: np.ndarray, salts: np.ndarray) -> Streams:
-        """The streams keyed _mix64(key ^ salt): one row per key, one column per salt."""
-        s = np.empty((4, keys.size, salts.size), dtype=_U64)
-        np.bitwise_xor(keys[:, None], salts, out=s[0])
-        _mix64(s[0], s[0], s[1])                         # s1 is free until seeded
-        bank = object.__new__(cls)
-        bank._seed(s)
-        return bank
-
-    def _seed(self, s: np.ndarray):
-        """Take ``s``, whose s0 holds the keys, as the state, and make s0 and s1."""
-        self._s, self._t = s, np.empty(s.shape[1:], dtype=_U64)   # _t: the one scratch array
-        _mix64(s[0], s[0], self._t)
+        self._s = s = np.empty((4,) + keys.shape, dtype=_U64)
+        self._t = np.empty(keys.shape, dtype=_U64)      # the one scratch array
+        _mix64(keys, s[0], self._t)
         _mix64(s[0], s[1], self._t)
         self._s2 = 0                                     # leading rows with s2, s3 made
 
@@ -169,6 +159,7 @@ class Streams:
         return low + np.minimum((self.uniform() * span).astype(np.int64), span - 1)
 
 
+BINOMIAL_N_MAX = 2 ** 24   # the largest n a binomial draw takes: its time grows with n
 _LANES = 1024           # substreams per draw: part of every binomial stream
 _BLOCK_LANES = 32768    # lanes advanced together: bounds memory, not a stream
 with np.errstate(over="ignore"):
@@ -199,13 +190,16 @@ def binomial(keys, n, p) -> np.ndarray:
     Draws with p_i = 0 take no lanes and count 0, those with p_i = 1 take
     none and count n_i.  Hits add up per lane and are summed once per
     block.  The rows go in blocks of at most _BLOCK_LANES lanes, which
-    bounds memory and changes no stream.
+    bounds memory and changes no stream.  An n_i above BINOMIAL_N_MAX
+    raises ValueError: a draw of n_i trials reads n_i numbers.
     """
     keys, n, p = np.broadcast_arrays(np.asarray(keys, dtype=_U64),
                                      np.asarray(n, dtype=np.int64),
                                      np.asarray(p, dtype=np.float64))
     if np.any(n < 0):
         raise ValueError("n must be nonnegative")
+    if np.any(n > BINOMIAL_N_MAX):
+        raise ValueError(f"n may not exceed 2**24 (BINOMIAL_N_MAX), got {n.max()}")
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("p must lie in [0, 1]")
     shape = n.shape
@@ -226,7 +220,7 @@ def binomial(keys, n, p) -> np.ndarray:
 def _grid_counts(keys, n, limit) -> np.ndarray:
     """Hits of draws sorted by n, largest first, on a grid of one row per draw."""
     width = min(int(n[0]), _LANES)
-    bank = Streams.grid(keys, _LANE_SALT[:width])
+    bank = Streams(_mix64(keys[:, None] ^ _LANE_SALT[:width]))
     rounds = -(-n // _LANES)
     last = (n - (rounds - 1) * _LANES).astype(np.int16)   # lanes read in a row's last round
     lane = np.arange(width, dtype=np.int16)

@@ -235,12 +235,12 @@ def _exhaustive_trail(dataset: Dataset, method: str) -> list:
     shares (see ``_shares``); a child forked per extra share fits it while
     this process fits the first.  A design's iterates never depend on its
     companions, so every record equals the serial trail's bit for bit, and
-    only records cross the pipe.  The search stays serial with one share:
-    one usable core, one width class, no ``os.sched_getaffinity``
-    (non-Linux), or another Python thread alive.  Stepwise passes stay
-    serial: each pass is a few dozen fits, and on 2 cores a fork per pass
-    took the example's stepwise search from 0.58 to 0.51 s of wall time but
-    from 0.58 to 0.83 s of CPU.  On Python >= 3.12 a fork in a process
+    only records cross the pipe.  One share, as with one usable core, one
+    width class, no ``os.sched_getaffinity`` (non-Linux) or another Python
+    thread alive, is fitted in this process and forks nothing.  Stepwise
+    passes stay serial: each pass is a few dozen fits, and on 2 cores a fork
+    per pass took the example's stepwise search from 0.58 to 0.51 s of wall
+    time but from 0.58 to 0.83 s of CPU.  On Python >= 3.12 a fork in a process
     whose BLAS has started threads issues a DeprecationWarning; the CLI
     runs BLAS on one thread, so its searches fork without one.
     """
@@ -254,8 +254,6 @@ def _exhaustive_trail(dataset: Dataset, method: str) -> list:
                for mask in range(2 ** n_feat)]
     widths = [len(offered_columns(dataset, s)) for s in subsets]
     count = min(_workers(), len(set(widths)))
-    if count < 2:
-        return _subset_trail(dataset, subsets, method)
     return _forked_trail(dataset, subsets, method, _shares(widths, count))
 
 
@@ -377,8 +375,7 @@ def five_model_protocol(dataset: Dataset, strategy: str = "exhaustive",
     plan = [("Null", ()), ("Full", tuple(dataset.schema.names)),
             ("AIC", winners["aic"]), ("BIC", winners["bic"]), ("RMSE", winners["rmse"])]
     fits = dict(fit_subsets([dataset], [features for _, features in plan], method))
-    if not isinstance(fits[0], engine.FitResult):
-        raise fits[0]
+    engine.fit_or_raise(fits[0])
     rows = [_comparison_row(name, features, fits[j], fits[0])
             for j, (name, features) in enumerate(plan)]
     rows.sort(key=lambda r: (math.inf if math.isnan(r.aic) else r.aic))

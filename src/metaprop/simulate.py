@@ -60,6 +60,9 @@ class Moderator:
             raise ValidationError(f"moderator {self.name!r}: kind must be numeric or categorical")
 
 
+INT64_RANGE = range(-2 ** 63, 2 ** 63)   # the integers a seed or index path can hold
+
+
 @dataclass
 class SimConfig:
     """Generator settings; see module docstring for the model."""
@@ -81,6 +84,13 @@ class SimConfig:
             raise ValidationError("variance components must be nonnegative")
         if self.mode not in ("gaussian", "binomial"):
             raise ValidationError(f"unknown mode {self.mode!r}")
+        trials = self.trials_per_study
+        for name, values in (("h", [self.h]), ("seed", [self.seed]),
+                             ("trials_per_study", [trials] if isinstance(trials, int) else trials)):
+            for value in values:
+                if int(value) not in INT64_RANGE:
+                    raise ValidationError(f"simulation field {name!r} must lie in the signed "
+                                          f"64-bit range [-2**63, 2**63 - 1], got {value}")
         sizes = self.trial_counts()
         if any(s < 1 for s in sizes):
             raise ValidationError("every study needs at least 1 trial")
@@ -89,6 +99,10 @@ class SimConfig:
         if self.n_range[1] > COUNT_MAX:
             raise ValidationError("n_range may not exceed 2**53, the largest n a dataset "
                                   f"holds, got max {self.n_range[1]}")
+        if self.mode == "binomial" and self.n_range[1] > rng.BINOMIAL_N_MAX:
+            raise ValidationError("n_range may not exceed 2**24 (rng.BINOMIAL_N_MAX) in binomial "
+                                  "mode, whose draws take time in proportion to n, got max "
+                                  f"{self.n_range[1]}")
 
     def trial_counts(self) -> list:
         if isinstance(self.trials_per_study, int):

@@ -450,9 +450,17 @@ class TestSimulateAndRecover:
         ("trials_per_study: [2.5, 3, 2]", "'trials_per_study'"),
         ("trials_per_study: false", "'trials_per_study'"),
         ("n_range: [10.5, 20]", "'n_range'"),
+        ("seed: 18446744073709551616", "'seed'"),
+        ("seed: 9223372036854775808", "'seed'"),
+        ("seed: -9223372036854775809", "'seed'"),
+        ("h: 100000000000000000000", "'h'"),
+        ("trials_per_study: 100000000000000000000", "'trials_per_study'"),
+        ("trials_per_study: [2, 100000000000000000000, 2]", "'trials_per_study'"),
     ], ids=["h-text", "mu-nan", "xi-inf", "n_range-scalar", "n_range-triple", "moderator-no-name",
             "moderator-effect-text", "yaml-syntax", "seed-fraction", "seed-bool", "h-bool",
-            "h-fraction", "trials-fraction", "trials-bool", "n_range-fraction"])
+            "h-fraction", "trials-fraction", "trials-bool", "n_range-fraction", "seed-2**64",
+            "seed-2**63", "seed-below-int64", "h-beyond-int64", "trials-beyond-int64",
+            "trials-entry-beyond-int64"])
     def test_hostile_config_exit_2(self, capsys, tmp_path, line, needle):
         fields = {"h": "3", "trials_per_study": "2", "mu": "1", "sigma2_xi": "0",
                   "sigma2_zeta": "0", "n_range": "[10, 20]"}
@@ -547,6 +555,32 @@ class TestSimulateAndRecover:
         argv = {"simulate": ["simulate", cfg, "s.csv"], "recover": ["recover", cfg, "--reps", "3"]}
         assert run(capsys, *argv[command], "--out-dir", "out") == (2, "", error)
         assert files_under(tmp_path) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize("command", ["simulate", "recover"])
+    @pytest.mark.parametrize("low, high", [(9000000000000000, 2 ** 53), (2 ** 24 + 1, 2 ** 24 + 1)],
+                             ids=["2**53", "2**24+1"])
+    def test_binomial_n_beyond_bound_exit_2(self, capsys, tmp_path, monkeypatch, low, high,
+                                            command):
+        # a binomial draw reads n numbers: at n = 2**53 it once asked for 64 TiB
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("simulation:\n  h: 4\n  trials_per_study: 3\n  mu: 1\n  sigma2_xi: 0.01\n"
+                       f"  sigma2_zeta: 0.01\n  n_range: [{low}, {high}]\n  mode: binomial\n")
+        argv = {"simulate": ["simulate", cfg, "s.csv"], "recover": ["recover", cfg, "--reps", "3"]}
+        code, out, err = run(capsys, *argv[command], "--out-dir", "out")
+        assert (code, out) == (2, "")
+        assert err == ("error: n_range may not exceed 2**24 (rng.BINOMIAL_N_MAX) in binomial mode, "
+                       f"whose draws take time in proportion to n, got max {high}\n")
+        assert files_under(tmp_path) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize("replicate", ["99999999999999999999", "-9223372036854775809"])
+    def test_replicate_beyond_int64_exit_2(self, capsys, tmp_path, example_paths, replicate):
+        code, out, err = run(capsys, "simulate", example_paths["simconfig"], tmp_path / "s.csv",
+                             "--replicate", replicate)
+        assert (code, out) == (2, "")
+        assert err == ("error: --replicate must lie in the signed 64-bit range "
+                       f"[-2**63, 2**63 - 1], got {replicate}\n")
+        assert files_under(tmp_path) == []
 
     def test_warning_precedes_error_and_nothing_is_written(self, tmp_path):
         # the clamp note is printed once, without a source path, before the error

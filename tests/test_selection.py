@@ -256,10 +256,12 @@ class TestForkedSearch:
         assert all(r.skipped is None for r in trails[0])
         assert len({r.f for r in trails[0]}) == (1 if data == "one_width" else 20)
 
-    def test_one_width_class_forks_nothing(self, one_width, monkeypatch):
-        monkeypatch.setattr(selection, "_workers", lambda: 3)
+    def test_one_width_class_forks_nothing(self, one_width, first8, monkeypatch):
+        # one share, from one width class or from one usable core, is fitted here
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-        assert len(selection._exhaustive_trail(one_width, "reml")) == 8
+        for dataset, workers, records in ((one_width, 3, 8), (first8, 1, 256)):
+            monkeypatch.setattr(selection, "_workers", lambda: workers)
+            assert len(selection._exhaustive_trail(dataset, "reml")) == records
 
     def test_shares_are_whole_width_classes_longest_first(self):
         widths = [1, 2, 2, 3, 3, 3, 9]

@@ -177,7 +177,7 @@ class TestRng:
         # advance(rows) writes no state word of the rows after the leading ones, and
         # every row then draws what its lanes draw alone after as many steps
         keys = rng.stream_key(22, np.arange(5))
-        bank = rng.Streams.grid(keys, rng._LANE_SALT[:3])
+        bank = rng.Streams(rng._mix64(keys[:, None] ^ rng._LANE_SALT[:3]))
         bank.advance(2)                                  # makes s2 and s3 of rows 0 and 1
         before = bank._s[:, rows:].copy()
         bank.advance(rows)
@@ -222,6 +222,11 @@ class TestRng:
         draws = rng.binomial(keys, n, p)
         assert len(calls) == 2 * 5
         assert draws.tolist() == [reference_binomial(key, n, p) for key in keys]
+
+    def test_binomial_refuses_n_beyond_bound(self):
+        # a draw of n trials reads n numbers: one of 2**30 would take minutes
+        with pytest.raises(ValueError, match=r"^n may not exceed 2\*\*24 "):
+            rng.binomial(rng.stream_key(1), rng.BINOMIAL_N_MAX + 1, 0.5)
 
     @pytest.mark.parametrize("head, tail", [
         ((3,), (4, 5)),
@@ -343,6 +348,14 @@ class TestGenerate:
             h.update(repr([(t.k, t.n) for t in generate(cfg, r).trials]).encode())
         assert h.hexdigest() == "67f795183c480d2f597a33196ecdf2e3da68d9b7a988b444a4775cc886a24a01"
 
+    def test_binomial_draws_at_n_bound(self):
+        # n_range may reach rng.BINOMIAL_N_MAX in binomial mode, and such a trial draws
+        cfg = base_config(mode="binomial", h=1, trials_per_study=1, sigma2_xi=0.0,
+                          sigma2_zeta=0.0, n_range=(2 ** 24, 2 ** 24))
+        (trial,) = generate(cfg).trials
+        assert trial.n == 2 ** 24
+        assert trial.k / trial.n == pytest.approx(ft_inverse(cfg.mu, 2 ** 24), abs=1e-3)
+
     def test_generated_csv_reingests(self):
         cfg = base_config(moderators=[Moderator("x", 0.1),
                                       Moderator("g", 0.05, "categorical")])
@@ -368,6 +381,11 @@ class TestConfigValidation:
     def test_bad_mode(self):
         with pytest.raises(ValidationError):
             base_config(mode="poisson")
+
+    def test_n_range_bound_is_binomial_only(self):
+        with pytest.raises(ValidationError, match=r"n_range may not exceed 2\*\*24 .* binomial"):
+            base_config(mode="binomial", n_range=(10, 2 ** 24 + 1))
+        assert base_config(n_range=(10, 2 ** 24 + 1)).n_range == (10, 2 ** 24 + 1)
 
     def test_load_example_config(self, example_paths):
         cfg = load_simconfig(example_paths["simconfig"])
