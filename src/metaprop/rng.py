@@ -220,11 +220,13 @@ def binomial(keys, n, p) -> np.ndarray:
 def _grid_counts(keys, n, limit) -> np.ndarray:
     """Hits of draws sorted by n, largest first, on a grid of one row per draw."""
     width = min(int(n[0]), _LANES)
-    bank = Streams(_mix64(keys[:, None] ^ _LANE_SALT[:width]))
+    grid = keys[:, None] ^ _LANE_SALT[:width]            # mixed in place, then reused:
+    bank = Streams(_mix64(grid, grid))
+    grid[...] = limit[:, None]      # the limits, whole, compare faster than a broadcast;
+    limit = grid                    # a block that made one more array could re-fault its heap
     rounds = -(-n // _LANES)
     last = (n - (rounds - 1) * _LANES).astype(np.int16)   # lanes read in a row's last round
     lane = np.arange(width, dtype=np.int16)
-    limit = np.repeat(limit, width).reshape(n.size, width)   # compares faster than broadcast
     hit = np.empty(limit.shape, dtype=bool)
     hits = np.zeros(limit.shape, dtype=np.min_scalar_type(int(rounds[0])))   # per lane
     alive = (n.size - np.cumsum(np.bincount(rounds))).tolist()   # [r]: rows of > r rounds
