@@ -19,7 +19,12 @@ and that both reproduce the five-model table below (REML, exhaustive).
 
 Cells of comparison.csv that differ are listed, not failed: that file
 prints six significant digits of quantities such as r2_xi, which the flat
-top of the likelihood does not determine that far.
+top of the likelihood does not determine that far.  The two exhaustive
+searches also run with ``--format json``, and their stdout is compared
+the same way: the exit codes must be equal, this checkout's stdout must
+be strict JSON, float cells that differ are listed by path (such as
+``rows[AIC].i2_xi``), and any other difference (a key, a row, a string,
+an integer, null for a number, or the layout) is a mismatch.
 
 It then runs ``metaprop recover CONFIG --reps 300 --format json`` on both
 sides for three configs: the example simconfig in gaussian and in
@@ -127,11 +132,11 @@ def run_cli(checkout: pathlib.Path, *argv, codes=(0,), cwd=None) -> tuple:
 
 
 def run_select(checkout: pathlib.Path, out_dir: pathlib.Path, strategy: str,
-               likelihood: str) -> tuple:
+               likelihood: str, *extra) -> tuple:
     """(exit code, stdout) of the command; exit 3 (a model did not converge)
     still writes every output."""
     return run_cli(checkout, "select", DATA, SCHEMA, "--strategy", strategy,
-                   "--criterion-likelihood", likelihood, "--out-dir", out_dir,
+                   "--criterion-likelihood", likelihood, "--out-dir", out_dir, *extra,
                    codes=(0, 3))[:2]
 
 
@@ -185,6 +190,51 @@ def trail_problems(ours: pathlib.Path, theirs: pathlib.Path, label: str) -> list
     return problems
 
 
+def json_cells(value, path: str = ""):
+    """(path, leaf) per leaf of a parsed JSON document, in order; a row of a
+    list is named by its "name" where it has one, else by its position."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_cells(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            name = item.get("name", i) if isinstance(item, dict) else i
+            yield from json_cells(item, f"{path}[{name}]")
+    else:
+        yield path, value
+
+
+def select_json_problems(parent: pathlib.Path, tmp: pathlib.Path, likelihood: str) -> list:
+    """Run the exhaustive search with --format json on both sides and
+    compare stdout: differing float cells are listed, as comparison.csv's
+    are, and any other difference is a problem."""
+    label = f"exhaustive {likelihood} json"
+    code, stdout = run_select(ROOT, tmp / f"json_{likelihood}", "exhaustive", likelihood,
+                              "--format", "json")
+    parent_code, parent_stdout = run_select(parent, tmp / f"parent_json_{likelihood}",
+                                            "exhaustive", likelihood, "--format", "json")
+    problems = json_problems(label, stdout)
+    if code != parent_code:
+        problems.append(f"{label}: exit code {code} here, {parent_code} in the parent")
+    if problems:
+        return problems
+    if stdout == parent_stdout:
+        print(f"{label}: exit {code}, stdout byte-identical")
+        return []
+    ours, theirs = (list(json_cells(json.loads(out))) for out in (stdout, parent_stdout))
+    if [path for path, _ in ours] != [path for path, _ in theirs]:
+        return [f"{label}: stdout has other keys or rows than in the parent"]
+    differing = [(path, x, y) for (path, x), (_, y) in zip(ours, theirs) if x != y]
+    if not differing:
+        return [f"{label}: stdout differs in layout, not in value"]
+    for path, x, y in differing:
+        if type(x) is float and type(y) is float:
+            print(f"{label}: stdout {path}: {x!r} here, {y!r} in the parent")
+        else:
+            problems.append(f"{label}: stdout {path}: {x!r} here, {y!r} in the parent")
+    return problems
+
+
 def search_problems(parent: pathlib.Path, tmp: pathlib.Path, strategy: str,
                     likelihood: str) -> list:
     """Run one search on both sides and compare what it writes."""
@@ -209,6 +259,8 @@ def search_problems(parent: pathlib.Path, tmp: pathlib.Path, strategy: str,
             if x[key] != y.get(key):
                 print(f"{label}: comparison.csv {x['model']}.{key}: {x[key]} here, "
                       f"{y.get(key)} in the parent")
+    if strategy == "exhaustive":
+        problems += select_json_problems(parent, tmp, likelihood)
     return problems
 
 

@@ -19,8 +19,8 @@ _NAMES = {
                    "transform_diagnostic"),
     "engine": ("FitResult PooledEstimate VarianceComponents fit_model gls_fixed_effects "
                "log_likelihood marginal_covariance pooled_estimate predict_study_effects"),
-    "heterogeneity": ("HeterogeneityReport cochran_q heterogeneity_report i_squared_levels "
-                      "pooled_sampling_variance r_squared"),
+    "heterogeneity": ("FitSummary cochran_q i_squared_levels pooled_sampling_variance "
+                      "r_squared summarize"),
     "selection": "ModelComparisonRow criterion five_model_protocol",
     "report": "comparison_table forest_plot regression_table",
     "simulate": "Moderator RecoverySummary SimConfig generate recovery_experiment",

@@ -155,33 +155,18 @@ def _fit_dataset(dataset: Dataset, features,
 def cmd_fit(args) -> Outcome:
     dataset = _load_dataset(args.data, args.schema)
     fit, _ = _fit_dataset(dataset, (), args.method)
-    het = heterogeneity.heterogeneity_report(fit)
-    pooled = engine.pooled_estimate(fit)
-    payload = {
-        "m": fit.m, "h": fit.h, "f": fit.f,
-        "method": fit.method, "converged": fit.converged,
-        "loglik": fit.loglik,
-        "mu": pooled.mu, "se": pooled.se,
-        "ci": [pooled.ci_low, pooled.ci_high],
-        "prop": pooled.prop, "prop_ci": [pooled.prop_low, pooled.prop_high],
-        "sigma2_xi": fit.varcomps.sigma2_xi,
-        "sigma2_zeta": fit.varcomps.sigma2_zeta,
-        "q": het.q, "q_df": het.q_df, "q_pvalue": het.q_pvalue,
-        "sigma2_eps": het.sigma2_eps,
-        "i2_xi": het.i2_xi, "i2_zeta": het.i2_zeta, "i2_total": het.i2_total,
-    }
-    text = (f"Trials: {fit.m}   Studies: {fit.h}   "
-            f"Method: {fit.method.upper()}   Converged: {fit.converged}\n"
-            f"Pooled accuracy: {pooled.prop:.4f} "
-            f"[{pooled.prop_low:.4f}; {pooled.prop_high:.4f}]\n"
-            f"Transformed scale: mu = {pooled.mu:.4f} (SE {pooled.se:.4f}), "
-            f"95% CI [{pooled.ci_low:.4f}; {pooled.ci_high:.4f}]\n"
-            f"Variance components: sigma2_xi = {fit.varcomps.sigma2_xi:.6f}, "
-            f"sigma2_zeta = {fit.varcomps.sigma2_zeta:.6f}, "
-            f"sigma2_eps = {het.sigma2_eps:.6f}\n"
-            f"Cochran Q = {het.q:.2f} (df {het.q_df}, p = {report.format_p(het.q_pvalue)})\n"
-            f"I2: between-study {het.i2_xi:.2f}, "
-            f"within-study {het.i2_zeta:.2f}, total {het.i2_total:.2f}")
+    s = heterogeneity.summarize(fit)
+    payload = asdict(s)
+    text = (f"Trials: {s.m}   Studies: {s.h}   "
+            f"Method: {s.method.upper()}   Converged: {s.converged}\n"
+            f"Pooled accuracy: {s.prop:.4f} [{s.prop_ci[0]:.4f}; {s.prop_ci[1]:.4f}]\n"
+            f"Transformed scale: mu = {s.mu:.4f} (SE {s.se:.4f}), "
+            f"95% CI [{s.ci[0]:.4f}; {s.ci[1]:.4f}]\n"
+            f"Variance components: sigma2_xi = {s.sigma2_xi:.6f}, "
+            f"sigma2_zeta = {s.sigma2_zeta:.6f}, sigma2_eps = {s.sigma2_eps:.6f}\n"
+            f"Cochran Q = {s.q:.2f} (df {s.q_df}, p = {report.format_p(s.q_pvalue)})\n"
+            f"I2: between-study {s.i2_xi:.2f}, "
+            f"within-study {s.i2_zeta:.2f}, total {s.i2_total:.2f}")
     if args.diagnostics:
         diagnostics = transform_diagnostic(dataset)
         payload["transform_diagnostics"] = [

@@ -590,7 +590,8 @@ def intervals(estimate, se, z: float = Z95) -> tuple:
     (estimate, low, high) = estimate and estimate -/+ z se on the
     transformed scale, and ``props`` their back-transforms to proportions,
     each end clamped to [0, pi/2] and inverted at the effective sample
-    size n = 1/se^2 (inf where se = 0).
+    size n = 1/se^2 (inf where se = 0).  The back-transformed estimate is
+    the accuracy at the estimated transformed effect, not a mean accuracy.
     """
     estimate, se = np.asarray(estimate, np.float64), np.asarray(se, np.float64)
     ends = np.stack([estimate, estimate - z * se, estimate + z * se], axis=-1)
@@ -606,7 +607,9 @@ def pooled_estimate(fit: FitResult, level: float = 0.95,
     For moderated models the estimate is the model prediction at the
     column means of the design (the average observed trial); for the
     intercept-only model this is exactly the intercept.  The proportion
-    scale uses the back-transform with effective sample size 1/se^2.
+    scale uses the back-transform with effective sample size 1/se^2, so
+    ``prop`` is the accuracy of a study at the mean transformed effect,
+    not the mean accuracy, which averages over the random effects.
     The default CI uses normal quantiles; quantile="t" switches to a
     Student-t with m - f degrees of freedom.  level must lie in (0, 1).
     """

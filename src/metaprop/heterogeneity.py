@@ -14,16 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FitResult, VarianceComponents
+from .engine import FitResult, VarianceComponents, pooled_estimate
 from .ingest import ValidationError
 
 __all__ = [
-    "HeterogeneityReport",
+    "FitSummary",
     "cochran_q",
     "pooled_sampling_variance",
     "i_squared_levels",
     "r_squared",
-    "heterogeneity_report",
+    "summarize",
 ]
 
 # null variance components at or below this are treated as zero when
@@ -136,9 +136,24 @@ def r_squared(fit_x: FitResult, fit_null: FitResult):
 
 
 @dataclass(frozen=True)
-class HeterogeneityReport:
-    """Q test plus the variance decomposition for one fitted model."""
+class FitSummary:
+    """What one fitted model reports, in ``fit --format json``'s key order;
+    ``prop`` is the accuracy of a study at the mean transformed effect (mu
+    back-transformed at n = 1/se^2), not the mean accuracy."""
 
+    m: int
+    h: int
+    f: int
+    method: str
+    converged: bool
+    loglik: float
+    mu: float
+    se: float
+    ci: tuple
+    prop: float
+    prop_ci: tuple
+    sigma2_xi: float
+    sigma2_zeta: float
     q: float
     q_df: int
     q_pvalue: float
@@ -148,10 +163,16 @@ class HeterogeneityReport:
     i2_total: float
 
 
-def heterogeneity_report(fit: FitResult) -> HeterogeneityReport:
-    """Assemble the standard heterogeneity summary from a fitted model."""
+def summarize(fit: FitResult) -> FitSummary:
+    """The one place a fit's Q, I^2 and pooled estimate are combined."""
     q, df, p = cochran_q(fit.y, fit.X, fit.v)
     sigma2_eps = pooled_sampling_variance(fit.v)
     i2_xi, i2_zeta, i2_total = i_squared_levels(fit.varcomps, sigma2_eps)
-    return HeterogeneityReport(q=q, q_df=df, q_pvalue=p, sigma2_eps=sigma2_eps,
-                               i2_xi=i2_xi, i2_zeta=i2_zeta, i2_total=i2_total)
+    pooled = pooled_estimate(fit)
+    return FitSummary(
+        m=fit.m, h=fit.h, f=fit.f, method=fit.method, converged=fit.converged,
+        loglik=fit.loglik, mu=pooled.mu, se=pooled.se, ci=(pooled.ci_low, pooled.ci_high),
+        prop=pooled.prop, prop_ci=(pooled.prop_low, pooled.prop_high),
+        sigma2_xi=fit.varcomps.sigma2_xi, sigma2_zeta=fit.varcomps.sigma2_zeta,
+        q=q, q_df=df, q_pvalue=p, sigma2_eps=sigma2_eps,
+        i2_xi=i2_xi, i2_zeta=i2_zeta, i2_total=i2_total)

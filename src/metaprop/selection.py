@@ -349,17 +349,14 @@ def _comparison_row(name, features, fit, fit_null) -> ModelComparisonRow:
     if isinstance(fit, (ValidationError, np.linalg.LinAlgError)):
         return ModelComparisonRow(name=name, features=tuple(features), note=str(fit))
     record = _record(features, fit)
-    het = heterogeneity.heterogeneity_report(fit)
-    pooled = engine.pooled_estimate(fit)
+    s = heterogeneity.summarize(fit)
     r2 = (None, None) if name == "Null" else heterogeneity.r_squared(fit, fit_null)
     return ModelComparisonRow(
         name=name, features=tuple(features), f=fit.f,
         aic=record.aic, bic=record.bic, rmse=record.rmse,
-        q=het.q, q_df=het.q_df, q_pvalue=het.q_pvalue,
-        sigma2_xi=fit.varcomps.sigma2_xi, sigma2_zeta=fit.varcomps.sigma2_zeta,
-        i2_xi=het.i2_xi, i2_zeta=het.i2_zeta,
-        mu=pooled.mu, mu_se=pooled.se, mu_prop=pooled.prop,
-        mu_prop_low=pooled.prop_low, mu_prop_high=pooled.prop_high,
+        q=s.q, q_df=s.q_df, q_pvalue=s.q_pvalue, sigma2_xi=s.sigma2_xi,
+        sigma2_zeta=s.sigma2_zeta, i2_xi=s.i2_xi, i2_zeta=s.i2_zeta,
+        mu=s.mu, mu_se=s.se, mu_prop=s.prop, mu_prop_low=s.prop_ci[0], mu_prop_high=s.prop_ci[1],
         r2_xi=r2[0], r2_zeta=r2[1], converged=fit.converged)
 
 

@@ -61,6 +61,10 @@ class Moderator:
 
 
 INT64_RANGE = range(-2 ** 63, 2 ** 63)   # the integers a seed or index path can hold
+# Trials in one simulated dataset at most.  generate plus one intercept-only
+# fit peaked at 383-447 bytes per trial (10**5 to 2**21 trials, in 20 to
+# 500000 studies), so 2**21 trials take about 1 GB at most.
+MAX_TRIALS = 2 ** 21
 
 
 @dataclass
@@ -85,15 +89,22 @@ class SimConfig:
         if self.mode not in ("gaussian", "binomial"):
             raise ValidationError(f"unknown mode {self.mode!r}")
         trials = self.trials_per_study
+        scalar = isinstance(trials, int)
         for name, values in (("h", [self.h]), ("seed", [self.seed]),
-                             ("trials_per_study", [trials] if isinstance(trials, int) else trials)):
+                             ("trials_per_study", [trials] if scalar else trials)):
             for value in values:
                 if int(value) not in INT64_RANGE:
                     raise ValidationError(f"simulation field {name!r} must lie in the signed "
                                           f"64-bit range [-2**63, 2**63 - 1], got {value}")
-        sizes = self.trial_counts()
-        if any(s < 1 for s in sizes):
+        counts = [trials] if scalar else self.trial_counts()   # not expanded before the bound
+        if any(s < 1 for s in counts):
             raise ValidationError("every study needs at least 1 trial")
+        total = self.h * trials if scalar else sum(counts)
+        if total > MAX_TRIALS:
+            given = ("fields 'h' and 'trials_per_study' give" if scalar
+                     else "field 'trials_per_study' sums to")
+            raise ValidationError(f"simulation {given} {total} trials, over the bound of "
+                                  f"{MAX_TRIALS} (simulate.MAX_TRIALS)")
         if len(self.n_range) != 2 or not 1 <= self.n_range[0] <= self.n_range[1]:
             raise ValidationError("n_range must be [min, max] with 1 <= min <= max")
         if self.n_range[1] > COUNT_MAX:

@@ -456,21 +456,28 @@ class TestSimulateAndRecover:
         ("h: 100000000000000000000", "'h'"),
         ("trials_per_study: 100000000000000000000", "'trials_per_study'"),
         ("trials_per_study: [2, 100000000000000000000, 2]", "'trials_per_study'"),
+        ("h: 4; trials_per_study: 10000000000", "'trials_per_study'"),
+        ("h: 4611686018427387904; trials_per_study: 3", "'h'"),
+        ("trials_per_study: [2, 10000000000, 2]", "'trials_per_study'"),
     ], ids=["h-text", "mu-nan", "xi-inf", "n_range-scalar", "n_range-triple", "moderator-no-name",
             "moderator-effect-text", "yaml-syntax", "seed-fraction", "seed-bool", "h-bool",
             "h-fraction", "trials-fraction", "trials-bool", "n_range-fraction", "seed-2**64",
             "seed-2**63", "seed-below-int64", "h-beyond-int64", "trials-beyond-int64",
-            "trials-entry-beyond-int64"])
+            "trials-entry-beyond-int64", "trials-beyond-memory", "h-beyond-memory",
+            "trials-entry-beyond-memory"])
     def test_hostile_config_exit_2(self, capsys, tmp_path, line, needle):
         fields = {"h": "3", "trials_per_study": "2", "mu": "1", "sigma2_xi": "0",
                   "sigma2_zeta": "0", "n_range": "[10, 20]"}
-        key, value = line.split(": ", 1)
-        fields[key] = value
+        for setting in line.split("; "):
+            key, value = setting.split(": ", 1)
+            fields[key] = value
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("simulation:\n" + "".join(f"  {k}: {v}\n" for k, v in fields.items()))
         code, _, err = run(capsys, "simulate", cfg, tmp_path / "x.csv")
         assert code == 2
         assert needle in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert files_under(tmp_path) == ["cfg.yaml"]
 
     def test_config_yaml_syntax_error_is_one_line(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -628,6 +635,36 @@ class TestSimulateAndRecover:
         summary = recovery_experiment(load_simconfig(cfg), 3)
         fields = [key for key in payload if key != "truth"]
         assert [payload[key] for key in fields] == [getattr(summary, key) for key in fields]
+
+    def test_fit_payload_keys_are_pinned(self, capsys, tmp_path, example_paths):
+        data, schema = example_paths["data"], example_paths["schema"]
+        fit_keys = ["m", "h", "f", "method", "converged", "loglik", "mu", "se", "ci", "prop",
+                    "prop_ci", "sigma2_xi", "sigma2_zeta", "q", "q_df", "q_pvalue", "sigma2_eps",
+                    "i2_xi", "i2_zeta", "i2_total"]
+        for extra, keys in (([], fit_keys),
+                            (["--diagnostics"], fit_keys + ["transform_diagnostics"])):
+            out_dir = tmp_path / f"fit{len(extra)}"
+            code, out, _ = run(capsys, "fit", data, schema, *extra, "--format", "json",
+                               "--out-dir", out_dir)
+            assert code == 0
+            assert list(json.loads(out)) == keys
+            assert list(json.loads((out_dir / "fit.json").read_text())) == keys
+        code, out, _ = run(capsys, "regress", data, schema, "--features=ml_model",
+                           "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)) == [
+            "features", "f", "m", "h", "method", "converged", "loglik", "sigma2_xi",
+            "sigma2_zeta", "r2_xi", "r2_zeta", "dropped", "coefficients"]
+        code, out, _ = run(capsys, "select", data, str(TESTDATA / "small_schema.yaml"),
+                           "--format", "json", "--out-dir", tmp_path / "sel")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 5
+        for row in rows:
+            assert list(row) == [
+                "name", "features", "f", "aic", "bic", "rmse", "q", "q_df", "q_pvalue",
+                "sigma2_xi", "sigma2_zeta", "i2_xi", "i2_zeta", "mu", "mu_se", "mu_prop",
+                "mu_prop_low", "mu_prop_high", "r2_xi", "r2_zeta", "converged", "note"]
 
     def test_recover_zero_xi_json_is_strict(self, capsys, tmp_path):
         # the relative bias of a true sigma2_xi of 0 is not a number: JSON null

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaprop.engine import VarianceComponents, fit_model
-from metaprop.heterogeneity import (_chi2_sf, cochran_q, heterogeneity_report,
-                                    i_squared_levels, pooled_sampling_variance,
-                                    r_squared)
+from metaprop.engine import VarianceComponents, fit_model, pooled_estimate
+from metaprop.heterogeneity import (_chi2_sf, cochran_q, i_squared_levels,
+                                    pooled_sampling_variance, r_squared, summarize)
 from metaprop.ingest import ValidationError
 
 from conftest import toy_instance
@@ -184,8 +183,14 @@ class TestRSquared:
 class TestReport:
     def test_assembles_from_fit(self):
         fit = _fit(17, n_studies=4, trials=4)
-        rep = heterogeneity_report(fit)
+        rep = summarize(fit)
         assert rep.q > 0 and rep.q_df == fit.m - fit.f
         assert 0 <= rep.q_pvalue <= 1
         assert rep.i2_total == pytest.approx(rep.i2_xi + rep.i2_zeta)
         assert rep.sigma2_eps > 0
+        pooled = pooled_estimate(fit)
+        assert (rep.mu, rep.se, rep.ci, rep.prop, rep.prop_ci) == (
+            pooled.mu, pooled.se, (pooled.ci_low, pooled.ci_high), pooled.prop,
+            (pooled.prop_low, pooled.prop_high))
+        assert (rep.m, rep.h, rep.f, rep.loglik, rep.sigma2_xi) == (
+            fit.m, fit.h, fit.f, fit.loglik, fit.varcomps.sigma2_xi)

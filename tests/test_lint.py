@@ -55,3 +55,15 @@ def test_every_export_is_defined(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     missing = sorted(set(exported_names(tree)) - defined_names(tree))
     assert missing == [], f"{path.name} lists undefined names in __all__"
+
+
+def test_every_lazy_name_is_defined():
+    package = SOURCES[0].parent
+    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_NAMES" for t in node.targets))
+    missing = []
+    for module, names in ast.literal_eval(table).items():
+        defined = defined_names(ast.parse((package / f"{module}.py").read_text(encoding="utf-8")))
+        missing += [f"{module}.{name}" for name in names.split() if name not in defined]
+    assert missing == [], "metaprop._NAMES lists names its modules do not define"

@@ -387,6 +387,15 @@ class TestConfigValidation:
             base_config(mode="binomial", n_range=(10, 2 ** 24 + 1))
         assert base_config(n_range=(10, 2 ** 24 + 1)).n_range == (10, 2 ** 24 + 1)
 
+    def test_trial_total_bound(self):
+        bound = simulate.MAX_TRIALS
+        assert base_config(h=bound, trials_per_study=1).h == bound      # nothing is expanded
+        over = f"{bound + 1} trials, over the bound of {bound}"
+        with pytest.raises(ValidationError, match=f"'h' and 'trials_per_study' give {over}"):
+            base_config(h=bound + 1, trials_per_study=1)
+        with pytest.raises(ValidationError, match=f"'trials_per_study' sums to {over}"):
+            base_config(h=2, trials_per_study=[bound, 1])
+
     def test_load_example_config(self, example_paths):
         cfg = load_simconfig(example_paths["simconfig"])
         assert cfg.h == 20
