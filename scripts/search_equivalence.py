@@ -46,10 +46,12 @@ moderated layout, whose draws all take one round), with ``--replicate 3
 --format json`` and with ``--schema-out sub/s.yaml --out-dir other``;
 ``fit`` as text, with ``--diagnostics --format json`` and with
 ``--method ml --out-dir``; ``regress --features=all`` as text and JSON,
-``regress --features=ml_model``, and ``regress --features=nope``, which
-exits 2; ``forest`` as text, with ``--format json`` on both scales and
-with both study-effect methods, and into ``sub/`` with ``--out-dir
-other``; ``recover --reps 20`` as text, of the example and of the
+and by ML as JSON, ``regress --features=ml_model``, ``regress
+--features=ml_model,topic --format json``, whose design drops the
+example's collinear column ``topic=Not specified``, and ``regress
+--features=nope``, which exits 2; ``forest`` as text, with ``--format
+json`` on both scales and with both study-effect methods, and into
+``sub/`` with ``--out-dir other``; ``recover --reps 20`` as text, of the example and of the
 binomial moderated layout, which clamps; a four-trial ``select`` whose
 Full model fails, which exits 3 with a notes footer, as text and with
 ``--format json``; and ``fit`` and ``select`` of a one-study file, which
@@ -374,7 +376,11 @@ def command_runs(tmp: pathlib.Path) -> list:
         ("regress all", ("regress", DATA, SCHEMA, "--features=all", "--out-dir", "out")),
         ("regress all json", ("regress", DATA, SCHEMA, "--features=all", "--format", "json",
                               "--out-dir", "out")),
+        ("regress all ml json", ("regress", DATA, SCHEMA, "--features=all", "--method", "ml",
+                                 "--format", "json")),
         ("regress ml_model", ("regress", DATA, SCHEMA, "--features=ml_model")),
+        ("regress ml_model,topic json", ("regress", DATA, SCHEMA, "--features=ml_model,topic",
+                                         "--format", "json")),
         ("regress unknown feature", ("regress", DATA, SCHEMA, "--features=nope")),
         ("forest", ("forest", DATA, SCHEMA, "forest.svg")),
         ("forest into sub", ("forest", DATA, SCHEMA, "sub/forest.svg", "--out-dir", "other")),

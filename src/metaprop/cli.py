@@ -32,8 +32,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__, engine, heterogeneity, report, selection, simulate
-from .ingest import (Dataset, DesignMatrix, ValidationError, dataset_csv, encode_design,
-                     load_schema, parse_dataset, read_text)
+from .ingest import (Dataset, ValidationError, dataset_csv, encode_design, load_schema,
+                     parse_dataset, read_text)
 from .transforms import transform_diagnostic
 
 EXIT_OK = 0
@@ -131,10 +131,10 @@ def _emit(args, outcome: Outcome) -> None:
         print(outcome.text)
 
 
-def _fit_outcome(fit: engine.FitResult, *args, **kwargs) -> Outcome:
-    """The Outcome of a command whose status is ``fit``'s: exit 3 with a
-    warning when it did not converge."""
-    if fit.converged:
+def _fit_outcome(fits, *args, **kwargs) -> Outcome:
+    """The Outcome of a command whose status is its ``fits``': exit 3 with
+    one warning when any of them did not converge."""
+    if all(fit.converged for fit in fits):
         return Outcome(EXIT_OK, *args, **kwargs)
     warnings.warn("fit did not converge")
     return Outcome(EXIT_NUMERIC, *args, **kwargs)
@@ -144,17 +144,16 @@ def _load_dataset(data_path: str, schema_path: str) -> Dataset:
     return parse_dataset(read_text(data_path), load_schema(schema_path))
 
 
-def _fit_dataset(dataset: Dataset, features,
-                 method: str) -> tuple[engine.FitResult, DesignMatrix]:
-    y, v = engine.effect_arrays(dataset)
-    design = encode_design(dataset, features)
-    fit = engine.fit_model(y, design, dataset.group_sizes(), v, method=method)
-    return fit, design
+def _fits(dataset: Dataset, subsets, method: str) -> list:
+    """The FitResult of each feature subset, in order, from one
+    ``selection.fit_subsets`` call; the first subset that failed raises."""
+    fits = dict(selection.fit_subsets([dataset], subsets, method))
+    return [engine.fit_or_raise(fits[j]) for j in range(len(subsets))]
 
 
 def cmd_fit(args) -> Outcome:
     dataset = _load_dataset(args.data, args.schema)
-    fit, _ = _fit_dataset(dataset, (), args.method)
+    fit, = _fits(dataset, [()], args.method)
     s = heterogeneity.summarize(fit)
     payload = asdict(s)
     text = (f"Trials: {s.m}   Studies: {s.h}   "
@@ -177,7 +176,7 @@ def cmd_fit(args) -> Outcome:
             [(d.kind, "" if d.w is None else f"{d.w:.4f}",
               "" if d.p_value is None else f"{d.p_value:.4g}", d.skipped or "")
              for d in diagnostics])
-    return _fit_outcome(fit, payload, text, [("fit.json", _json(payload, indent=2) + "\n")])
+    return _fit_outcome([fit], payload, text, [("fit.json", _json(payload, indent=2) + "\n")])
 
 
 def cmd_regress(args) -> Outcome:
@@ -186,8 +185,8 @@ def cmd_regress(args) -> Outcome:
         features = dataset.schema.names
     else:
         features = [f.strip() for f in args.features.split(",") if f.strip()]
-    fit, design = _fit_dataset(dataset, features, args.method)
-    fit_null, _ = _fit_dataset(dataset, (), args.method)
+    fit, fit_null = _fits(dataset, [features, ()], args.method)
+    design = encode_design(dataset, features)   # the table's labels and dropped columns
     table = report.regression_table(fit, design)
     r2_xi, r2_zeta = heterogeneity.r_squared(fit, fit_null)
 
@@ -202,7 +201,7 @@ def cmd_regress(args) -> Outcome:
     fmt = lambda x: "undefined" if x is None else f"{x:.4f}"
     markdown = table.markdown()
     text = markdown + f"\nR2 vs null: between-study {fmt(r2_xi)}, within-study {fmt(r2_zeta)}"
-    return _fit_outcome(fit, payload, text,
+    return _fit_outcome([fit, fit_null], payload, text,
                         [("regression.md", markdown), ("regression.csv", table.csv())])
 
 
@@ -226,20 +225,21 @@ def cmd_select(args) -> Outcome:
 
 def cmd_forest(args) -> Outcome:
     dataset = _load_dataset(args.data, args.schema)
-    fit, _ = _fit_dataset(dataset, (), args.method)
+    fit, = _fits(dataset, [()], args.method)
     svg, rows = report.forest_plot(fit, dataset, scale=args.scale, method=args.study_effects)
-    return _fit_outcome(fit, {"out": args.out, "rows": [asdict(r) for r in rows]},
+    return _fit_outcome([fit], {"out": args.out, "rows": [asdict(r) for r in rows]},
                         f"wrote {args.out} ({len(rows)} studies)",
                         [(os.path.abspath(args.out), svg)],
                         out_dir=os.path.dirname(args.out) or ".")
 
 
 def _simulated_csv(config, replicate: int) -> tuple:
-    """(dataset, CSV text) of one replicate, the text read back as ``fit``
-    reads a file: raises where fit would refuse it."""
-    dataset = simulate.generate(config, replicate=replicate)
-    csv_text = dataset_csv(dataset)
-    parse_dataset(csv_text, dataset.schema).candidate_columns
+    """(dataset, CSV text) of one replicate, the dataset read back from the
+    text as ``fit`` reads a file: raises where fit would refuse it.  The
+    generated dataset is dropped before the text is read back."""
+    csv_text = dataset_csv(simulate.generate(config, replicate=replicate))
+    dataset = parse_dataset(csv_text, config.schema())
+    dataset.candidate_columns
     return dataset, csv_text
 
 

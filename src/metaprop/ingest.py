@@ -329,6 +329,17 @@ def _parse_int(raw: str, what: str, line: int) -> int:
     return int(val)
 
 
+def _records(csv_text: str):
+    """(line, record) per CSV record as it is read, the line its last one; a
+    CSV syntax error raises a ValidationError when the reading reaches it."""
+    reader = csv.reader(io.StringIO(csv_text, newline=None))  # universal newlines
+    try:
+        for record in reader:
+            yield reader.line_num, record
+    except csv.Error as exc:
+        raise ValidationError(f"line {reader.line_num}: {exc}") from None
+
+
 def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
     """Parse and validate trial-level CSV against a feature schema.
 
@@ -336,16 +347,14 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
     feature, and either k or accuracy (in which case k = round(accuracy*n)).
     Trials are stably sorted by study_id so studies form contiguous blocks;
     input order within a study is preserved.  A file needs at least 2 data
-    rows, since no model can be fitted to one trial.
+    rows, since no model can be fitted to one trial.  The rows are validated
+    as they are read, so an error in the header or in a row is raised before
+    a CSV syntax error later in the file.
     """
-    reader = csv.reader(io.StringIO(csv_text, newline=None))  # universal newlines
-    try:
-        records = [(reader.line_num, record) for record in reader]  # a record's last line
-    except csv.Error as exc:
-        raise ValidationError(f"line {reader.line_num}: {exc}") from None
-    if not records:
+    records = _records(csv_text)
+    line, header = next(records, (None, None))
+    if header is None:
         raise ValidationError("empty file: no header row")
-    (line, header), rows = records[0], [record for record in records[1:] if record[1]]
     repeated = [name for name, count in Counter(header).items() if count > 1]
     if repeated:
         raise ValidationError(f"line {line}: the header names column {repeated[0]!r} twice")
@@ -363,7 +372,7 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
     study_ids, trial_ids, ks, ns = [], [], [], []
     features = {name: [] for name in schema.names}
     seen = set()
-    for line, row in rows:
+    for line, row in (record for record in records if record[1]):
         if len(row) != len(header):
             raise ValidationError(f"line {line}: {len(row)} fields where the header "
                                   f"has {len(header)}")
@@ -424,7 +433,7 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
     if not study_ids:
         raise ValidationError("empty file: no data rows")
     if len(study_ids) < 2:
-        raise ValidationError(f"line {rows[0][0]}: the file has one data row and needs at "
+        raise ValidationError(f"line {line}: the file has one data row and needs at "
                               "least 2: no model can be fitted to one trial")
     # one stable permutation orders every column: input order stays within studies
     order = sorted(range(len(study_ids)), key=study_ids.__getitem__)

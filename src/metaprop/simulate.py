@@ -61,9 +61,11 @@ class Moderator:
 
 
 INT64_RANGE = range(-2 ** 63, 2 ** 63)   # the integers a seed or index path can hold
-# Trials in one simulated dataset at most.  generate plus one intercept-only
-# fit peaked at 383-447 bytes per trial (10**5 to 2**21 trials, in 20 to
-# 500000 studies), so 2**21 trials take about 1 GB at most.
+# Trials in one simulated dataset, and in one fitted recovery chunk, at most.
+# generate plus one intercept-only fit peaked at 383-447 bytes per trial
+# (10**5 to 2**21 trials, in 20 to 500000 studies), so 2**21 trials take about
+# 1 GB at most.  `metaprop simulate` with a numeric and a categorical moderator
+# peaked at 623 MB RSS at 10**6 trials and 1291 MB at 2**21 (Python 3.11, x86-64).
 MAX_TRIALS = 2 ** 21
 
 
@@ -246,7 +248,7 @@ def generate(config: SimConfig, replicate: int = 0) -> Dataset:
                    features={name: values[study_idx] for name, values in mod_values.items()})
 
 
-_CHUNK = 256   # replicates per fit_subsets call: bounds memory, not results
+_CHUNK = 256   # replicates per fit_subsets call at most: bounds memory, not results
 
 
 @dataclass(frozen=True)
@@ -295,22 +297,26 @@ def recovery_experiment(config: SimConfig, replications: int,
     truths, and relative biases those over the truths, or nan for truths
     of zero.
 
-    Each chunk of _CHUNK replicates is generated in order and fitted by
-    one ``selection.fit_subsets`` call with every moderator as its one
-    subset: that keeps only each replicate's effects, sampling variances
-    and candidate columns, takes one rank decision for the chunk, and
-    advances the starts of every replicate of one design width in
-    lockstep.  Memory thus grows with _CHUNK, not with the replications,
-    and each record equals ``engine.fit_model`` on its replicate alone.
-    The first failing replicate raises fit_model's error.  After the last
-    chunk, the replicates' ClampWarnings become one UserWarning.
+    Each chunk of replicates is generated in order and fitted by one
+    ``selection.fit_subsets`` call with every moderator as its one subset:
+    that keeps only each replicate's effects, sampling variances and
+    candidate columns, takes one rank decision for the chunk, and advances
+    the starts of every replicate of one design width in lockstep.  A chunk
+    holds _CHUNK replicates, or fewer so that it holds at most MAX_TRIALS
+    trials (one replicate at least); a fit took about 55 bytes per trial of
+    its chunk.  Memory thus grows with neither the replications nor, past
+    MAX_TRIALS // _CHUNK trials, the layout, and each record equals
+    ``engine.fit_model`` on its replicate alone.  The first failing
+    replicate raises fit_model's error.  After the last chunk, the
+    replicates' ClampWarnings become one UserWarning.
     """
     if replications < 1:
         raise ValidationError("replications must be >= 1")
 
     records, clamp_rates = [], []
-    for first in range(0, replications, _CHUNK):
-        reps = range(first, min(first + _CHUNK, replications))
+    chunk = min(_CHUNK, max(1, MAX_TRIALS // sum(config.trial_counts())))
+    for first in range(0, replications, chunk):
+        reps = range(first, min(first + chunk, replications))
         with warnings.catch_warnings(record=True) as notes:   # generates; fits come later
             warnings.simplefilter("always", ClampWarning)
             designs = selection.fit_subsets((generate(config, rep) for rep in reps),

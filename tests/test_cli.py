@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -268,6 +269,23 @@ class TestRegress:
         assert err == "warning: fit did not converge\n"
         if fmt == "json":
             assert json.loads(out)["converged"] is False
+
+    def test_intercept_only_nonconvergence_exit_3(self, capsys, monkeypatch, tmp_path,
+                                                  example_paths):
+        # only the intercept-only fit, which R2 is measured against, fails to converge
+        fit_designs = engine.fit_designs
+
+        def marked(*args, **kwargs):
+            for k, result in fit_designs(*args, **kwargs):
+                if isinstance(result, engine.FitResult) and result.f == 1:
+                    result = dataclasses.replace(result, converged=False)
+                yield k, result
+        monkeypatch.setattr(engine, "fit_designs", marked)
+        code, out, err = run(capsys, "regress", example_paths["data"], example_paths["schema"],
+                             "--features=ml_model", "--format", "json", "--out-dir", tmp_path)
+        assert (code, err) == (3, "warning: fit did not converge\n")
+        assert json.loads(out)["converged"] is True                 # the model's own fit
+        assert (tmp_path / "regression.md").is_file() and (tmp_path / "regression.csv").is_file()
 
 
 class TestSelect:

@@ -67,3 +67,22 @@ def test_every_lazy_name_is_defined():
         defined = defined_names(ast.parse((package / f"{module}.py").read_text(encoding="utf-8")))
         missing += [f"{module}.{name}" for name in names.split() if name not in defined]
     assert missing == [], "metaprop._NAMES lists names its modules do not define"
+
+
+def called_lines(tree, name):
+    """The line of every call of ``name``, by its bare name or as an attribute."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_every_fit_goes_through_fit_subsets():
+    # one fitting path: selection.fit_subsets -> engine.fit_designs; fit_model is
+    # the one-design entry point for callers outside the package
+    stray = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        stray += [f"{path.name} line {line}: fit_model" for line in called_lines(tree, "fit_model")]
+        if path.stem not in ("engine", "selection"):
+            stray += [f"{path.name} line {line}: fit_designs"
+                      for line in called_lines(tree, "fit_designs")]
+    assert stray == [], "a module fits outside selection.fit_subsets"

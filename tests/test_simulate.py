@@ -525,6 +525,27 @@ class TestRecovery:
         with pytest.raises(np.linalg.LinAlgError, match="design 4"):
             recovery_experiment(cfg, 7)
 
+    def test_chunks_hold_at_most_max_trials(self, monkeypatch):
+        # 10 trials per replicate and MAX_TRIALS at 30: at most 3 replicates per call
+        from metaprop import selection
+
+        cfg = base_config(h=5, trials_per_study=2)
+        whole = recovery_experiment(cfg, 8)
+        sizes, fit_subsets = [], selection.fit_subsets
+
+        def counted(datasets, subsets, method):
+            datasets = list(datasets)
+            sizes.append(len(datasets))
+            return fit_subsets(datasets, subsets, method)
+        monkeypatch.setattr(selection, "fit_subsets", counted)
+        monkeypatch.setattr(simulate, "MAX_TRIALS", 3 * 10)
+        assert recovery_experiment(cfg, 8).records == whole.records
+        assert sizes == [3, 3, 2]
+        monkeypatch.setattr(simulate, "MAX_TRIALS", 9)             # one replicate at least
+        sizes.clear()
+        assert recovery_experiment(cfg, 2).records == whole.records[:2]
+        assert sizes == [1, 1]
+
     def test_single_study_warns(self):
         cfg = base_config(h=1, trials_per_study=6)
         with pytest.warns(UserWarning, match="one study"):
