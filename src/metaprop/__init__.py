@@ -18,7 +18,7 @@ _NAMES = {
     "transforms": ("EffectSample alt_transform ft_inverse ft_transform shapiro_wilk "
                    "transform_diagnostic"),
     "engine": ("FitResult PooledEstimate VarianceComponents fit_model gls_fixed_effects "
-               "log_likelihood marginal_covariance pooled_estimate predict_study_effects"),
+               "log_likelihood pooled_estimate predict_study_effects"),
     "heterogeneity": ("FitSummary cochran_q i_squared_levels pooled_sampling_variance "
                       "r_squared summarize"),
     "selection": "ModelComparisonRow criterion five_model_protocol",

@@ -132,8 +132,8 @@ def _emit(args, outcome: Outcome) -> None:
 
 
 def _fit_outcome(fits, *args, **kwargs) -> Outcome:
-    """The Outcome of a command whose status is its ``fits``': exit 3 with
-    one warning when any of them did not converge."""
+    """The Outcome of a command whose status is its ``fits``' (or ``select``'s
+    rows'): exit 3 with one warning when any of them did not converge."""
     if all(fit.converged for fit in fits):
         return Outcome(EXIT_OK, *args, **kwargs)
     warnings.warn("fit did not converge")
@@ -214,13 +214,12 @@ def cmd_select(args) -> Outcome:
                "strategy": args.strategy,
                "rows": [asdict(r) for r in rows],
                "n_candidates": len(trail)}
-    failed = any(r.note is not None or not r.converged for r in rows)
-    return Outcome(EXIT_NUMERIC if failed else EXIT_OK, payload, markdown,
-                   [("comparison.md", markdown),
-                    ("comparison.csv", report.comparison_table(rows, format="csv")),
-                    ("search_trail.jsonl", "".join(_json({"index": i, **asdict(rec)}) + "\n"
-                                                   for i, rec in enumerate(trail)))],
-                   out_dir="metaprop_out")
+    return _fit_outcome(rows, payload, markdown,
+                        [("comparison.md", markdown),
+                         ("comparison.csv", report.comparison_table(rows, format="csv")),
+                         ("search_trail.jsonl", "".join(_json({"index": i, **asdict(rec)}) + "\n"
+                                                        for i, rec in enumerate(trail)))],
+                        out_dir="metaprop_out")
 
 
 def cmd_forest(args) -> Outcome:

@@ -49,7 +49,6 @@ __all__ = [
     "FitResult",
     "Problem",
     "PooledEstimate",
-    "marginal_covariance",
     "log_likelihood",
     "gls_fixed_effects",
     "fit_designs",
@@ -109,19 +108,6 @@ class FitResult:
     X: np.ndarray = field(repr=False, default=None)
     group_sizes: np.ndarray = field(repr=False, default=None)
     v: np.ndarray = field(repr=False, default=None)
-
-
-def marginal_covariance(group_sizes, varcomps: VarianceComponents, v) -> np.ndarray:
-    """Dense block-diagonal marginal covariance (for inspection and tests)."""
-    v = np.asarray(v, dtype=np.float64)
-    if np.any(v <= 0):
-        raise ValueError("sampling variances must be positive")
-    sizes = np.asarray(group_sizes, dtype=np.int64)
-    if int(sizes.sum()) != v.size:
-        raise ValueError("group sizes must sum to the number of trials")
-    study = np.repeat(np.arange(sizes.size), sizes)
-    return (varcomps.sigma2_xi * (study[:, None] == study[None, :])
-            + np.diag(varcomps.sigma2_zeta + v))
 
 
 class Problem:

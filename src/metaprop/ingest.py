@@ -371,7 +371,12 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
 
     study_ids, trial_ids, ks, ns = [], [], [], []
     features = {name: [] for name in schema.names}
-    seen = set()
+    # A study's rows usually come as one run: a row of the current run shares its
+    # study id str and is checked against the run's trial ids, and `done` holds the
+    # studies of the runs before.  A study that comes back after another switches
+    # the check to one set of every (study, trial) pair read so far.
+    run, run_trials, done, pairs = None, set(), set(), None
+    strings = {}                                   # one str per distinct category label
     for line, row in (record for record in records if record[1]):
         if len(row) != len(header):
             raise ValidationError(f"line {line}: {len(row)} fields where the header "
@@ -380,9 +385,19 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
         study_id, trial_id = row["study_id"].strip(), row["trial_id"].strip()
         if not study_id:
             raise ValidationError(f"line {line}: empty study_id")
-        if (study_id, trial_id) in seen:
+        if study_id == run:
+            study_id = run
+        elif pairs is None and study_id in done:
+            run, done, pairs = study_id, None, set(zip(study_ids, trial_ids))
+        else:
+            run = study_id
+            if pairs is None:
+                done.add(study_id)
+                run_trials.clear()
+        trials, key = (run_trials, trial_id) if pairs is None else (pairs, (study_id, trial_id))
+        if key in trials:
             raise ValidationError(f"line {line}: duplicate trial {trial_id!r} in study {study_id!r}")
-        seen.add((study_id, trial_id))
+        trials.add(key)
         n = _parse_int(row["n"], "n", line)
         if n <= 0:
             raise ValidationError(f"line {line}: n must be positive, got {n}")
@@ -424,6 +439,7 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
                     value = spec.map_category(raw)
                 except ValidationError as exc:
                     raise ValidationError(f"line {line}: {exc}") from None
+                value = strings.setdefault(value, value)
             features[spec.name].append(value)
         study_ids.append(study_id)
         trial_ids.append(trial_id)

@@ -35,6 +35,18 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def unconverged(monkeypatch, marked):
+    """Patch ``engine.fit_designs`` so that each fit ``marked`` picks reads converged=False."""
+    fit_designs = engine.fit_designs
+
+    def patched(*args, **kwargs):
+        for k, result in fit_designs(*args, **kwargs):
+            if isinstance(result, engine.FitResult) and marked(result):
+                result = dataclasses.replace(result, converged=False)
+            yield k, result
+    monkeypatch.setattr(engine, "fit_designs", patched)
+
+
 class TestFit:
     def test_text_output(self, capsys, example_paths):
         code, out, _ = run(capsys, "fit", example_paths["data"], example_paths["schema"])
@@ -273,14 +285,7 @@ class TestRegress:
     def test_intercept_only_nonconvergence_exit_3(self, capsys, monkeypatch, tmp_path,
                                                   example_paths):
         # only the intercept-only fit, which R2 is measured against, fails to converge
-        fit_designs = engine.fit_designs
-
-        def marked(*args, **kwargs):
-            for k, result in fit_designs(*args, **kwargs):
-                if isinstance(result, engine.FitResult) and result.f == 1:
-                    result = dataclasses.replace(result, converged=False)
-                yield k, result
-        monkeypatch.setattr(engine, "fit_designs", marked)
+        unconverged(monkeypatch, lambda fit: fit.f == 1)
         code, out, err = run(capsys, "regress", example_paths["data"], example_paths["schema"],
                              "--features=ml_model", "--format", "json", "--out-dir", tmp_path)
         assert (code, err) == (3, "warning: fit did not converge\n")
@@ -335,19 +340,36 @@ class TestSelect:
         schema = tmp_path / "schema.yaml"
         schema.write_text("features:\n  grp:\n    kind: categorical\n    reference_level: a\n")
         out_dir = tmp_path / "sel"
-        code, out, _ = run(capsys, "select", data, schema, "--out-dir", out_dir)
-        assert code == 3
+        code, out, err = run(capsys, "select", data, schema, "--out-dir", out_dir)
+        assert (code, err) == (3, "warning: fit did not converge\n")
         assert "Full: fit failed" in out
         for name in ("comparison.md", "comparison.csv", "search_trail.jsonl", "manifest.json"):
             assert (out_dir / name).exists()
-        code, out, _ = run(capsys, "select", data, schema, "--format", "json",
-                           "--out-dir", out_dir)
-        assert code == 3
+        code, out, err = run(capsys, "select", data, schema, "--format", "json",
+                             "--out-dir", out_dir)
+        assert (code, err) == (3, "warning: fit did not converge\n")
         full = next(row for row in strict_json(out)["rows"] if row["name"] == "Full")
         assert full["aic"] is None and full["mu_prop"] is None
         strict_json((out_dir / "manifest.json").read_text())
         for line in (out_dir / "search_trail.jsonl").read_text().splitlines():
             strict_json(line)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nonconvergence_exit_3_warns(self, capsys, monkeypatch, tmp_path, example_paths,
+                                         fmt):
+        # every fit with a moderator fails to converge; the search's forked
+        # children inherit the patch
+        unconverged(monkeypatch, lambda fit: fit.f > 1)
+        out_dir = tmp_path / "sel"
+        code, out, err = run(capsys, "select", example_paths["data"],
+                             str(TESTDATA / "small_schema.yaml"), "--format", fmt,
+                             "--out-dir", out_dir)
+        assert (code, err) == (3, "warning: fit did not converge\n")
+        if fmt == "json":
+            rows = {row["name"]: row["converged"] for row in json.loads(out)["rows"]}
+            assert rows["Null"] is True and rows["Full"] is False
+        for name in ("comparison.md", "comparison.csv", "search_trail.jsonl", "manifest.json"):
+            assert (out_dir / name).is_file()
 
     @pytest.mark.parametrize("command", ["fit", "select"])
     def test_one_study_warns(self, capsys, tmp_path, command):

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from metaprop import engine
 from metaprop.engine import (Problem, VarianceComponents, effect_arrays, fit_model,
-                             gls_fixed_effects, log_likelihood,
-                             marginal_covariance, pooled_estimate,
+                             gls_fixed_effects, log_likelihood, pooled_estimate,
                              predict_study_effects, study_weights)
 from metaprop.ingest import ValidationError
 from metaprop.simulate import generate, load_simconfig
@@ -40,26 +39,6 @@ def dense_loglik(y, X, sizes, vc, v, method):
     if method == "ml":
         return float(ll)
     return float(ll - 0.5 * np.linalg.slogdet(A)[1] + 0.5 * f * math.log(2 * math.pi))
-
-
-class TestMarginalCovariance:
-    def test_zero_components_diagonal(self):
-        V = marginal_covariance([2], VarianceComponents(0.0, 0.0), [0.25, 0.25])
-        assert np.allclose(V, np.diag([0.25, 0.25]))
-
-    def test_block_entries(self):
-        V = marginal_covariance([2], VarianceComponents(0.02, 0.008), [0.001, 0.001])
-        assert V[0, 0] == pytest.approx(0.029)
-        assert V[0, 1] == 0.02  # exactly sigma2_xi, not sigma2_xi + sigma2_zeta
-        assert V[1, 0] == 0.02
-
-    def test_between_study_independence(self):
-        V = marginal_covariance([1, 1], VarianceComponents(0.5, 0.1), [0.2, 0.3])
-        assert V[0, 1] == 0.0 and V[1, 0] == 0.0
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            marginal_covariance([1], VarianceComponents(0.1, 0.1), [-0.5])
 
 
 class TestLogLikelihood:

@@ -112,6 +112,27 @@ class TestParse:
         with pytest.raises(ValidationError, match="line 6: duplicate trial 't2' in study 'S1'"):
             parse_dataset(bad, SCHEMA)
 
+    @pytest.mark.parametrize("rows, line, study", [
+        (["S1,t1", "S1,t2", "S1,t1"], 4, "S1"),                     # within one run
+        (["S1,t1", "S2,t1", "S1,t2", "S1,t1"], 5, "S1"),            # a study that came back
+        (["S1,t1", "S2,t1", "S1,t2", "S3,t1", "S2,t1"], 6, "S2"),   # after the check switched
+    ], ids=["run", "returning", "switched"])
+    def test_duplicate_trial_in_any_layout(self, rows, line, study):
+        text = "study_id,trial_id,k,n,size,model,lang\n" + "".join(
+            f"{row},1,2,1000,lr,en\n" for row in rows)
+        with pytest.raises(ValidationError, match=f"line {line}: duplicate trial 't1' in study '{study}'"):
+            parse_dataset(text, SCHEMA)
+        ds = parse_dataset(text.rsplit("\n", 2)[0] + "\n", SCHEMA)      # the same without it
+        assert ds.m == len(rows) - 1
+
+    def test_repeated_strings_shared(self):
+        """A run of rows shares one study id str, and a category label is one str."""
+        text = "study_id,trial_id,k,n,size,model,lang\n" + "".join(
+            f"S{i // 3},t{i % 3},1,2,1000,lr,{'en' if i % 2 else 'de'}\n" for i in range(9))
+        ds = parse_dataset(text, SCHEMA)
+        assert len({id(s) for s in ds.study_id}) == 3
+        assert len({id(s) for s in ds.features["lang"]}) == 2
+
     def test_empty_file(self):
         with pytest.raises(ValidationError, match="empty"):
             parse_dataset("", SCHEMA)

@@ -8,7 +8,9 @@ for ``ml_model``, 100 added to ``train_test_ratio`` (the intercept takes
 the shift up), and, under ML only, ``training_size`` on another scale
 (the REML likelihood moves by the log-determinant of the rescaling).
 The search, ``fit`` and ``regress`` must keep every subset, its width and
-whether it was skipped, and its log-likelihood to 1e-10 relative.
+whether it was skipped, and its log-likelihood to 1e-10 relative.  A
+hypothesis property applies random compositions of the same rewritings to
+small drawn datasets of one numeric and one three-level feature.
 """
 
 import csv
@@ -19,6 +21,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaprop import selection
 from metaprop.cli import main
@@ -41,9 +45,9 @@ def respec(schema, name, **changes):
                                        for e in schema.entries))
 
 
-def shuffled(header, rows, schema):
+def shuffled(header, rows, schema, seed=7):
     rows = list(rows)
-    random.Random(7).shuffle(rows)
+    random.Random(seed).shuffle(rows)
     return header, rows, schema
 
 
@@ -53,18 +57,18 @@ def renamed(header, rows, schema):
     return header, [[new[row[0]], *row[1:]] for row in rows], schema
 
 
-def rereferenced(header, rows, schema):
-    return header, rows, respec(schema, "ml_model", reference_level="Tree-based")
+def rereferenced(header, rows, schema, name="ml_model", level="Tree-based"):
+    return header, rows, respec(schema, name, reference_level=level)
 
 
-def shifted(header, rows, schema):
-    i = header.index("train_test_ratio")
-    return header, [[*row[:i], repr(float(row[i]) + 100), *row[i + 1:]] for row in rows], schema
+def shifted(header, rows, schema, name="train_test_ratio", by=100):
+    i = header.index(name)
+    return header, [[*row[:i], repr(float(row[i]) + by), *row[i + 1:]] for row in rows], schema
 
 
-def rescaled(header, rows, schema):
+def rescaled(header, rows, schema, name="training_size", scale=1.0):
     # 1 in place of 1000: under REML the loglik would move by the log-determinant
-    return header, rows, respec(schema, "training_size", scale=1.0)
+    return header, rows, respec(schema, name, scale=scale)
 
 
 CASES = [(method, rewrite) for method in ("reml", "ml")
@@ -125,3 +129,47 @@ def test_commands_are_invariant(capsys, tmp_path, command, method, rewrite):
     theirs = cli_payload(capsys, tmp_path, *example(), *argv)
     assert ours["f"] == theirs["f"]
     assert loglik_gaps([ours["loglik"]], [theirs["loglik"]]) == []
+
+
+SMALL_SCHEMA = FeatureSchema.from_dict({"features": {
+    "x": {"kind": "numeric"}, "g": {"kind": "categorical", "reference_level": "a"}}})
+
+
+@st.composite
+def small_example(draw):
+    """(header, rows, schema) of 3-6 studies of 2-5 trials, with a numeric x of
+    small integers and a categorical g of levels a, b and c."""
+    rows = []
+    for s in range(draw(st.integers(3, 6))):
+        for t in range(draw(st.integers(2, 5))):
+            n = draw(st.integers(20, 200))
+            rows.append([f"S{s}", f"t{t}", str(draw(st.integers(0, n))), str(n),
+                         str(draw(st.integers(-3, 3))), draw(st.sampled_from("abc"))])
+    return ["study_id", "trial_id", "k", "n", "x", "g"], rows, SMALL_SCHEMA
+
+
+@st.composite
+def compositions(draw, method):
+    """1-4 distinct rewritings of the small example in random order, their
+    parameters drawn; the rescale only under ML."""
+    rewrites = [functools.partial(shuffled, seed=draw(st.integers(0, 2 ** 16))), renamed,
+                functools.partial(rereferenced, name="g", level=draw(st.sampled_from("bc"))),
+                functools.partial(shifted, name="x", by=draw(st.integers(-50, 50)))]
+    if method == "ml":
+        rewrites.append(functools.partial(rescaled, name="x",
+                                          scale=draw(st.sampled_from([0.25, 3.0, 10.0]))))
+    return draw(st.lists(st.sampled_from(rewrites), min_size=1, max_size=4, unique=True))
+
+
+@pytest.mark.parametrize("method", ["reml", "ml"])
+@given(plain=small_example(), data=st.data())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_rewritings_compose(method, plain, data):
+    rewritten = plain
+    for rewrite in data.draw(compositions(method)):
+        rewritten = rewrite(*rewritten)
+    (_, trail), (_, base_trail) = protocol(*rewritten, method), protocol(*plain, method)
+    assert len(trail) == len(base_trail) == 4
+    assert ([(r.features, r.f, r.skipped is None) for r in trail]
+            == [(r.features, r.f, r.skipped is None) for r in base_trail])
+    assert loglik_gaps([r.loglik for r in trail], [r.loglik for r in base_trail]) == []

@@ -86,3 +86,13 @@ def test_every_fit_goes_through_fit_subsets():
             stray += [f"{path.name} line {line}: fit_designs"
                       for line in called_lines(tree, "fit_designs")]
     assert stray == [], "a module fits outside selection.fit_subsets"
+
+
+def test_one_outcome_rule():
+    # a command decides exit 3 for a fit that did not converge in _fit_outcome alone
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text(encoding="utf-8"))
+    stray = [f"line {node.lineno}" for top in tree.body
+             if getattr(top, "name", None) not in ("_fit_outcome", "main")
+             for node in ast.walk(top) if isinstance(node, ast.Name)
+             and node.id == "EXIT_NUMERIC" and isinstance(node.ctx, ast.Load)]
+    assert stray == [], "cli.py reads EXIT_NUMERIC outside _fit_outcome and main"
