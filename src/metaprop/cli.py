@@ -168,9 +168,7 @@ def cmd_fit(args) -> Outcome:
             f"within-study {s.i2_zeta:.2f}, total {s.i2_total:.2f}")
     if args.diagnostics:
         diagnostics = transform_diagnostic(dataset)
-        payload["transform_diagnostics"] = [
-            {"kind": d.kind, "w": d.w, "p_value": d.p_value, "skipped": d.skipped}
-            for d in diagnostics]
+        payload["transform_diagnostics"] = [asdict(d) for d in diagnostics]
         text += "\n\n" + report.simple_table(
             ["transform", "W", "p", "skipped"],
             [(d.kind, "" if d.w is None else f"{d.w:.4f}",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -369,8 +370,8 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
     if missing_feats:
         raise ValidationError(f"missing feature columns: {missing_feats}")
 
-    study_ids, trial_ids, ks, ns = [], [], [], []
-    features = {name: [] for name in schema.names}
+    study_ids, trial_ids, ks, ns = [], [], array("q"), array("q")   # typed: 8 bytes a value
+    features = {e.name: array("d") if e.kind == "numeric" else [] for e in schema.entries}
     # A study's rows usually come as one run: a row of the current run shares its
     # study id str and is checked against the run's trial ids, and `done` holds the
     # studies of the runs before.  A study that comes back after another switches
@@ -452,8 +453,9 @@ def parse_dataset(csv_text: str, schema: FeatureSchema) -> Dataset:
         raise ValidationError(f"line {line}: the file has one data row and needs at "
                               "least 2: no model can be fitted to one trial")
     # one stable permutation orders every column: input order stays within studies
-    order = sorted(range(len(study_ids)), key=study_ids.__getitem__)
-    ordered = lambda values: np.array(values, dtype=object)[order]
+    order = np.argsort(np.array(study_ids, dtype=object), kind="stable")
+    ordered = lambda values: (np.asarray(values) if isinstance(values, array)
+                              else np.array(values, dtype=object))[order]
     return Dataset(study_id=ordered(study_ids), trial_id=ordered(trial_ids), k=ordered(ks),
                    n=ordered(ns), schema=schema,
                    features={name: ordered(values) for name, values in features.items()})

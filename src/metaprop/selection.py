@@ -94,29 +94,31 @@ def fit_subsets(datasets, subsets, method: str):
     is feature subset j of dataset r, its ``encode_design`` slice of that
     dataset's candidate columns.
 
-    The datasets, of one study layout, are read in order when this is
-    called, and only each one's effects, sampling variances and candidate
-    columns are kept, so an iterable of them need not be held at once.
-    One ``independent_columns`` call decides the kept columns of every
-    design, and ``engine.fit_designs`` fits them: each design with its
+    The datasets are read in order when this is called, and only each one's effects,
+    sampling variances, candidate columns and study layout are kept, so an iterable of
+    them need not be held at once; a dataset whose ``group_sizes()`` differ from the
+    first one's raises ValueError.  One ``independent_columns`` call decides the kept
+    columns of every design, and ``engine.fit_designs`` fits them: each design with its
     dataset's y and v row, one row shared by all designs of one dataset."""
-    rows, blocks, sets, width = [], [], [], 0
+    rows, blocks, sets, width, layouts = [], [], [], 0, []
     for data in datasets:
+        layouts.append(data.group_sizes())
+        if not np.array_equal(layouts[-1], layouts[0]):
+            raise ValueError(f"dataset {len(rows)} has another study layout than dataset 0")
         rows.append(engine.effect_arrays(data))
         blocks.append(data.candidate_columns[0])
         sets += [[width + i for i in offered_columns(data, s)] for s in subsets]
         width += blocks[-1].shape[1]
-        group_sizes = data.group_sizes()
     if len(rows) == 1:
         (y, v), X = rows[0], blocks[0]
     else:
         y, v = (np.repeat(np.array(a), len(subsets), 0) for a in zip(*rows))
         X = np.hstack(blocks)
-    return engine.fit_designs(y, X, group_sizes, v, method, independent_columns(X, sets))
+    return engine.fit_designs(y, X, layouts[0], v, method, independent_columns(X, sets))
 
 
 def _record(features, fit) -> TrailRecord:
-    if isinstance(fit, (ValidationError, np.linalg.LinAlgError)):
+    if isinstance(fit, Exception):
         return TrailRecord(features=tuple(features), skipped=str(fit))
     residuals = fit.y - fit.X @ fit.beta
     return TrailRecord(
@@ -346,9 +348,9 @@ class ModelComparisonRow:
 
 
 def _comparison_row(name, features, fit, fit_null) -> ModelComparisonRow:
-    if isinstance(fit, (ValidationError, np.linalg.LinAlgError)):
-        return ModelComparisonRow(name=name, features=tuple(features), note=str(fit))
     record = _record(features, fit)
+    if record.skipped is not None:
+        return ModelComparisonRow(name=name, features=record.features, note=record.skipped)
     s = heterogeneity.summarize(fit)
     r2 = (None, None) if name == "Null" else heterogeneity.r_squared(fit, fit_null)
     return ModelComparisonRow(

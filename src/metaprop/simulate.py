@@ -65,8 +65,8 @@ INT64_RANGE = range(-2 ** 63, 2 ** 63)   # the integers a seed or index path can
 # generate plus one intercept-only fit peaked at 383-447 bytes per trial
 # (10**5 to 2**21 trials, in 20 to 500000 studies), so 2**21 trials take about
 # 1 GB at most.  `metaprop simulate` with a numeric and a categorical moderator
-# peaked at 473 MB RSS at 10**6 trials in 20 studies, 990 MB at 2 * 10**6 in
-# 500000 studies, and at 2**21 trials 961 MB in 32 studies and 1247 MB in 2**21
+# peaked at 398 MB RSS at 10**6 trials in 20 studies, 846 MB at 2 * 10**6 in
+# 500000 studies, and at 2**21 trials 797 MB in 32 studies and 1100 MB in 2**21
 # studies of one trial each (Python 3.11, x86-64).
 MAX_TRIALS = 2 ** 21
 

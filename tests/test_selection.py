@@ -151,11 +151,23 @@ class TestLockstepSearch:
             assert (record.f, record.converged) == (fit.f, fit.converged)
 
     def test_rows_equal_their_trail_records(self, small):
-        rows, trail = five_model_protocol(small)
-        by_features = {r.features: r for r in trail}
-        for row in rows:
-            record = by_features[row.features]
-            assert (row.aic, row.bic, row.rmse) == (record.aic, record.bic, record.rmse)
+        # the four-trial dataset's Full model has m = f = 4, so its row fails
+        failing = parse_dataset("study_id,trial_id,k,n,grp\nS1,t1,80,100,a\nS1,t2,70,90,b\n"
+                                "S2,t1,60,100,c\nS2,t2,75,80,d\n",
+                                FeatureSchema(entries=[FeatureSpec("grp", "categorical",
+                                                                   reference_level="a")]))
+        failed = 0
+        for data in (small, failing):
+            rows, trail = five_model_protocol(data)
+            by_features = {r.features: r for r in trail}
+            for row in rows:
+                record = by_features[row.features]
+                if record.skipped is not None:
+                    failed += 1
+                    assert row.note == record.skipped and row.f == record.f == 0
+                else:
+                    assert (row.aic, row.bic, row.rmse) == (record.aic, record.bic, record.rmse)
+        assert failed == 1
 
     @pytest.mark.parametrize("mode", ["gaussian", "binomial"])
     def test_replicate_subset_designs_match_each_replicate_trail(self, mode):
@@ -175,6 +187,19 @@ class TestLockstepSearch:
                 assert (record.features, record.f, record.skipped, record.converged) == (
                     alone.features, alone.f, alone.skipped, alone.converged), (r, j)
                 assert record.loglik == pytest.approx(alone.loglik, rel=1e-10)
+
+    def test_one_study_layout_per_call(self):
+        # one size, two layouts: b's effects must not be fitted under a's layout
+        def dataset(layout):
+            trials = [(s, t) for s, size in enumerate(layout) for t in range(size)]
+            return parse_dataset("study_id,trial_id,k,n\n" + "".join(
+                f"S{s},t{t},{k},12\n" for (s, t), k in zip(trials, [3, 5, 7, 9, 4, 6])),
+                FeatureSchema(entries=[]))
+
+        a, b = dataset([3, 3]), dataset([2, 4])
+        assert a.group_sizes().tolist() == [3, 3] and b.group_sizes().tolist() == [2, 4]
+        with pytest.raises(ValueError, match="another study layout"):
+            selection.fit_subsets([a, b], [()], "reml")
 
     def test_evaluation_cap_reaches_every_record(self, small, monkeypatch):
         monkeypatch.setattr(engine, "MAX_EVALUATIONS", 2)
